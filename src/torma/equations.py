@@ -7,9 +7,11 @@ Variant PSI solves, in Hodge-dual (metric) form,
 the dual of det(omega_0^{n-1} + i ddbar u ^ omega^{n-2}) = e^{F+b} det(omega^{n-1}).
 Variant PHI adds the first-order torsion tensor Z = star E with
 E = Re(i du ^ dbar(omega^{n-2})) / (n-1)!, the dual form of the
-torsion-augmented (n-1,n-1) operator. ref is det(omega) or det(omega_h)
-according to rhs_volume; omega^n is the default, the omega_h^n family is
-selectable per run.
+torsion-augmented (n-1,n-1) operator. Z is linear in du,
+Z = Re(sum_p du_p M_p)/(n-1), and M depends on omega only, so each spec
+builds it once (ProblemSpec.torsion_operator). ref is det(omega) or
+det(omega_h) according to rhs_volume; omega^n is the default, the omega_h^n
+family is selectable per run.
 
 The unknown pair is (u, b): u is kept mean-zero during iteration and b is an
 explicit scalar; u only enters through derivatives so shifting u is a gauge
@@ -55,6 +57,9 @@ class ProblemSpec:
         self.grid.check_field(self.omega0, (n, n))
         self.grid.check_field(self.omega, (n, n))
         self.grid.check_field(self.F, ())
+        for name, f in (("omega_0", self.omega0), ("omega", self.omega), ("datum F", self.F)):
+            if not np.all(np.isfinite(f)):
+                raise ValidationError(f"{name} has non-finite values")
         ha.require_positive(self.omega0, "omega_0")
         ha.require_positive(self.omega, "omega")
         if self.variant is Variant.PHI and n < 3:
@@ -87,6 +92,18 @@ class ProblemSpec:
         return self._cached("dbar_omega", lambda: geo.metric_dbar_tensor(self.grid, self.omega))
 
     @property
+    def torsion_operator(self):
+        """M[..., p, :, :] = M(e_p) of the torsion term, built on first use.
+
+        Only the PHI assembly and beta_closedness_scalar ask for it, so a PSI
+        solve never holds this grid.sizes + (n, n, n) array.
+        """
+        return self._cached(
+            "torsion_operator",
+            lambda: torsion_operator_from_parts(self.omega, self.dbar_omega, self.omega_inv),
+        )
+
+    @property
     def log_det_ref(self):
         def build():
             ref = self.omega if self.rhs_volume is RhsVolume.OMEGA_N else self.omega_h
@@ -112,15 +129,44 @@ def omega_h(spec):
     return spec.omega_h
 
 
-def _e_raw(g, du, dbar_omega, ginv):
-    """Complex-linear part M(du) of the E dual: Z = Re(M)/(n-1)."""
-    n = g.shape[-1]
-    m = np.zeros_like(g)
-    for k in range(n):
-        slot = np.zeros_like(g)
-        slot[..., :, k] = du
-        m += ha.b2(g, slot, dbar_omega[..., k, :, :], ginv)
+def torsion_coefficient(dbar_omega, ginv):
+    """c_p = sum_k S2(e_p e_k^T, d_kbar g), so sum_k S2(du x e_k^T, d_kbar g) = du . c.
+
+    Closed form with R_k = g^{-1} d_kbar g:
+    c_p = sum_k [(g^{-1})_{kp} tr R_k - (R_k g^{-1})_{kp}].
+    """
+    t = np.einsum("...ji,...kij->...k", ginv, dbar_omega)
+    return (np.einsum("...kp,...k->...p", ginv, t)
+            - np.einsum("...ki,...kij,...jp->...p", ginv, dbar_omega, ginv))
+
+
+def torsion_operator_from_parts(g, dbar_omega, ginv):
+    """M[..., p, :, :] = M(e_p) with M(du) = sum_k B2(du x e_k^T, d_kbar g).
+
+    M is the complex-linear part of the E dual, Z = Re(sum_p du_p M_p)/(n-1).
+    Closed form of each slot sum, with D_k = d_kbar g, R_k = g^{-1} D_k,
+    t_k = tr R_k and c_p from torsion_coefficient:
+
+        M_p = c_p g + sum_k [ -(g^{-1})_{kp} D_k + e_p (R_k)_{k,:}
+                              - t_k E_pk + (D_k g^{-1})_{:,p} e_k^T ].
+    """
+    diag = np.arange(g.shape[-1])
+    m = np.einsum("...p,...ij->...pij", torsion_coefficient(dbar_omega, ginv), g)
+    m -= np.einsum("...kp,...kij->...pij", ginv, dbar_omega)
+    m += np.einsum("...kij,...jp->...pik", dbar_omega, ginv)
+    # sum_k [e_p (R_k)_{k,:} - t_k E_pk] only touches row p of M_p
+    rows = np.einsum("...ki,...kij->...j", ginv, dbar_omega)
+    traces = np.einsum("...ji,...kij->...k", ginv, dbar_omega)
+    m[..., diag, diag, :] += (rows - traces)[..., None, :]
     return m
+
+
+def _torsion_from_operator(m, du, ginv):
+    """(Z, H) from the torsion operator M and the holomorphic gradient du."""
+    n = m.shape[-1]
+    z = ha.hermitize(np.einsum("...p,...pij->...ij", du, m)) / (n - 1)
+    h_trace = np.einsum("...ij,...ji->...", ginv, z).real
+    return z, h_trace
 
 
 def e_term_from_parts(g, du, dbar_omega, ginv=None):
@@ -130,11 +176,8 @@ def e_term_from_parts(g, du, dbar_omega, ginv=None):
     d_kbar g_{i jbar}. Decomposing i du ^ dbar(omega) into (1,1)-slot wedges
     gives star E = Re( sum_k B2(du x e_k, d_kbar g) ) / (n-1).
     """
-    n = g.shape[-1]
     ginv = np.linalg.inv(g) if ginv is None else ginv
-    z = ha.hermitize(_e_raw(g, du, dbar_omega, ginv)) / (n - 1)
-    h_trace = np.einsum("...ij,...ji->...", ginv, z).real
-    return z, h_trace
+    return _torsion_from_operator(torsion_operator_from_parts(g, dbar_omega, ginv), du, ginv)
 
 
 def e_term(spec, u):
@@ -142,7 +185,7 @@ def e_term(spec, u):
     if spec.variant is not Variant.PHI:
         raise ValidationError("e_term is defined for the PHI variant only")
     du = gr.holo_gradient(spec.grid, u)
-    return e_term_from_parts(spec.omega, du, spec.dbar_omega, spec.omega_inv)
+    return _torsion_from_operator(spec.torsion_operator, du, spec.omega_inv)
 
 
 def tilde_metric(spec, u, hess=None):
@@ -226,15 +269,10 @@ class Linearization:
         self.coeff = (tr[..., None, None] * spec.omega_inv - self.gt_inv) / (n - 1)
         self.first_order = None
         if spec.variant is Variant.PHI:
-            # tr(gt^{-1} Z(v)) = Re sum_p a_p d_p v with M(v) the raw linear part
-            a = np.zeros(spec.grid.sizes + (n,), dtype=np.complex128)
-            unit = np.zeros(spec.grid.sizes + (n,), dtype=np.complex128)
-            for p in range(n):
-                unit[...] = 0.0
-                unit[..., p] = 1.0
-                m_p = _e_raw(spec.omega, unit, spec.dbar_omega, spec.omega_inv)
-                a[..., p] = np.einsum("...ij,...ji->...", self.gt_inv, m_p) / (n - 1)
-            self.first_order = a
+            # tr(gt^{-1} Z(v)) = Re sum_p a_p d_p v, a_p = tr(gt^{-1} M_p)/(n-1)
+            self.first_order = np.einsum(
+                "...ij,...pji->...p", self.gt_inv, spec.torsion_operator
+            ) / (n - 1)
 
     def apply(self, v):
         grid = self.spec.grid
@@ -336,6 +374,6 @@ def beta_closedness_scalar(spec, u):
         raise ValidationError("beta_u needs n >= 3")
     hess = gr.hessian_complex(spec.grid, u)
     du = gr.holo_gradient(spec.grid, u)
-    z, h_tr = e_term_from_parts(spec.omega, du, spec.dbar_omega, spec.omega_inv)
+    z, h_tr = _torsion_from_operator(spec.torsion_operator, du, spec.omega_inv)
     sigma = hess + h_tr[..., None, None] * spec.omega - (spec.n - 1) * z
     return geo.ddbar_scalar(spec.grid, spec.omega, ha.hermitize(sigma))

@@ -214,6 +214,10 @@ def newton_step(spec, state, cfg=None, gt=None, residual=None):
 
     The largest damping factor in {1, 1/2, 1/4, ...} that keeps gt positive and
     reduces the residual sup-norm is applied; no eigenvalue clipping ever.
+    info["damping"] is the factor taken (0.0 when the state has already
+    converged); after a step, info also holds the new state's gt, positivity
+    margin, residual and resolved residual sup, so the caller need not
+    recompute them.
     """
     cfg = cfg or SolverConfig()
     if gt is None or residual is None:
@@ -233,13 +237,17 @@ def newton_step(spec, state, cfg=None, gt=None, residual=None):
                               t=state.t)
         trial.u -= np.mean(trial.u)
         gt_trial = eq.tilde_metric(spec, trial.u)
-        if eq.positivity_margin(gt_trial) > 0.0:
+        margin = eq.positivity_margin(gt_trial)
+        if margin > 0.0:
             r_trial = eq.ma_residual(spec, trial, gt=gt_trial, check_positive=False)
-            if gr.sup_norm(gr.drop_nyquist(spec.grid, r_trial)) < rsup:
+            rsup_trial = gr.sup_norm(gr.drop_nyquist(spec.grid, r_trial))
+            if rsup_trial < rsup:
                 return trial, {
                     "damping": damping,
                     "gt": gt_trial,
+                    "margin": margin,
                     "residual": r_trial,
+                    "residual_sup": rsup_trial,
                 }
         damping *= 0.5
     raise PositivityError(
@@ -250,8 +258,8 @@ def newton_step(spec, state, cfg=None, gt=None, residual=None):
 def _newton_solve(spec, state, cfg, records, t):
     """Newton iteration at fixed t; state is mutated to convergence."""
     history = []
+    gt, margin, r, rsup = _residual_state(spec, state)
     for it in range(cfg.max_newton):
-        gt, margin, r, rsup = _residual_state(spec, state)
         history.append(rsup)
         records.append({
             "t": t, "iter": it, "residual_sup": rsup, "b": float(state.b),
@@ -272,6 +280,7 @@ def _newton_solve(spec, state, cfg, records, t):
         state.u = new_state.u
         state.b = new_state.b
         records[-1]["damping"] = info["damping"]
+        gt, margin, r, rsup = info["gt"], info["margin"], info["residual"], info["residual_sup"]
     raise SolverError(f"Newton budget exhausted at t={t:.4f} (residual {history[-1]:.3e})")
 
 
@@ -440,19 +449,15 @@ def adjoint_kernel(spec, state, tol=1e-9, max_iterations=60, cfg=None):
 # Gauduchon conformal factor
 
 
-def _gauduchon_residual_parts(grid, g, ginv, dbar_g, rho0, tau):
+def _gauduchon_residual_parts(grid, ginv, cross_coeff, rho0, tau):
     """N(tau)/(n-1)! and the data needed for its linearization."""
-    n = grid.n
     hess = gr.hessian_complex(grid, tau)
     dtau = gr.holo_gradient(grid, tau)
     grad_sq = np.einsum("...j,...ji,...i->...", np.conj(dtau), ginv, dtau)
     lap = np.einsum("...ij,...ji->...", ginv, hess)
-    cross = np.zeros(grid.sizes, dtype=np.complex128)
-    for k in range(n):
-        slot = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
-        slot[..., :, k] = dtau
-        cross += ha.s2(g, slot, dbar_g[..., k, :, :], ginv)
-    # [i d(tau) ^ dbar(omega^{n-1})]/dV = (n-1)(n-2)! sum_k S2 = (n-1)! sum_k S2
+    # [i d(tau) ^ dbar(omega^{n-1})]/dV = (n-1)! sum_k S2(dtau x e_k, d_kbar g)
+    #                                   = (n-1)! dtau . c
+    cross = np.einsum("...p,...p->...", dtau, cross_coeff)
     resid = lap.real + grad_sq.real + 2.0 * cross.real + rho0
     return resid, dtau
 
@@ -475,6 +480,7 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30, cfg=None):
     dbar_g = geo.metric_dbar_tensor(grid, omega)
     ddbar_g = geo.metric_ddbar_tensor(grid, omega, dbar_g)
     rho0 = geo.gauduchon_scalar(grid, omega, dbar_g, ddbar_g) / math.factorial(n - 1)
+    cross_coeff = eq.torsion_coefficient(dbar_g, ginv)
     coeff_mean = np.mean(ginv.reshape(-1, n, n), axis=0)
     precond = SpectralPreconditioner(grid, coeff_mean)
 
@@ -484,7 +490,7 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30, cfg=None):
 
     tau = np.zeros(grid.sizes, dtype=np.complex128)
     for it in range(max_newton):
-        resid, dtau = _gauduchon_residual_parts(grid, omega, ginv, dbar_g, rho0, tau)
+        resid, dtau = _gauduchon_residual_parts(grid, ginv, cross_coeff, rho0, tau)
         rsup = projected_sup(resid)
         if rsup < tol:
             break
@@ -494,18 +500,14 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30, cfg=None):
             dv = gr.holo_gradient(grid, v)
             lap_v = np.einsum("...ij,...ji->...", ginv, hess_v)
             cross_pair = np.einsum("...j,...ji,...i->...", np.conj(dtau), ginv, dv)
-            cross_lin = np.zeros(grid.sizes, dtype=np.complex128)
-            for k in range(n):
-                slot = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
-                slot[..., :, k] = dv
-                cross_lin += ha.s2(omega, slot, dbar_g[..., k, :, :], ginv)
+            cross_lin = np.einsum("...p,...p->...", dv, cross_coeff)
             return lap_v.real + 2.0 * cross_pair.real + 2.0 * cross_lin.real
 
         dtau_step, _ = _augmented_solve(grid, jac, -resid, precond, cfg)
         damping = 1.0
         while damping >= cfg.min_damping:
             trial = tau + damping * dtau_step
-            r_trial, _ = _gauduchon_residual_parts(grid, omega, ginv, dbar_g, rho0, trial)
+            r_trial, _ = _gauduchon_residual_parts(grid, ginv, cross_coeff, rho0, trial)
             if projected_sup(r_trial) < rsup:
                 tau = trial - np.mean(trial)
                 break

@@ -15,6 +15,10 @@ The pairing convention itself is pinned in test_hermitian.py by the defining
 identities of the construction: the eigenvalue law of star(omega_u^{n-1}),
 star(alpha ^ omega^{n-2}) = (n-2)!((tr alpha) omega - alpha), and the trace
 relation Psi ^ omega = tr(star Psi) dV.
+
+The slot-loop references at the end evaluate the torsion contractions of
+torma.equations with one B2/S2 call per slot; the closed forms used in
+production are checked against them.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from torma import hermitian as ha
 
 
 def _merge_sign(a, b):
@@ -227,3 +233,30 @@ def d_one_one(d_sigma):
                 base = Form(n, 1, 1, {((a,), (b,)): 1j})
                 out = out + v * Form(n, 1, 0, {((c,), ()): 1.0}).wedge(base)
     return out
+
+
+# ---------------------------------------------------------------------------
+# slot-loop references for the torsion contractions
+
+
+def _slot(du, k):
+    """The (1,1) coefficient field du x e_k^T: column k holds du."""
+    n = du.shape[-1]
+    slot = np.zeros(du.shape + (n,), dtype=np.complex128)
+    slot[..., :, k] = du
+    return slot
+
+
+def e_raw_slots(g, du, dbar_omega, ginv):
+    """M(du) = sum_k B2(du x e_k^T, d_kbar g), one B2 per slot."""
+    m = np.zeros_like(g, dtype=np.complex128)
+    for k in range(g.shape[-1]):
+        m += ha.b2(g, _slot(du, k), dbar_omega[..., k, :, :], ginv)
+    return m
+
+
+def cross_slots(g, du, dbar_omega, ginv):
+    """sum_k S2(du x e_k^T, d_kbar g), one S2 per slot."""
+    return sum(
+        ha.s2(g, _slot(du, k), dbar_omega[..., k, :, :], ginv) for k in range(g.shape[-1])
+    )

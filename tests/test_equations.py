@@ -59,6 +59,16 @@ class TestOmegaH:
         assert ha.min_eigenvalue(spec.omega_h) > 0
 
 
+class TestSpecValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["omega0", "omega", "F"])
+    def test_rejects_non_finite_input(self, g3, field, bad):
+        data = {"omega0": flat_field(g3), "omega": flat_field(g3), "F": np.zeros(g3.sizes)}
+        data[field].flat[0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            eq.ProblemSpec(grid=g3, variant=eq.Variant.PSI, **data)
+
+
 class TestTildeMetric:
     def test_zero_potential_gives_omega_h(self, g3, rng):
         spec = random_spec(g3, rng, eq.Variant.PSI)
@@ -145,6 +155,53 @@ class TestETerm:
         lhs = math.factorial(n) * of.top_ratio(e_form.wedge(omega_f), g)
         rhs = math.factorial(n) * h
         np.testing.assert_allclose(lhs, rhs, atol=1e-11)
+
+
+class TestTorsionClosedForms:
+    """Closed-form torsion contractions against the slot loops they replace."""
+
+    @staticmethod
+    def pointwise(rng, n, nodes=6):
+        from .conftest import random_positive, random_complex
+
+        g = random_positive(rng, n, shape=(nodes,))
+        dbar_g = random_complex(rng, nodes, n, n, n, scale=0.3)
+        return g, dbar_g, np.linalg.inv(g)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_operator_matches_slot_loop(self, rng, n):
+        g, dbar_g, ginv = self.pointwise(rng, n)
+        m = eq.torsion_operator_from_parts(g, dbar_g, ginv)
+        for p, unit in enumerate(np.eye(n, dtype=complex)):
+            du = np.broadcast_to(unit, g.shape[:-1])
+            np.testing.assert_allclose(
+                m[..., p, :, :], of.e_raw_slots(g, du, dbar_g, ginv), rtol=0, atol=1e-13
+            )
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_coefficient_matches_s2_slot_sum(self, rng, n):
+        from .conftest import random_complex
+
+        g, dbar_g, ginv = self.pointwise(rng, n)
+        du = random_complex(rng, g.shape[0], n)
+        got = np.einsum("...p,...p->...", du, eq.torsion_coefficient(dbar_g, ginv))
+        np.testing.assert_allclose(got, of.cross_slots(g, du, dbar_g, ginv), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_first_order_matches_slot_loop(self, rng, n):
+        grid = gr.TorusGrid.reduced(n, 8, active_coords=(0, 2))
+        spec = random_spec(grid, rng, eq.Variant.PHI)
+        u = tf.random_band_limited_real(grid, rng, amplitude=0.03)
+        lin = eq.Linearization(spec, eq.SolveState(u=u, b=0.0))
+        want = np.stack([
+            np.einsum(
+                "...ij,...ji->...", lin.gt_inv,
+                of.e_raw_slots(spec.omega, np.broadcast_to(unit, grid.sizes + (n,)),
+                               spec.dbar_omega, spec.omega_inv),
+            ) / (n - 1)
+            for unit in np.eye(n, dtype=complex)
+        ], axis=-1)
+        np.testing.assert_allclose(lin.first_order, want, rtol=0, atol=1e-13)
 
 
 class TestResidual:

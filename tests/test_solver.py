@@ -77,6 +77,22 @@ class TestNewton:
         assert err_u < 1e-6
         assert abs(report.state.b - prob.b_star) < 1e-8
 
+    @pytest.mark.parametrize("variant", [eq.Variant.PSI, eq.Variant.PHI])
+    def test_torsion_operator_built_once_for_phi_only(self, g3, rng, variant, monkeypatch):
+        # a PHI spec caches its torsion operator for the whole solve; a PSI
+        # solve must never allocate it
+        prob = manufacture_problem(g3, variant, rng)
+        builds = []
+        build = eq.torsion_operator_from_parts
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(eq, "torsion_operator_from_parts", counted)
+        assert sv.continuity_solve(prob.spec).converged
+        assert len(builds) == (1 if variant is eq.Variant.PHI else 0)
+
     def test_quadratic_convergence_tail(self, g3, rng):
         prob = manufacture_problem(
             g3, eq.Variant.PSI, rng, amplitude=0.05, conformal_amplitude=0.2
