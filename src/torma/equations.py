@@ -259,9 +259,15 @@ class Linearization:
         self.spec = spec
         self.state = state
         self.gt = tilde_metric(spec, state.u) if gt is None else gt
-        margin = positivity_margin(self.gt)
-        if margin <= 0.0:
-            raise PositivityError(f"tilde metric not positive (min eig {margin:.3e})")
+        # positive definiteness by one batched Cholesky; the eigenvalue margin
+        # is computed only to explain a failure
+        try:
+            np.linalg.cholesky(self.gt)
+        except np.linalg.LinAlgError:
+            margin = positivity_margin(self.gt)
+            raise PositivityError(
+                f"tilde metric not positive (min eig {margin:.3e})"
+            ) from None
         n = spec.n
         self.gt_inv = np.linalg.inv(self.gt)
         tr = np.einsum("...ij,...ji->...", self.gt_inv, spec.omega)
@@ -273,32 +279,19 @@ class Linearization:
             self.first_order = np.einsum(
                 "...ij,...pji->...p", self.gt_inv, spec.torsion_operator
             ) / (n - 1)
+        self.operator = gr.SecondOrderOperator(spec.grid, self.coeff, self.first_order)
 
     def apply(self, v):
-        grid = self.spec.grid
-        hess = gr.hessian_complex(grid, v)
-        out = np.einsum("...ij,...ji->...", self.coeff, hess)
-        if self.first_order is not None:
-            dv = gr.holo_gradient(grid, v)
-            out = out + np.einsum("...p,...p->...", self.first_order, dv).real
-        return out.real
+        """L v for a real field v; a complex v must be real to 1e-10, as F."""
+        if np.iscomplexobj(v):
+            if gr.sup_norm(v.imag) > 1e-10:
+                raise ValidationError("linearization argument v must be real")
+            v = v.real
+        return self.operator.apply(v)
 
     def apply_transpose(self, f, weights):
         """L^T f under <a,b>_w; f and the result are real fields."""
-        grid = self.spec.grid
-        n = self.spec.n
-        t = weights * f
-        # trace(C @ Hess v) = sum_{p,q} C[q,p] d_p d_qbar v
-        out = np.zeros(grid.sizes, dtype=np.complex128)
-        for p in range(n):
-            for q in range(n):
-                out += gr.d_antiholo(grid, gr.d_holo(grid, self.coeff[..., q, p] * t, p), q)
-        if self.first_order is not None:
-            fo = np.zeros(grid.sizes, dtype=np.complex128)
-            for p in range(n):
-                fo += gr.d_holo(grid, self.first_order[..., p] * t, p)
-            out -= fo.real
-        return out.real / weights
+        return self.operator.transpose(weights * f) / weights
 
 
 def linearized_apply(spec, state, v):

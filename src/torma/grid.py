@@ -11,15 +11,19 @@ Wirtinger derivatives:
     d_holo     = (d/dx_j - i d/dy_j) / 2
     d_antiholo = (d/dx_j + i d/dy_j) / 2
 
-Derivatives are Fourier multipliers (exact for band-limited fields). A field
-constant along a coordinate may be stored with size 1 on that axis (reduced
-ansatz); derivatives along such axes are exactly zero. Fourth-order central
-finite differences are available as a cross-check mode
+Derivatives are Fourier multipliers (exact for band-limited fields), read
+from one cached table per (grid, derivative method) (``spectral_table``);
+every operator transforms once over the active axes, multiplies and
+transforms back, on half spectra for real fields. A field constant along a
+coordinate may be stored with size 1 on that axis (reduced ansatz);
+derivatives along such axes are exactly zero. Fourth-order central finite
+differences are the table's other symbol, a cross-check mode
 (``set_derivative_method("fd4")``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product as _iterproduct
@@ -148,63 +152,309 @@ class TorusGrid:
             raise ValidationError(f"field shape {f.shape} does not match grid shape {want}")
 
 
-def _fft(a, axis):
-    return scipy.fft.fft(a, axis=axis, workers=_FFT_WORKERS)
+# ---------------------------------------------------------------------------
+# transforms over the active axes (all FFTs of torma go through these)
 
 
-def _ifft(a, axis):
-    return scipy.fft.ifft(a, axis=axis, workers=_FFT_WORKERS)
+def fftn(grid, f, axes=None):
+    """Full spectrum of a field over the given active axes (default: all)."""
+    axes = grid.active_axes if axes is None else axes
+    if not axes:
+        return np.array(f, dtype=np.complex128)
+    return scipy.fft.fftn(f, axes=axes, workers=_FFT_WORKERS)
+
+
+def ifftn(grid, fh, axes=None):
+    """Inverse of :func:`fftn` over the same axes."""
+    axes = grid.active_axes if axes is None else axes
+    if not axes:
+        return np.array(fh, dtype=np.complex128)
+    return scipy.fft.ifftn(fh, axes=axes, workers=_FFT_WORKERS)
+
+
+def rfftn(grid, f, axes=None):
+    """Half spectrum of a real field over the given active axes (default: all);
+    the last of them keeps size//2 + 1 modes."""
+    axes = grid.active_axes if axes is None else axes
+    if not axes:
+        return np.array(f, dtype=np.complex128)
+    return scipy.fft.rfftn(f, axes=axes, workers=_FFT_WORKERS)
+
+
+def irfftn(grid, fh, axes=None):
+    """Real field of a half spectrum (inverse of :func:`rfftn` over the same axes)."""
+    axes = grid.active_axes if axes is None else axes
+    if not axes:
+        return np.array(fh.real, dtype=np.float64)
+    shape = [grid.sizes[a] for a in axes]
+    return scipy.fft.irfftn(fh, s=shape, axes=axes, workers=_FFT_WORKERS)
+
+
+def _axis_symbol(size, method):
+    """Real odd s(k) with d/dx = i s(k) along one axis, zero at Nyquist."""
+    k = np.fft.fftfreq(size, d=1.0 / size)
+    if method == "fd4":
+        h = 1.0 / size
+        kh = 2.0 * np.pi * k * h
+        s = (8.0 * np.sin(kh) - np.sin(2.0 * kh)) / (6.0 * h)
+    else:
+        s = 2.0 * np.pi * k
+    s[size // 2] = 0.0  # the Nyquist mode has no well-defined odd derivative
+    return s
+
+
+class SpectralTable:
+    """Fourier multipliers of one grid under one derivative method.
+
+    Along real axis a, d/dx_a is the multiplier i s_a(k) with s_a real, odd
+    and zero at Nyquist (``_axis_symbol``); an inactive axis has s_a = 0. For
+    coordinate j with sx = s_{2j}, sy = s_{2j+1}:
+
+        d_holo     = (i sx + sy)/2        d_antiholo = (i sx - sy)/2
+        d_i d_jbar = hol_i antih_j = re[i][j] + i im[i][j],
+        re[i][j] = -(sx_i sx_j + sy_i sy_j)/4,  im[i][j] = (sy_i sx_j - sx_i sy_j)/4.
+
+    ``re``/``im`` are real and even, so they map real fields to real fields
+    and act on half spectra; ``im[i][j]`` is None where it vanishes (i == j,
+    or both y-axes inactive). ``axis[a]`` holds s_a along its own axis of the
+    full spectrum (:func:`fftn`); ``half`` cuts it to the layout of
+    :func:`rfftn`, and ``axis_half``, ``re`` and ``im`` broadcast against
+    :func:`rfftn` output over all active axes.
+    """
+
+    def __init__(self, grid, method):
+        n = grid.n
+        self.axis = []
+        for a, size in enumerate(grid.sizes):
+            shape = [1] * (2 * n)
+            if size > 1:
+                shape[a] = size
+                self.axis.append(_axis_symbol(size, method).reshape(shape))
+            else:
+                self.axis.append(np.zeros(shape))
+            # the cache hands the same arrays to every caller
+            self.axis[-1].setflags(write=False)
+        last = grid.active_axes[-1] if grid.active_axes else None
+        self.axis_half = [self.half(a, last) for a in range(2 * n)]
+        self.half_shape = tuple(
+            size // 2 + 1 if a == last else size for a, size in enumerate(grid.sizes)
+        )
+        self.live = tuple(j for j in range(n) if grid.sizes[2 * j] > 1 or grid.sizes[2 * j + 1] > 1)
+        self.y_live = tuple(j for j in range(n) if grid.sizes[2 * j + 1] > 1)
+        sx, sy = self.axis_half[0::2], self.axis_half[1::2]
+        self.re = [[-0.25 * (sx[i] * sx[j] + sy[i] * sy[j]) for j in range(n)] for i in range(n)]
+        self.im = [
+            [0.25 * (sy[i] * sx[j] - sx[i] * sy[j])
+             if i != j and (i in self.y_live or j in self.y_live) else None
+             for j in range(n)]
+            for i in range(n)
+        ]
+        for arr in [m for row in self.re + self.im for m in row if m is not None]:
+            arr.setflags(write=False)
+
+    def half(self, a, half_axis):
+        """``axis[a]`` in the layout of :func:`rfftn` over axes ending at half_axis."""
+        s = self.axis[a]
+        if a != half_axis:
+            return s
+        cut = [slice(None)] * s.ndim
+        cut[a] = slice(0, s.shape[a] // 2 + 1)
+        return s[tuple(cut)]
+
+    def pairs(self):
+        """Upper-triangle (i, j) with both coordinates live."""
+        return [(i, j) for i in self.live for j in self.live if i <= j]
+
+
+@functools.lru_cache(maxsize=16)  # bounded: a few grids are live in any one process
+def _table(grid, method):
+    return SpectralTable(grid, method)
+
+
+def spectral_table(grid):
+    """Cached multiplier table of the grid under the current derivative method."""
+    return _table(grid, _DERIVATIVE_METHOD)
+
+
+def _real_parts(f):
+    """[(Re f, 1), (Im f, 1j)] with the imaginary part left out when it is zero."""
+    f = np.asarray(f)
+    if not np.iscomplexobj(f):
+        return [(f, 1.0)]
+    parts = [(f.real, 1.0)]
+    if np.any(f.imag):
+        parts.append((f.imag, 1j))
+    return parts
+
+
+def _first_order(grid, f, combos):
+    """sum_a c_a d/dx_a f for each combination [(a, c_a), ...] in combos.
+
+    One forward transform over the active axes the combinations use. A real f
+    goes through the half spectrum with one inverse per real derivative; a
+    complex f (matrix fields of metrics) through the full spectrum with one
+    inverse per combination, which is cheaper than transforming its real and
+    imaginary parts apart. f may carry trailing matrix axes.
+    """
+    tab = spectral_table(grid)
+    f = np.asarray(f)
+    combos = [[(a, c) for a, c in combo if grid.sizes[a] > 1] for combo in combos]
+    axes = tuple(sorted({a for combo in combos for a, _ in combo}))
+    trailing = (1,) * (f.ndim - 2 * grid.n)
+
+    def symbol(s):
+        return 1j * s.reshape(s.shape + trailing)
+
+    if not axes:
+        return [np.zeros(f.shape, dtype=np.complex128) for _ in combos]
+    if np.iscomplexobj(f):
+        fh = fftn(grid, f, axes)
+        out = []
+        for k, combo in enumerate(combos):
+            if not combo:
+                out.append(np.zeros(f.shape, dtype=np.complex128))
+                continue
+            mult = sum(c * symbol(tab.axis[a]) for a, c in combo)
+            # the last combination multiplies fh in place
+            fh_k = fh * mult if k < len(combos) - 1 else np.multiply(fh, mult, out=fh)
+            out.append(ifftn(grid, fh_k, axes))
+        return out
+    fh = rfftn(grid, f, axes)
+    out = [np.zeros(f.shape, dtype=np.complex128) for _ in combos]
+    derivs = {}
+    for k, combo in enumerate(combos):
+        for a, c in combo:
+            if a not in derivs:
+                derivs[a] = irfftn(grid, symbol(tab.half(a, axes[-1])) * fh, axes)
+            out[k] += c * derivs[a]
+    return out
+
+
+def _holo_combo(j, anti=False):
+    """d/dz^j = (d/dx_j - i d/dy_j)/2; d/dzbar^j with the opposite sign."""
+    return [(2 * j, 0.5), (2 * j + 1, 0.5j if anti else -0.5j)]
 
 
 def deriv_real(grid, f, axis):
     """d/dx along one real axis (periodic, unit period)."""
-    size = grid.sizes[axis]
-    if size == 1:
-        return np.zeros_like(np.asarray(f, dtype=np.complex128))
-    f = np.asarray(f, dtype=np.complex128)
-    if _DERIVATIVE_METHOD == "fd4":
-        h = 1.0 / size
-        return (
-            8.0 * (np.roll(f, -1, axis) - np.roll(f, 1, axis))
-            - (np.roll(f, -2, axis) - np.roll(f, 2, axis))
-        ) / (12.0 * h)
-    k = np.fft.fftfreq(size, d=1.0 / size)
-    if size % 2 == 0:
-        k[size // 2] = 0.0  # Nyquist mode has no well-defined odd derivative
-    shape = [1] * f.ndim
-    shape[axis] = size
-    mult = (2j * np.pi * k).reshape(shape)
-    return _ifft(_fft(f, axis) * mult, axis)
+    return _first_order(grid, f, [[(axis, 1.0)]])[0]
+
+
+def _check_coordinate(grid, i):
+    if not 0 <= i < grid.n:
+        raise ValidationError(f"coordinate index {i} out of range for n={grid.n}")
 
 
 def d_holo(grid, f, i):
     """Holomorphic derivative d/dz^i (0-based i)."""
-    if not 0 <= i < grid.n:
-        raise ValidationError(f"coordinate index {i} out of range for n={grid.n}")
-    return 0.5 * (deriv_real(grid, f, 2 * i) - 1j * deriv_real(grid, f, 2 * i + 1))
+    _check_coordinate(grid, i)
+    return _first_order(grid, f, [_holo_combo(i)])[0]
 
 
 def d_antiholo(grid, f, i):
     """Antiholomorphic derivative d/dzbar^i (0-based i)."""
-    if not 0 <= i < grid.n:
-        raise ValidationError(f"coordinate index {i} out of range for n={grid.n}")
-    return 0.5 * (deriv_real(grid, f, 2 * i) + 1j * deriv_real(grid, f, 2 * i + 1))
+    _check_coordinate(grid, i)
+    return _first_order(grid, f, [_holo_combo(i, anti=True)])[0]
 
 
 def holo_gradient(grid, f):
-    """All d/dz^i stacked on a trailing axis: shape grid.shape + (n,)."""
-    return np.stack([d_holo(grid, f, i) for i in range(grid.n)], axis=-1)
+    """All d/dz^i stacked on a trailing axis: shape grid.shape + (n,).
+
+    One forward transform for all coordinates.
+    """
+    return np.stack(_first_order(grid, f, [_holo_combo(j) for j in range(grid.n)]), axis=-1)
 
 
 def hessian_complex(grid, u):
-    """Mixed complex Hessian u_{i jbar} = d_i d_jbar u, shape grid.shape + (n, n)."""
+    """Mixed complex Hessian u_{i jbar} = d_i d_jbar u, shape grid.shape + (n, n).
+
+    For real u, one half-spectrum transform and one inverse per upper-triangle
+    entry (two where the symbol has an imaginary part); the lower triangle is
+    hess[j, i] = conj(hess[i, j]). Complex u is H(Re u) + i H(Im u).
+    """
+    tab = spectral_table(grid)
     n = grid.n
-    du = [d_holo(grid, u, i) for i in range(n)]
     hess = grid.zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            hess[..., i, j] = d_antiholo(grid, du[i], j)
+    for part, unit in _real_parts(u):
+        uh = rfftn(grid, part)
+        for i, j in tab.pairs():
+            entry = irfftn(grid, tab.re[i][j] * uh)
+            if tab.im[i][j] is not None:
+                entry = entry + 1j * irfftn(grid, tab.im[i][j] * uh)
+            hess[..., i, j] += unit * entry
+            if i != j:
+                hess[..., j, i] += unit * np.conj(entry)
     return hess
+
+
+class SecondOrderOperator:
+    """L v = Re[sum_ij coeff_ij v_{j ibar} + sum_p a_p d_p v] on real fields, a = first_order.
+
+    Holds L as real coefficient fields against real operators with real
+    symbols, one set per live pair i <= j (hess[j, i] = conj(hess[i, j])):
+
+        L v = sum_{i<=j} [A_ij Re(v_{i jbar}) + B_ij Im(v_{i jbar})]
+              + sum_p [Re(a_p) d_x v + Im(a_p) d_y v]/2,
+
+    A_ii = Re C_ii, A_ij = Re(C_ij + C_ji), B_ij = Im(C_ij - C_ji), with
+    d_x, d_y the real derivatives of coordinate p. ``apply`` makes one forward
+    half-spectrum transform and one inverse per real operator; ``transpose``
+    (under the pairing sum(a * b)) one forward per real operator and a single
+    inverse, since the second-order symbols are even and the first-order ones
+    odd. The multipliers come from the grid's table at call time.
+    """
+
+    def __init__(self, grid, coeff, first_order=None):
+        self.grid = grid
+        tab = spectral_table(grid)
+        self.second = []
+        for i, j in tab.pairs():
+            if i == j:
+                self.second.append((i, j, np.ascontiguousarray(coeff[..., i, i].real), None))
+                continue
+            a = (coeff[..., i, j] + coeff[..., j, i]).real
+            b = (coeff[..., i, j] - coeff[..., j, i]).imag if tab.im[i][j] is not None else None
+            self.second.append((i, j, a, b))
+        self.first = []
+        if first_order is not None:
+            for p in tab.live:
+                a = 0.5 * first_order[..., p]
+                self.first.append((p, a.real, a.imag if p in tab.y_live else None))
+
+    def _terms(self):
+        """(real coefficient field, half-spectrum multiplier) of each term of L."""
+        tab = spectral_table(self.grid)
+        for i, j, a, b in self.second:
+            yield a, tab.re[i][j]
+            if b is not None:
+                yield b, tab.im[i][j]
+        for p, a, b in self.first:
+            yield a, 1j * tab.axis_half[2 * p]
+            if b is not None:
+                yield b, 1j * tab.axis_half[2 * p + 1]
+
+    def symbol(self):
+        """Half-spectrum symbol of L for constant coefficients (real without first order)."""
+        return sum(a * mult for a, mult in self._terms())
+
+    def apply(self, v):
+        """L v for a real field v."""
+        vh = rfftn(self.grid, v)
+        out = np.zeros(self.grid.sizes)
+        for a, mult in self._terms():
+            out += a * irfftn(self.grid, mult * vh)
+        return out
+
+    def transpose(self, t):
+        """L^T t for a real field t.
+
+        Each multiplier is real and even or imaginary and odd, so the
+        transpose of its term under sum(a * b) has the conjugate multiplier.
+        """
+        acc = np.zeros(spectral_table(self.grid).half_shape, dtype=np.complex128)
+        for a, mult in self._terms():
+            acc += np.conj(mult) * rfftn(self.grid, a * t)
+        return irfftn(self.grid, acc)
 
 
 def trace_with_inverse(g, a):
@@ -252,20 +502,17 @@ def drop_nyquist(grid, f):
 
     The spectral first derivative annihilates those modes (odd multiplier), so
     they are invisible to the solver's Jacobian; iterative solves work in this
-    resolved subspace.
+    resolved subspace. Real input gives real output.
     """
-    fh = np.asarray(f, dtype=np.complex128)
-    for axis in grid.active_axes:
-        fh = _fft(fh, axis)
-    for axis in grid.active_axes:
-        size = grid.sizes[axis]
-        if size % 2 == 0:
+    out = 0.0
+    for part, unit in _real_parts(f):
+        fh = rfftn(grid, part)
+        for axis in grid.active_axes:
             sl = [slice(None)] * fh.ndim
-            sl[axis] = size // 2
+            sl[axis] = grid.sizes[axis] // 2
             fh[tuple(sl)] = 0.0
-    for axis in grid.active_axes:
-        fh = _ifft(fh, axis)
-    return fh
+        out = out + unit * irfftn(grid, fh)
+    return out
 
 
 def resample(grid, f, out_grid):
@@ -276,9 +523,7 @@ def resample(grid, f, out_grid):
     """
     if out_grid.n != grid.n:
         raise ValidationError("resample requires equal complex dimension")
-    fh = np.asarray(f, dtype=np.complex128)
-    for axis in grid.active_axes:
-        fh = _fft(fh, axis)
+    fh = fftn(grid, f)
     out = np.zeros(out_grid.sizes + f.shape[len(grid.sizes):], dtype=np.complex128)
     blocks_src, blocks_dst = [], []
     for axis in range(2 * grid.n):
@@ -300,7 +545,6 @@ def resample(grid, f, out_grid):
             src[axis] = blocks_src[axis][c]
             dst[axis] = blocks_dst[axis][c]
         out[tuple(dst)] = fh[tuple(src)]
-    for axis in out_grid.active_axes:
-        out = _ifft(out, axis)
+    out = ifftn(out_grid, out)
     out *= out_grid.num_nodes / grid.num_nodes
     return out

@@ -78,8 +78,8 @@ def _assemble(grid, variant, omega_a, omega0_a, u_poly, b_star, rhs_volume,
             f"manufactured tilde metric lost positivity (min eig {margin:.3e}); "
             "reduce the amplitudes"
         )
-    u_star = u_poly.sample(grid).real.astype(np.complex128)
-    u_star -= np.mean(u_star.real)
+    u_star = u_poly.sample(grid).real.copy()
+    u_star -= np.mean(u_star)
 
     ref = g if rhs_volume is eq.RhsVolume.OMEGA_N else h
     f_star = np.log(np.linalg.det(gt).real) - np.log(np.linalg.det(ref).real) - b_star

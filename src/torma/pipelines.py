@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from . import equations as eq
 from . import geometry as geo
@@ -35,12 +34,15 @@ def potential_from_form(grid, beta, tol=1e-8):
     """
     n = grid.n
     grid.check_field(beta, (n, n))
-    hol, antih = sv._mode_multipliers(grid)
+    # symbol of d_i d_jbar in the full spectrum: hol_i antih_j
+    sym = gr.spectral_table(grid).axis
+    hol = [0.5 * (1j * sym[2 * i] + sym[2 * i + 1]) for i in range(n)]
+    antih = [0.5 * (1j * sym[2 * i] - sym[2 * i + 1]) for i in range(n)]
     pattern = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
     for i in range(n):
         for j in range(n):
             pattern[..., i, j] = hol[i] * antih[j]
-    beta_hat = scipy.fft.fftn(beta, axes=grid.active_axes)
+    beta_hat = gr.fftn(grid, beta)
     zero = tuple(0 for _ in grid.sizes)
     obstruction = float(np.max(np.abs(beta_hat[zero]))) / grid.num_nodes
     if obstruction > tol:
@@ -55,10 +57,10 @@ def potential_from_form(grid, beta, tol=1e-8):
     norm_sq[degenerate] = 1.0
     f_hat = np.einsum("...ij,...ij->...", np.conj(pattern), beta_hat) / norm_sq
     f_hat[degenerate] = 0.0
-    potential = scipy.fft.ifftn(f_hat, axes=grid.active_axes)
+    potential = gr.ifftn(grid, f_hat)
     if gr.sup_norm(np.imag(potential)) > 1e-9:
         raise CohomologyError("recovered potential is not real; form is not Hermitian")
-    potential = potential.real.astype(np.complex128)
+    potential = potential.real
     residual = gr.sup_norm(gr.hessian_complex(grid, potential) - beta)
     if residual > tol:
         raise CohomologyError(

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 import scipy.sparse.linalg as spla
 
 from . import equations as eq
@@ -30,6 +29,10 @@ from . import geometry as geo
 from . import grid as gr
 from . import hermitian as ha
 from .errors import PositivityError, SolverError, ValidationError
+
+# a continuity step whose first Newton step has to be damped below this is
+# too long and is halved (down to SolverConfig.min_t_step)
+MIN_FIRST_DAMPING = 0.25
 
 
 @dataclass
@@ -89,43 +92,18 @@ class SolveReport:
 # spectral constant-coefficient preconditioner
 
 
-def _mode_multipliers(grid):
-    """Fourier multipliers of d_holo / d_antiholo per complex coordinate."""
-    hol, antih = [], []
-    for j in range(grid.n):
-        kx = np.zeros(grid.sizes)
-        ky = np.zeros(grid.sizes)
-        for axis, target in ((2 * j, kx), (2 * j + 1, ky)):
-            size = grid.sizes[axis]
-            if size == 1:
-                continue
-            k = np.fft.fftfreq(size, d=1.0 / size)
-            if size % 2 == 0:
-                k[size // 2] = 0.0
-            shape = [1] * (2 * grid.n)
-            shape[axis] = size
-            target += k.reshape(shape)
-        hol.append(1j * np.pi * (kx - 1j * ky))
-        antih.append(1j * np.pi * (kx + 1j * ky))
-    return hol, antih
-
-
 class SpectralPreconditioner:
     """Exact inverse of v -> sum C[i,j] d_j d_ibar v - beta for constant C.
 
     Solves [Lbar(v) - beta = rho ; mean(v) = s] one Fourier mode at a time;
     used as the right preconditioner of the augmented Newton system and, with
-    a shift, of the adjoint-kernel iteration.
+    a shift, of the adjoint-kernel iteration. The symbol is real and even, so
+    real fields are solved on half spectra.
     """
 
     def __init__(self, grid, coeff_mean, shift=0.0):
         self.grid = grid
-        hol, antih = _mode_multipliers(grid)
-        symbol = np.zeros(grid.sizes, dtype=np.complex128)
-        n = grid.n
-        for i in range(n):
-            for j in range(n):
-                symbol += coeff_mean[i, j] * hol[j] * antih[i]
+        symbol = gr.SecondOrderOperator(grid, coeff_mean).symbol()
         self.symbol = symbol - shift
         self.zero = tuple(0 for _ in grid.sizes)
         # modes annihilated by the derivative multipliers (k = 0, Nyquist) pass
@@ -136,19 +114,18 @@ class SpectralPreconditioner:
         )
 
     def solve_field(self, rho):
-        """(Lbar - shift)^{-1} rho, zero mode passed through the shift."""
-        rho_hat = scipy.fft.fftn(rho, axes=self.grid.active_axes)
+        """(Lbar - shift)^{-1} rho for a real rho, zero mode passed through the shift."""
+        rho_hat = gr.rfftn(self.grid, rho)
         rho_hat /= self.safe_symbol
-        return scipy.fft.ifftn(rho_hat, axes=self.grid.active_axes)
+        return gr.irfftn(self.grid, rho_hat)
 
     def solve_augmented(self, rho, mean_target=0.0):
-        """Solve Lbar(v) - beta = rho with mean(v) = mean_target."""
-        rho_hat = scipy.fft.fftn(rho, axes=self.grid.active_axes)
+        """Solve Lbar(v) - beta = rho (real) with mean(v) = mean_target."""
+        rho_hat = gr.rfftn(self.grid, rho)
         beta = -(rho_hat[self.zero].real / self.grid.num_nodes)
         rho_hat /= self.safe_symbol
         rho_hat[self.zero] = mean_target * self.grid.num_nodes
-        v = scipy.fft.ifftn(rho_hat, axes=self.grid.active_axes)
-        return v, beta
+        return gr.irfftn(self.grid, rho_hat), beta
 
 
 def _augmented_solve(grid, apply_fn, rhs, precond, cfg):
@@ -162,19 +139,17 @@ def _augmented_solve(grid, apply_fn, rhs, precond, cfg):
     rhs = gr.drop_nyquist(grid, rhs)
 
     def matvec(x):
-        v = x[:size].reshape(grid.sizes).astype(np.complex128)
-        beta = x[size]
-        out = gr.drop_nyquist(grid, apply_fn(v)) - beta
-        return np.concatenate([out.real.ravel(), [np.mean(v).real]])
+        v = x[:size].reshape(grid.sizes)
+        out = gr.drop_nyquist(grid, apply_fn(v)) - x[size]
+        return np.concatenate([out.ravel(), [np.mean(v)]])
 
     def psolve(x):
-        rho = x[:size].reshape(grid.sizes)
-        v, beta = precond.solve_augmented(rho, mean_target=x[size])
-        return np.concatenate([v.real.ravel(), [beta]])
+        v, beta = precond.solve_augmented(x[:size].reshape(grid.sizes), mean_target=x[size])
+        return np.concatenate([v.ravel(), [beta]])
 
     op = spla.LinearOperator((size + 1, size + 1), matvec=matvec, dtype=np.float64)
     m_op = spla.LinearOperator((size + 1, size + 1), matvec=psolve, dtype=np.float64)
-    b = np.concatenate([rhs.real.ravel(), [0.0]])
+    b = np.concatenate([rhs.ravel(), [0.0]])
     maxiter = max(1, cfg.linear_maxiter // cfg.linear_restart)
     # absolute floor: once the linear residual is far below the Newton
     # tolerance, further digits cannot matter
@@ -184,7 +159,7 @@ def _augmented_solve(grid, apply_fn, rhs, precond, cfg):
     )
     if info != 0:
         raise SolverError(f"inner GMRES did not reach tolerance (info={info})")
-    v = x[:size].reshape(grid.sizes).astype(np.complex128)
+    v = x[:size].reshape(grid.sizes)
     return v - np.mean(v), float(x[size])
 
 
@@ -255,8 +230,12 @@ def newton_step(spec, state, cfg=None, gt=None, residual=None):
     )
 
 
-def _newton_solve(spec, state, cfg, records, t):
-    """Newton iteration at fixed t; state is mutated to convergence."""
+def _newton_solve(spec, state, cfg, records, t, min_first_damping=0.0):
+    """Newton iteration at fixed t; state is mutated to convergence.
+
+    Raises SolverError, before any update, when the first Newton step has to
+    be damped below min_first_damping.
+    """
     history = []
     gt, margin, r, rsup = _residual_state(spec, state)
     for it in range(cfg.max_newton):
@@ -277,18 +256,34 @@ def _newton_solve(spec, state, cfg, records, t):
                 f"over {cfg.stagnation_window} steps"
             )
         new_state, info = newton_step(spec, state, cfg, gt=gt, residual=r)
+        records[-1]["damping"] = info["damping"]
+        if it == 0 and info["damping"] < min_first_damping:
+            raise SolverError(
+                f"continuity step to t={t:.4f} too long: first Newton step "
+                f"damped to {info['damping']:g}"
+            )
         state.u = new_state.u
         state.b = new_state.b
-        records[-1]["damping"] = info["damping"]
         gt, margin, r, rsup = info["gt"], info["margin"], info["residual"], info["residual_sup"]
     raise SolverError(f"Newton budget exhausted at t={t:.4f} (residual {history[-1]:.3e})")
 
 
 def initial_state(spec, u0=None, t=0.0):
-    """Admissible start: mean-zero u0 (default 0) and the mean-matching b."""
+    """Admissible start: mean-zero real u0 (default 0) and the mean-matching b.
+
+    u0 must have the grid's shape, be finite and be real (imaginary part at
+    most 1e-10, the rule for F); the state holds its real part.
+    """
     if u0 is None:
-        u0 = np.zeros(spec.grid.sizes, dtype=np.complex128)
-    u0 = u0.astype(np.complex128) - np.mean(u0)
+        u0 = np.zeros(spec.grid.sizes)
+    u0 = np.asarray(u0)
+    spec.grid.check_field(u0)
+    if not np.all(np.isfinite(u0)):
+        raise ValidationError("initial potential u0 has non-finite values")
+    if gr.sup_norm(np.imag(u0)) > 1e-10:
+        raise ValidationError("initial potential u0 must be real")
+    u0 = np.real(u0).astype(np.float64)
+    u0 -= np.mean(u0)
     state = eq.SolveState(u=u0, b=0.0, t=t)
     gt = eq.tilde_metric(spec, u0)
     margin = eq.positivity_margin(gt)
@@ -303,6 +298,10 @@ def initial_state(spec, u0=None, t=0.0):
 
 def continuity_solve(spec, cfg=None, u0=None):
     """March t through the schedule with warm starts and adaptive halving.
+
+    A continuity step is halved when its Newton iteration fails or when its
+    first Newton step has to be damped below MIN_FIRST_DAMPING; positivity
+    is then kept by shorter steps rather than by near-zero damping.
 
     Returns a SolveReport at t = 1; on unrecoverable failure raises SolverError
     with the last good report attached as exc.report.
@@ -341,12 +340,18 @@ def continuity_solve(spec, cfg=None, u0=None):
             while True:
                 saved_u, saved_b = state.u.copy(), state.b
                 state.t = t_try
+                # a step that cannot be halved further is not judged by its
+                # first damping
+                can_halve = t_try - t_current > cfg.min_t_step + 1e-14
                 try:
-                    history = _newton_solve(spec, state, cfg, records, t_try)
+                    history = _newton_solve(
+                        spec, state, cfg, records, t_try,
+                        MIN_FIRST_DAMPING if can_halve else 0.0,
+                    )
                     break
                 except (SolverError, PositivityError) as exc:
                     state.u, state.b = saved_u, saved_b
-                    if t_try - t_current <= cfg.min_t_step + 1e-14:
+                    if not can_halve:
                         state.t = t_current
                         raise fail(exc, t_current) from exc
                     t_try = t_current + 0.5 * (t_try - t_current)
@@ -402,14 +407,13 @@ def adjoint_kernel(spec, state, tol=1e-9, max_iterations=60, cfg=None):
 
     def matvec(x):
         v = x.reshape(grid.sizes)
-        out = lin.apply_transpose(v, weights) - shift * v
-        return out.real.ravel()
+        return (lin.apply_transpose(v, weights) - shift * v).ravel()
 
     def psolve(x):
         # L* = W^{-1} L^T W, so conjugate the constant-coefficient inverse by
         # the volume weights: (L* - mu)^{-1} ~ W^{-1} (Lbar - mu)^{-1} W
         rho = x.reshape(grid.sizes) * weights
-        return (precond.solve_field(rho).real / weights).ravel()
+        return (precond.solve_field(rho) / weights).ravel()
 
     op = spla.LinearOperator((size, size), matvec=matvec, dtype=np.float64)
     m_op = spla.LinearOperator((size, size), matvec=psolve, dtype=np.float64)
@@ -488,22 +492,17 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30, cfg=None):
         p = gr.drop_nyquist(grid, resid)
         return gr.sup_norm(p - np.mean(p))
 
-    tau = np.zeros(grid.sizes, dtype=np.complex128)
+    tau = np.zeros(grid.sizes)
     for it in range(max_newton):
         resid, dtau = _gauduchon_residual_parts(grid, ginv, cross_coeff, rho0, tau)
         rsup = projected_sup(resid)
         if rsup < tol:
             break
 
-        def jac(v, dtau=dtau):
-            hess_v = gr.hessian_complex(grid, v)
-            dv = gr.holo_gradient(grid, v)
-            lap_v = np.einsum("...ij,...ji->...", ginv, hess_v)
-            cross_pair = np.einsum("...j,...ji,...i->...", np.conj(dtau), ginv, dv)
-            cross_lin = np.einsum("...p,...p->...", dv, cross_coeff)
-            return lap_v.real + 2.0 * cross_pair.real + 2.0 * cross_lin.real
-
-        dtau_step, _ = _augmented_solve(grid, jac, -resid, precond, cfg)
+        # N'(tau) v = Re[lap_g v + 2 sum_i (sum_j conj(dtau_j) g^{ji} + c_i) d_i v]
+        first = 2.0 * (np.einsum("...j,...ji->...i", np.conj(dtau), ginv) + cross_coeff)
+        jac = gr.SecondOrderOperator(grid, ginv, first)
+        dtau_step, _ = _augmented_solve(grid, jac.apply, -resid, precond, cfg)
         damping = 1.0
         while damping >= cfg.min_damping:
             trial = tau + damping * dtau_step
@@ -528,4 +527,4 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30, cfg=None):
             "solve converged; the defect evaluation is resolution-limited for "
             "this metric, refine the grid"
         )
-    return sigma.astype(np.complex128)
+    return sigma

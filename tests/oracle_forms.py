@@ -16,9 +16,12 @@ identities of the construction: the eigenvalue law of star(omega_u^{n-1}),
 star(alpha ^ omega^{n-2}) = (n-2)!((tr alpha) omega - alpha), and the trace
 relation Psi ^ omega = tr(star Psi) dV.
 
-The slot-loop references at the end evaluate the torsion contractions of
+The slot-loop references evaluate the torsion contractions of
 torma.equations with one B2/S2 call per slot; the closed forms used in
-production are checked against them.
+production are checked against them. The per-axis derivative references at
+the end compose first derivatives one real axis at a time (a 1-D FFT or the
+fd4 np.roll stencil); the fused spectral operators of torma.grid are checked
+against them.
 """
 
 from __future__ import annotations
@@ -260,3 +263,88 @@ def cross_slots(g, du, dbar_omega, ginv):
     return sum(
         ha.s2(g, _slot(du, k), dbar_omega[..., k, :, :], ginv) for k in range(g.shape[-1])
     )
+
+
+# ---------------------------------------------------------------------------
+# per-axis derivative references for the fused spectral operators of
+# torma.grid: one 1-D transform (or np.roll stencil) per real axis, composed
+# one derivative at a time
+
+
+def deriv_real_axis(grid, f, axis, method="spectral"):
+    """d/dx along one real axis: spectral multiplier or the fd4 np.roll stencil."""
+    size = grid.sizes[axis]
+    f = np.asarray(f, dtype=np.complex128)
+    if size == 1:
+        return np.zeros_like(f)
+    if method == "fd4":
+        h = 1.0 / size
+        return (
+            8.0 * (np.roll(f, -1, axis) - np.roll(f, 1, axis))
+            - (np.roll(f, -2, axis) - np.roll(f, 2, axis))
+        ) / (12.0 * h)
+    k = np.fft.fftfreq(size, d=1.0 / size)
+    k[size // 2] = 0.0
+    shape = [1] * f.ndim
+    shape[axis] = size
+    mult = (2j * np.pi * k).reshape(shape)
+    return np.fft.ifft(np.fft.fft(f, axis=axis) * mult, axis=axis)
+
+
+def d_holo_axes(grid, f, i, method="spectral"):
+    return 0.5 * (deriv_real_axis(grid, f, 2 * i, method)
+                  - 1j * deriv_real_axis(grid, f, 2 * i + 1, method))
+
+
+def d_antiholo_axes(grid, f, i, method="spectral"):
+    return 0.5 * (deriv_real_axis(grid, f, 2 * i, method)
+                  + 1j * deriv_real_axis(grid, f, 2 * i + 1, method))
+
+
+def hessian_composed(grid, u, method="spectral"):
+    """u_{i jbar} = d_antiholo(d_holo(u, i), j), entry by entry."""
+    n = grid.n
+    hess = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
+    for i in range(n):
+        du = d_holo_axes(grid, u, i, method)
+        for j in range(n):
+            hess[..., i, j] = d_antiholo_axes(grid, du, j, method)
+    return hess
+
+
+def drop_nyquist_full(grid, f):
+    """Nyquist projection on the full complex spectrum."""
+    fh = np.fft.fftn(np.asarray(f, dtype=np.complex128), axes=grid.active_axes)
+    for axis in grid.active_axes:
+        sl = [slice(None)] * fh.ndim
+        sl[axis] = grid.sizes[axis] // 2
+        fh[tuple(sl)] = 0.0
+    return np.fft.ifftn(fh, axes=grid.active_axes)
+
+
+def apply_composed(lin, v, method="spectral"):
+    """Linearization.apply as the contraction of the composed Hessian."""
+    out = np.einsum("...ij,...ji->...", lin.coeff, hessian_composed(lin.spec.grid, v, method))
+    if lin.first_order is not None:
+        for p in range(lin.spec.n):
+            out = out + lin.first_order[..., p] * d_holo_axes(lin.spec.grid, v, p, method)
+    return out.real
+
+
+def apply_transpose_pairs(lin, f, weights, method="spectral"):
+    """Linearization.apply_transpose as the per-pair loop of derivatives."""
+    grid = lin.spec.grid
+    n = grid.n
+    t = weights * f
+    out = np.zeros(grid.sizes, dtype=np.complex128)
+    for p in range(n):
+        for q in range(n):
+            out += d_antiholo_axes(
+                grid, d_holo_axes(grid, lin.coeff[..., q, p] * t, p, method), q, method
+            )
+    if lin.first_order is not None:
+        fo = np.zeros(grid.sizes, dtype=np.complex128)
+        for p in range(n):
+            fo += d_holo_axes(grid, lin.first_order[..., p] * t, p, method)
+        out -= fo.real
+    return out.real / weights

@@ -129,6 +129,26 @@ class TestNewton:
         assert report.t_history[-1] == 1.0
         assert report.positivity_margin > 0
 
+    @pytest.mark.parametrize("min_t_step,halved", [(1.0 / 256.0, True), (1.0, False)])
+    def test_first_step_damping_limits_continuity_step(self, min_t_step, halved, monkeypatch):
+        # the direct jump's first Newton step is damped to 1/4: below a floor
+        # of 1/2, so the step is halved while it still may be; a step of
+        # min_t_step goes ahead with damped Newton
+        monkeypatch.setattr(sv, "MIN_FIRST_DAMPING", 0.5)
+        grid = gr.TorusGrid.reduced(2, 32)
+        F = 2.0 * np.cos(2 * np.pi * grid.coordinate(0)).real
+        spec = eq.ProblemSpec(
+            grid=grid, variant=eq.Variant.PSI, omega0=flat_field(grid),
+            omega=flat_field(grid), F=F,
+        )
+        cfg = sv.SolverConfig(continuity_steps=(0.0, 1.0), min_t_step=min_t_step)
+        report = sv.continuity_solve(spec, cfg)
+        assert report.converged
+        assert report.t_history[-1] == 1.0
+        direct = [r for r in report.records if r["t"] == 1.0 and r["iter"] == 0][0]
+        assert direct["damping"] == 0.25
+        assert (len(report.t_history) > 2) == halved
+
     def test_failure_attaches_last_good_report(self, g3, rng):
         # a datum far outside the reachable cone at the coarse budget
         big_f = 80.0 * np.cos(2 * np.pi * g3.coordinate(0)).real
