@@ -10,10 +10,7 @@ from .equations import (
     Variant,
     e_term,
     eta_tensor,
-    linearized_apply,
     ma_residual,
-    omega_h,
-    theta_coefficients,
     tilde_metric,
 )
 from .errors import (
@@ -77,19 +74,16 @@ __all__ = [
     "grad_norm_sq",
     "hessian_complex",
     "laplacian",
-    "linearized_apply",
     "ma_residual",
     "manufacture_problem",
     "mean",
     "metric_defects",
     "newton_step",
     "nm1_root",
-    "omega_h",
     "phi_pipeline",
     "prescribed_ricci",
     "star_power",
     "star_wedge",
     "sup_norm",
-    "theta_coefficients",
     "tilde_metric",
 ]

@@ -125,10 +125,6 @@ class SolveState:
         return self.u - np.max(self.u.real)
 
 
-def omega_h(spec):
-    return spec.omega_h
-
-
 def torsion_coefficient(dbar_omega, ginv):
     """c_p = sum_k S2(e_p e_k^T, d_kbar g), so sum_k S2(du x e_k^T, d_kbar g) = du . c.
 
@@ -230,21 +226,6 @@ def ma_residual(spec, state, gt=None, check_positive=True):
     return np.log(np.linalg.det(gt).real) - spec.log_det_ref - state.t * spec.F - state.b
 
 
-def theta_coefficients(spec, state, gt=None):
-    """Theta^{i jbar} = ((tr_gt g) g^{i jbar} - gt^{i jbar})/(n-1) > 0."""
-    if gt is None:
-        gt = tilde_metric(spec, state.u)
-    if positivity_margin(gt) <= 0.0:
-        raise PositivityError("tilde metric not positive; Theta undefined")
-    n = spec.n
-    gt_inv = np.linalg.inv(gt)
-    tr = np.einsum("...ij,...ji->...", gt_inv, spec.omega).real
-    raise_idx = lambda m: np.swapaxes(np.linalg.inv(m), -1, -2)
-    return ha.hermitize(
-        (tr[..., None, None] * raise_idx(spec.omega) - raise_idx(gt)) / (n - 1)
-    )
-
-
 class Linearization:
     """Derivative of u -> log det gt(u) at a state, with its discrete transpose.
 
@@ -292,11 +273,6 @@ class Linearization:
     def apply_transpose(self, f, weights):
         """L^T f under <a,b>_w; f and the result are real fields."""
         return self.operator.transpose(weights * f) / weights
-
-
-def linearized_apply(spec, state, v):
-    """One-shot L(v); build a Linearization object to amortize over many v."""
-    return Linearization(spec, state).apply(v)
 
 
 def eta_tensor(spec, state):

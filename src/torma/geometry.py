@@ -170,36 +170,6 @@ def gauduchon_scalar(grid, omega, dbar_g=None, ddbar_g=None):
     return ddbar_scalar(grid, omega, omega, dbar_g=dbar_g, ddbar_g=ddbar_g)
 
 
-def gauduchon_scalar_direct(grid, omega):
-    """Independent Leibniz route (n-1)[i ddbar(omega) - (n-2) i dbar(omega)^d(omega)] ^ ...
-
-    Cross-check for :func:`gauduchon_scalar`; expands omega^{n-1} directly
-    instead of through the sigma ^ omega^{n-2} factorization.
-    """
-    n = grid.n
-    g = omega
-    gi = np.linalg.inv(g)
-    dbar_g = metric_dbar_tensor(grid, g)
-    d_g = metric_d_tensor(grid, g, dbar_g)
-    ddbar_g = metric_ddbar_tensor(grid, g, dbar_g)
-    s2_sum = np.zeros(grid.sizes, dtype=np.complex128)
-    for l in range(n):
-        for k in range(n):
-            s2_sum += ha.s2(g, _unit(n, l, k), ddbar_g[..., l, k, :, :], gi)
-    rho = math.factorial(n - 2) * s2_sum
-    if n >= 3:
-        s3_sum = np.zeros(grid.sizes, dtype=np.complex128)
-        for k in range(n):
-            for j in range(n):
-                col = dbar_g[..., k, :, j]
-                slot1 = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
-                slot1[..., :, k] = col
-                for c in range(n):
-                    s3_sum += ha.s3(g, slot1, _unit(n, c, j), d_g[..., c, :, :], gi)
-        rho = rho - (n - 2) * math.factorial(n - 3) * s3_sum
-    return ((n - 1) * rho).real
-
-
 def astheno_dual(grid, omega, dbar_g=None, ddbar_g=None):
     """Hodge dual (1,1)-field of i ddbar(omega^{n-2}); None for n = 2.
 

@@ -52,10 +52,6 @@ def set_derivative_method(method):
     _DERIVATIVE_METHOD = method
 
 
-def get_derivative_method():
-    return _DERIVATIVE_METHOD
-
-
 def set_fft_workers(workers):
     """Thread count for FFTs (scipy.fft workers); -1 uses all cores."""
     global _FFT_WORKERS

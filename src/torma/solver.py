@@ -4,8 +4,12 @@ The continuity family raises t from 0 to 1 in
 
     det gt(u_t) = e^{t F + b_t} det(ref),
 
-warm-starting damped Newton at each step. Each Newton step solves the
-augmented linear system
+warm-starting damped Newton at each step. It and Gauduchon's conformal
+factor share one driver: _newton (tolerance, stagnation and budget tests)
+and _line_search (the largest damping 2^-k >= min_damping whose trial is
+admissible and lowers the resolved residual sup). Each equation supplies an
+evaluation, carried forward from the accepted trial, and a Newton direction
+solving the augmented linear system
 
     [ L(du) - db = -r ;  mean(du) = 0 ]
 
@@ -53,6 +57,14 @@ class SolverConfig:
     def __post_init__(self):
         if not self.newton_tol > 0:
             raise ValidationError("newton_tol must be positive")
+        for name in ("max_newton", "linear_restart", "linear_maxiter",
+                     "stagnation_window"):
+            if not getattr(self, name) >= 1:
+                raise ValidationError(f"{name} must be at least 1")
+        if not 0.0 < self.min_damping <= 1.0:
+            raise ValidationError("min_damping must lie in (0, 1]")
+        if not self.min_t_step > 0:
+            raise ValidationError("min_t_step must be positive")
         steps = tuple(float(t) for t in self.continuity_steps)
         if steps[0] != 0.0 or steps[-1] != 1.0 or any(
             b <= a for a, b in zip(steps, steps[1:])
@@ -164,108 +176,106 @@ def _augmented_solve(grid, apply_fn, rhs, precond, cfg):
 
 
 # ---------------------------------------------------------------------------
-# Newton and continuity
+# damped Newton: the shared driver, the Monge-Ampere step, continuity
 
 
-def _residual_state(spec, state):
-    """(gt, margin, residual, projected sup-norm).
+def _line_search(trial_at, evaluate, sup, cfg, what):
+    """Largest damping in {1, 1/2, 1/4, ...} >= cfg.min_damping whose trial
+    lowers the resolved residual sup (an inadmissible trial, gt not positive,
+    evaluates to the sup inf); returns (damping, trial, evaluation)."""
+    damping, admissible = 1.0, False
+    while damping >= cfg.min_damping:
+        trial = trial_at(damping)
+        ev = evaluate(trial)
+        if ev["residual_sup"] < sup:
+            return damping, trial, ev
+        admissible = admissible or ev["residual_sup"] < np.inf
+        damping *= 0.5
+    if not admissible:
+        raise PositivityError(f"{what}: no damping keeps the metric positive")
+    raise SolverError(f"{what}: no damping lowers the residual")
+
+
+def _newton(x, ev, step, tol, max_iter, cfg, what, observe=None):
+    """Damped Newton from x, evaluated as ev, until its resolved sup is below tol.
+
+    step(it, x, ev) -> (x, ev) is one update, the equation's Newton direction
+    and _line_search; at most max_iter are taken. observe(it, x, ev) sees
+    every iterate before its test. Returns (x, ev, history of sups); raises
+    SolverError on stagnation and when the budget is spent.
+    """
+    history = []
+    window = cfg.stagnation_window
+    for it in range(max_iter + 1):
+        history.append(ev["residual_sup"])
+        if observe is not None:
+            observe(it, x, ev)
+        if history[-1] < tol:
+            return x, ev, history
+        if it == max_iter:
+            raise SolverError(f"{what}: budget of {max_iter} steps exhausted "
+                              f"(residual {history[-1]:.3e})")
+        if len(history) > window and history[-1] > cfg.stagnation_factor * history[-1 - window]:
+            raise SolverError(
+                f"{what}: stagnation, residual {history[-1 - window]:.3e} -> "
+                f"{history[-1]:.3e} over {window} steps"
+            )
+        x, ev = step(it, x, ev)
+
+
+def _ma_evaluation(spec, state):
+    """The state's gt, positivity margin, residual and resolved residual sup.
 
     Newton convergence and step acceptance are measured on the resolved
     (Nyquist-free) part of the residual: the collocation system is solvable
     only there, the complement being pure aliasing of the nonlinearity. The
-    full-field residual is reported separately in SolveReport.
+    full-field residual is reported separately in SolveReport. A state whose
+    gt is not positive has no residual and the sup inf.
     """
     gt = eq.tilde_metric(spec, state.u)
     margin = eq.positivity_margin(gt)
-    if margin <= 0.0:
-        raise PositivityError(f"tilde metric not positive (min eig {margin:.3e})")
-    r = eq.ma_residual(spec, state, gt=gt, check_positive=False)
-    rsup = gr.sup_norm(gr.drop_nyquist(spec.grid, r))
-    return gt, margin, r, rsup
+    r = eq.ma_residual(spec, state, gt=gt, check_positive=False) if margin > 0.0 else None
+    sup = np.inf if r is None else gr.sup_norm(gr.drop_nyquist(spec.grid, r))
+    return {"gt": gt, "margin": margin, "residual": r, "residual_sup": sup}
 
 
 def newton_step(spec, state, cfg=None, gt=None, residual=None):
     """One damped Newton update of (u, b); returns the new state and step info.
 
     The largest damping factor in {1, 1/2, 1/4, ...} that keeps gt positive and
-    reduces the residual sup-norm is applied; no eigenvalue clipping ever.
+    reduces the resolved residual sup is applied; no eigenvalue clipping ever.
     info["damping"] is the factor taken (0.0 when the state has already
-    converged); after a step, info also holds the new state's gt, positivity
-    margin, residual and resolved residual sup, so the caller need not
-    recompute them.
+    converged); info also holds the new state's evaluation: "gt", "margin",
+    "residual" and "residual_sup". gt and residual, when given, are the
+    state's tilde metric and residual; residual may instead be the state's
+    evaluation (the info of the step that made it), and nothing is recomputed.
     """
     cfg = cfg or SolverConfig()
-    if gt is None or residual is None:
-        gt, _, residual, rsup = _residual_state(spec, state)
+    if isinstance(residual, dict):
+        ev = residual
+    elif gt is None or residual is None:
+        ev = _ma_evaluation(spec, state)
     else:
-        rsup = gr.sup_norm(gr.drop_nyquist(spec.grid, residual))
-    if rsup < cfg.newton_tol:
-        return state, {"damping": 0.0, "gt": gt, "residual": residual}
-    lin = eq.Linearization(spec, state, gt=gt)
+        ev = {"gt": gt, "margin": None, "residual": residual,
+              "residual_sup": gr.sup_norm(gr.drop_nyquist(spec.grid, residual))}
+    if ev["residual"] is None:
+        raise PositivityError(f"tilde metric not positive (min eig {ev['margin']:.3e})")
+    if ev["residual_sup"] < cfg.newton_tol:
+        return state, {**ev, "damping": 0.0}
+    lin = eq.Linearization(spec, state, gt=ev["gt"])
     coeff_mean = np.mean(lin.coeff.reshape(-1, spec.n, spec.n), axis=0)
     precond = SpectralPreconditioner(spec.grid, coeff_mean)
-    du, db = _augmented_solve(spec.grid, lin.apply, -residual, precond, cfg)
+    du, db = _augmented_solve(spec.grid, lin.apply, -ev["residual"], precond, cfg)
 
-    damping = 1.0
-    while damping >= cfg.min_damping:
-        trial = eq.SolveState(u=state.u + damping * du, b=state.b + damping * db,
-                              t=state.t)
-        trial.u -= np.mean(trial.u)
-        gt_trial = eq.tilde_metric(spec, trial.u)
-        margin = eq.positivity_margin(gt_trial)
-        if margin > 0.0:
-            r_trial = eq.ma_residual(spec, trial, gt=gt_trial, check_positive=False)
-            rsup_trial = gr.sup_norm(gr.drop_nyquist(spec.grid, r_trial))
-            if rsup_trial < rsup:
-                return trial, {
-                    "damping": damping,
-                    "gt": gt_trial,
-                    "margin": margin,
-                    "residual": r_trial,
-                    "residual_sup": rsup_trial,
-                }
-        damping *= 0.5
-    raise PositivityError(
-        "damping could not keep the metric positive while reducing the residual"
+    def trial_at(damping):
+        u = state.u + damping * du
+        return eq.SolveState(u=u - np.mean(u), b=state.b + damping * db, t=state.t)
+
+    damping, trial, ev = _line_search(
+        trial_at, lambda s: _ma_evaluation(spec, s), ev["residual_sup"], cfg,
+        f"Newton at t={state.t:.4f}",
     )
-
-
-def _newton_solve(spec, state, cfg, records, t, min_first_damping=0.0):
-    """Newton iteration at fixed t; state is mutated to convergence.
-
-    Raises SolverError, before any update, when the first Newton step has to
-    be damped below min_first_damping.
-    """
-    history = []
-    gt, margin, r, rsup = _residual_state(spec, state)
-    for it in range(cfg.max_newton):
-        history.append(rsup)
-        records.append({
-            "t": t, "iter": it, "residual_sup": rsup, "b": float(state.b),
-            "positivity_margin": margin, "damping": None,
-        })
-        if rsup < cfg.newton_tol:
-            return history
-        if (
-            len(history) > cfg.stagnation_window
-            and history[-1] > cfg.stagnation_factor * history[-1 - cfg.stagnation_window]
-        ):
-            raise SolverError(
-                f"Newton stagnation at t={t:.4f}: residual "
-                f"{history[-1 - cfg.stagnation_window]:.3e} -> {history[-1]:.3e} "
-                f"over {cfg.stagnation_window} steps"
-            )
-        new_state, info = newton_step(spec, state, cfg, gt=gt, residual=r)
-        records[-1]["damping"] = info["damping"]
-        if it == 0 and info["damping"] < min_first_damping:
-            raise SolverError(
-                f"continuity step to t={t:.4f} too long: first Newton step "
-                f"damped to {info['damping']:g}"
-            )
-        state.u = new_state.u
-        state.b = new_state.b
-        gt, margin, r, rsup = info["gt"], info["margin"], info["residual"], info["residual_sup"]
-    raise SolverError(f"Newton budget exhausted at t={t:.4f} (residual {history[-1]:.3e})")
+    return trial, {**ev, "damping": damping}
 
 
 def initial_state(spec, u0=None, t=0.0):
@@ -304,69 +314,68 @@ def continuity_solve(spec, cfg=None, u0=None):
     is then kept by shorter steps rather than by near-zero damping.
 
     Returns a SolveReport at t = 1; on unrecoverable failure raises SolverError
-    with the last good report attached as exc.report.
+    with the report of the last good state (converged at the last t reached,
+    or the start) attached as exc.report.
     """
     cfg = cfg or SolverConfig()
-    records = []
     state = initial_state(spec, u0)
-    report = SolveReport(
-        state=state, converged=False, residual_sup=np.inf, positivity_margin=0.0
-    )
-    report.records = records
+    report = SolveReport(state=state, converged=False, residual_sup=np.inf,
+                         positivity_margin=0.0)
 
-    def fail(exc, t_good):
-        gt = eq.tilde_metric(spec, state.u)
-        r = eq.ma_residual(spec, state, gt=gt, check_positive=False)
-        report.residual_sup = gr.sup_norm(gr.drop_nyquist(spec.grid, r))
-        report.residual_sup_full = gr.sup_norm(r)
-        report.positivity_margin = eq.positivity_margin(gt)
-        report.message = f"stopped at t={t_good:.4f}: {exc}"
-        err = SolverError(report.message)
-        err.report = report
-        return err
+    def record(it, s, e):
+        report.records.append({
+            "t": s.t, "iter": it, "residual_sup": e["residual_sup"], "b": float(s.b),
+            "positivity_margin": e["margin"], "damping": None,
+        })
 
-    # solve the t = 0 member (trivial when the residual at u0 is constant)
-    try:
-        history = _newton_solve(spec, state, cfg, records, cfg.continuity_steps[0])
-    except (SolverError, PositivityError) as exc:
-        raise fail(exc, 0.0) from exc
-    report.t_history.append(0.0)
-    report.b_history.append(state.b)
+    def step(it, s, e):
+        new_state, info = newton_step(spec, s, cfg, residual=e)
+        report.records[-1]["damping"] = info["damping"]
+        if it == 0 and info["damping"] < min_first_damping:
+            raise SolverError(f"continuity step to t={s.t:.4f} too long: first "
+                              f"Newton step damped to {info['damping']:g}")
+        return new_state, info
 
-    t_current = 0.0
-    for t_target in cfg.continuity_steps[1:]:
-        while t_current < t_target - 1e-14:
-            t_try = t_target
-            while True:
-                saved_u, saved_b = state.u.copy(), state.b
-                state.t = t_try
-                # a step that cannot be halved further is not judged by its
-                # first damping
-                can_halve = t_try - t_current > cfg.min_t_step + 1e-14
-                try:
-                    history = _newton_solve(
-                        spec, state, cfg, records, t_try,
-                        MIN_FIRST_DAMPING if can_halve else 0.0,
-                    )
-                    break
-                except (SolverError, PositivityError) as exc:
-                    state.u, state.b = saved_u, saved_b
-                    if not can_halve:
-                        state.t = t_current
-                        raise fail(exc, t_current) from exc
-                    t_try = t_current + 0.5 * (t_try - t_current)
-            t_current = t_try
-            report.t_history.append(t_current)
+    def accept(state, ev, history):
+        # numbers only: the evaluation's fields are freed before the next step
+        report.state = state
+        report.positivity_margin = ev["margin"]
+        report.residual_sup = ev["residual_sup"]
+        report.residual_sup_full = gr.sup_norm(ev["residual"])
+        report.residual_history = history
+        return state
+
+    # the t = 0 member first (trivial when the residual at u0 is constant)
+    for t_target in cfg.continuity_steps:
+        t_try = t_target
+        while True:
+            # a step that cannot be halved further is not judged by its
+            # first damping
+            can_halve = t_try - state.t > cfg.min_t_step + 1e-14
+            min_first_damping = MIN_FIRST_DAMPING if can_halve else 0.0
+            start = eq.SolveState(u=state.u, b=state.b, t=t_try)
+            try:
+                state = accept(*_newton(
+                    start, _ma_evaluation(spec, start), step, cfg.newton_tol,
+                    cfg.max_newton, cfg, f"Newton at t={t_try:.4f}", record,
+                ))
+            except SolverError as exc:
+                if can_halve:
+                    t_try = state.t + 0.5 * (t_try - state.t)
+                    continue
+                if not report.t_history:  # the t = 0 member failed
+                    accept(state, _ma_evaluation(spec, state), [])
+                report.message = f"stopped at t={state.t:.4f}: {exc}"
+                err = SolverError(report.message)
+                err.report = report
+                raise err from exc
+            report.t_history.append(state.t)
             report.b_history.append(state.b)
-            report.residual_history = history
+            if state.t >= t_target - 1e-14:
+                break
+            t_try = t_target
 
-    gt = eq.tilde_metric(spec, state.u)
-    r = eq.ma_residual(spec, state, gt=gt, check_positive=False)
     report.converged = True
-    report.residual_sup = gr.sup_norm(gr.drop_nyquist(spec.grid, r))
-    report.residual_sup_full = gr.sup_norm(r)
-    report.positivity_margin = eq.positivity_margin(gt)
-    report.residual_history = history
     return report
 
 
@@ -453,19 +462,6 @@ def adjoint_kernel(spec, state, tol=1e-9, max_iterations=60, cfg=None):
 # Gauduchon conformal factor
 
 
-def _gauduchon_residual_parts(grid, ginv, cross_coeff, rho0, tau):
-    """N(tau)/(n-1)! and the data needed for its linearization."""
-    hess = gr.hessian_complex(grid, tau)
-    dtau = gr.holo_gradient(grid, tau)
-    grad_sq = np.einsum("...j,...ji,...i->...", np.conj(dtau), ginv, dtau)
-    lap = np.einsum("...ij,...ji->...", ginv, hess)
-    # [i d(tau) ^ dbar(omega^{n-1})]/dV = (n-1)! sum_k S2(dtau x e_k, d_kbar g)
-    #                                   = (n-1)! dtau . c
-    cross = np.einsum("...p,...p->...", dtau, cross_coeff)
-    resid = lap.real + grad_sq.real + 2.0 * cross.real + rho0
-    return resid, dtau
-
-
 def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30, cfg=None):
     """Mean-zero sigma with e^sigma omega Gauduchon, by Newton on the defect.
 
@@ -474,8 +470,9 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30, cfg=None):
         N(tau)/(n-1)! = lap_g tau + |d tau|^2_g
                         + 2 Re sum_k S2(dtau x e_k, d_kbar g) + rho_0/(n-1)!
 
-    solved with the same augmented GMRES machinery as the main solver (the
-    scalar unknown absorbs the one-dimensional compatibility of the system).
+    solved by the same damped Newton driver and augmented GMRES machinery as
+    the main solver (the scalar unknown absorbs the one-dimensional
+    compatibility of the system).
     """
     cfg = cfg or SolverConfig()
     ha.require_positive(omega)
@@ -487,36 +484,38 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30, cfg=None):
     cross_coeff = eq.torsion_coefficient(dbar_g, ginv)
     coeff_mean = np.mean(ginv.reshape(-1, n, n), axis=0)
     precond = SpectralPreconditioner(grid, coeff_mean)
+    what = "Gauduchon factor Newton"
 
-    def projected_sup(resid):
-        p = gr.drop_nyquist(grid, resid)
-        return gr.sup_norm(p - np.mean(p))
+    def evaluate(tau):
+        """N(tau)/(n-1)!, dtau, and the sup of the resolved mean-free defect."""
+        hess = gr.hessian_complex(grid, tau)
+        dtau = gr.holo_gradient(grid, tau)
+        grad_sq = np.einsum("...j,...ji,...i->...", np.conj(dtau), ginv, dtau)
+        lap = np.einsum("...ij,...ji->...", ginv, hess)
+        # [i d(tau) ^ dbar(omega^{n-1})]/dV = (n-1)! sum_k S2(dtau x e_k, d_kbar g)
+        #                                   = (n-1)! dtau . c
+        cross = np.einsum("...p,...p->...", dtau, cross_coeff)
+        resid = lap.real + grad_sq.real + 2.0 * cross.real + rho0
+        resolved = gr.drop_nyquist(grid, resid)
+        return {"residual": resid, "dtau": dtau,
+                "residual_sup": gr.sup_norm(resolved - np.mean(resolved))}
+
+    def step(it, tau, ev):
+        # N'(tau) v = Re[lap_g v + 2 sum_i (sum_j conj(dtau_j) g^{ji} + c_i) d_i v]
+        first = 2.0 * (np.einsum("...j,...ji->...i", np.conj(ev["dtau"]), ginv)
+                       + cross_coeff)
+        jac = gr.SecondOrderOperator(grid, ginv, first)
+        dtau, _ = _augmented_solve(grid, jac.apply, -ev["residual"], precond, cfg)
+
+        def trial_at(damping):
+            trial = tau + damping * dtau
+            return trial - np.mean(trial)
+
+        _, tau, ev = _line_search(trial_at, evaluate, ev["residual_sup"], cfg, what)
+        return tau, ev
 
     tau = np.zeros(grid.sizes)
-    for it in range(max_newton):
-        resid, dtau = _gauduchon_residual_parts(grid, ginv, cross_coeff, rho0, tau)
-        rsup = projected_sup(resid)
-        if rsup < tol:
-            break
-
-        # N'(tau) v = Re[lap_g v + 2 sum_i (sum_j conj(dtau_j) g^{ji} + c_i) d_i v]
-        first = 2.0 * (np.einsum("...j,...ji->...i", np.conj(dtau), ginv) + cross_coeff)
-        jac = gr.SecondOrderOperator(grid, ginv, first)
-        dtau_step, _ = _augmented_solve(grid, jac.apply, -resid, precond, cfg)
-        damping = 1.0
-        while damping >= cfg.min_damping:
-            trial = tau + damping * dtau_step
-            r_trial, _ = _gauduchon_residual_parts(grid, ginv, cross_coeff, rho0, trial)
-            if projected_sup(r_trial) < rsup:
-                tau = trial - np.mean(trial)
-                break
-            damping *= 0.5
-        else:
-            raise SolverError("Gauduchon factor Newton could not reduce the defect")
-    else:
-        raise SolverError(
-            f"Gauduchon factor solve stalled above tolerance (defect {rsup:.3e})"
-        )
+    tau, _, _ = _newton(tau, evaluate(tau), step, tol, max_newton, cfg, what)
     sigma = (tau / (n - 1)).real
     sigma = sigma - np.mean(sigma)
     conformal = np.exp(sigma)[..., None, None] * omega

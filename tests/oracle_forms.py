@@ -18,10 +18,11 @@ relation Psi ^ omega = tr(star Psi) dV.
 
 The slot-loop references evaluate the torsion contractions of
 torma.equations with one B2/S2 call per slot; the closed forms used in
-production are checked against them. The per-axis derivative references at
-the end compose first derivatives one real axis at a time (a 1-D FFT or the
-fd4 np.roll stencil); the fused spectral operators of torma.grid are checked
-against them.
+production are checked against them, and the Leibniz-route Gauduchon
+scalar checks the factorized one of torma.geometry. The per-axis derivative
+references at the end compose first derivatives one real axis at a time (a
+1-D FFT or the fd4 np.roll stencil); the fused spectral operators of
+torma.grid are checked against them.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import math
 
 import numpy as np
 
+from torma import geometry as geo
 from torma import hermitian as ha
 
 
@@ -263,6 +265,47 @@ def cross_slots(g, du, dbar_omega, ginv):
     return sum(
         ha.s2(g, _slot(du, k), dbar_omega[..., k, :, :], ginv) for k in range(g.shape[-1])
     )
+
+
+# ---------------------------------------------------------------------------
+# Leibniz-route reference for the Gauduchon scalar
+
+
+def _unit(n, r, s):
+    u = np.zeros((n, n), dtype=np.complex128)
+    u[r, s] = 1.0
+    return u
+
+
+def gauduchon_scalar_direct(grid, omega):
+    """Independent Leibniz route (n-1)[i ddbar(omega) - (n-2) i dbar(omega)^d(omega)] ^ ...
+
+    Cross-check for :func:`torma.geometry.gauduchon_scalar`; expands
+    omega^{n-1} directly instead of through the sigma ^ omega^{n-2}
+    factorization.
+    """
+    n = grid.n
+    g = omega
+    gi = np.linalg.inv(g)
+    dbar_g = geo.metric_dbar_tensor(grid, g)
+    d_g = geo.metric_d_tensor(grid, g, dbar_g)
+    ddbar_g = geo.metric_ddbar_tensor(grid, g, dbar_g)
+    s2_sum = np.zeros(grid.sizes, dtype=np.complex128)
+    for l in range(n):
+        for k in range(n):
+            s2_sum += ha.s2(g, _unit(n, l, k), ddbar_g[..., l, k, :, :], gi)
+    rho = math.factorial(n - 2) * s2_sum
+    if n >= 3:
+        s3_sum = np.zeros(grid.sizes, dtype=np.complex128)
+        for k in range(n):
+            for j in range(n):
+                col = dbar_g[..., k, :, j]
+                slot1 = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
+                slot1[..., :, k] = col
+                for c in range(n):
+                    s3_sum += ha.s3(g, slot1, _unit(n, c, j), d_g[..., c, :, :], gi)
+        rho = rho - (n - 2) * math.factorial(n - 3) * s3_sum
+    return ((n - 1) * rho).real
 
 
 # ---------------------------------------------------------------------------

@@ -237,11 +237,17 @@ class TestResidual:
         assert len(err.value.bad_nodes) > 0
 
 
+def theta_coefficients(spec, state, gt=None):
+    """Theta^{i jbar} = ((tr_gt g) g^{i jbar} - gt^{i jbar})/(n-1), the
+    transpose of the linearization's second-order coefficients."""
+    return np.swapaxes(eq.Linearization(spec, state, gt=gt).coeff, -1, -2)
+
+
 class TestTheta:
     def test_flat_identity(self, g3):
         spec = flat_spec(g3)
         state = eq.SolveState(u=np.zeros(g3.sizes, dtype=complex), b=0.0)
-        theta = eq.theta_coefficients(spec, state)
+        theta = theta_coefficients(spec, state)
         np.testing.assert_allclose(theta, flat_field(g3), atol=1e-13)
 
     def test_diag_example(self, g3):
@@ -249,7 +255,7 @@ class TestTheta:
         spec = flat_spec(g3)
         gt = flat_field(g3) * np.diag([1.0, 2.0, 3.0])
         state = eq.SolveState(u=np.zeros(g3.sizes, dtype=complex), b=0.0)
-        theta = eq.theta_coefficients(spec, state, gt=gt)
+        theta = theta_coefficients(spec, state, gt=gt)
         want = flat_field(g3) * np.diag([5.0 / 12.0, 2.0 / 3.0, 3.0 / 4.0])
         np.testing.assert_allclose(theta, want, atol=1e-13)
 
@@ -259,7 +265,7 @@ class TestTheta:
         u = tf.random_band_limited_real(g3, rng, amplitude=0.03)
         state = eq.SolveState(u=u, b=0.0)
         gt = eq.tilde_metric(spec, u)
-        theta = eq.theta_coefficients(spec, state, gt=gt)
+        theta = theta_coefficients(spec, state, gt=gt)
         assert ha.min_eigenvalue(theta) > 0
         # sum_i Theta^{i ibar} = tr_gt(g) in g-orthonormal frames; contract
         # invariantly: g_{j ibar} Theta^{i jbar} = tr(Theta g^T)
@@ -273,7 +279,7 @@ class TestLinearization:
     def test_constant_direction_annihilated(self, g3, rng, variant):
         spec = random_spec(g3, rng, variant)
         state = eq.SolveState(u=np.zeros(g3.sizes, dtype=complex), b=0.0)
-        out = eq.linearized_apply(spec, state, np.full(g3.sizes, 3.3, dtype=complex))
+        out = eq.Linearization(spec, state).apply(np.full(g3.sizes, 3.3, dtype=complex))
         assert gr.sup_norm(out) < 1e-12
 
     def test_flat_psi_is_laplacian(self, g3, rng):
@@ -281,7 +287,7 @@ class TestLinearization:
         state = eq.SolveState(u=np.zeros(g3.sizes, dtype=complex), b=0.0)
         v = tf.random_band_limited_real(g3, rng)
         np.testing.assert_allclose(
-            eq.linearized_apply(spec, state, v),
+            eq.Linearization(spec, state).apply(v),
             gr.laplacian(g3, spec.omega, v).real,
             atol=1e-11,
         )

@@ -143,6 +143,15 @@ class TestCli:
         cfg.write_text("[problem]\nn = 2\nsizes = 7,1,16,1\n", encoding="utf-8")
         assert cli.main(["solve", "--config", str(cfg)]) == 2
 
+    def test_exit_2_on_bad_solver_setting(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "[problem]\nn = 2\nsizes = 16,1,16,1\n\n[solver]\nmax_newton = 0\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        assert "max_newton" in capsys.readouterr().err
+
     def test_exit_3_on_solver_failure(self, tmp_path, capsys):
         grid = gr.TorusGrid.reduced(2, 16)
         f_big = (60.0 * np.cos(2 * np.pi * grid.coordinate(0)).real).astype(complex)

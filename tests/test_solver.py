@@ -37,6 +37,19 @@ class TestConfig:
         with pytest.raises(ValidationError):
             sv.SolverConfig(newton_tol=0.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_newton", 0),
+        ("linear_restart", 0),
+        ("linear_maxiter", 0),
+        ("stagnation_window", 0),
+        ("min_damping", 0.0),
+        ("min_damping", 1.5),
+        ("min_t_step", 0.0),
+    ])
+    def test_rejects_bad_setting(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            sv.SolverConfig(**{field: value})
+
 
 class TestNewton:
     def test_trivial_flat_problem(self, g3):
@@ -54,6 +67,39 @@ class TestNewton:
         new_state, info = sv.newton_step(prob.spec, state)
         assert gr.sup_norm(new_state.u - state.u) < 1e-9
         assert abs(new_state.b - state.b) < 1e-10
+
+    def test_newton_step_reuses_passed_evaluation(self, g3, rng, monkeypatch):
+        # feeding a step's info back as the next step's evaluation gives the
+        # same step as evaluating the state afresh, with one evaluation fewer
+        prob = manufacture_problem(g3, eq.Variant.PHI, rng, amplitude=0.02)
+        state = sv.initial_state(prob.spec)
+        state.t = 1.0
+        state, info = sv.newton_step(prob.spec, state)
+        calls = []
+        tilde_metric = eq.tilde_metric
+
+        def counted(*args):
+            calls.append(1)
+            return tilde_metric(*args)
+
+        monkeypatch.setattr(eq, "tilde_metric", counted)
+        fresh, fresh_info = sv.newton_step(prob.spec, state)
+        fresh_calls = len(calls)
+        reused, reused_info = sv.newton_step(prob.spec, state, residual=info)
+        assert len(calls) - fresh_calls == fresh_calls - 1
+        np.testing.assert_array_equal(reused.u, fresh.u)
+        assert reused.b == fresh.b
+        assert reused_info["damping"] == fresh_info["damping"] > 0.0
+        assert reused_info["residual_sup"] == fresh_info["residual_sup"]
+
+    def test_report_reuses_last_evaluation(self, g3, rng):
+        prob = manufacture_problem(g3, eq.Variant.PHI, rng, conformal_amplitude=0.25)
+        report = sv.continuity_solve(prob.spec)
+        last = report.records[-1]
+        assert report.converged
+        assert last["t"] == 1.0 and last["damping"] is None
+        assert report.residual_sup == last["residual_sup"]
+        assert report.positivity_margin == last["positivity_margin"]
 
     def test_single_step_contraction_from_zero(self, g3, rng):
         # small-amplitude case: the start sits inside the Newton basin
@@ -242,6 +288,38 @@ class TestGauduchonFactor:
         omega = np.exp(tau)[..., None, None] * base
         sigma = sv.gauduchon_factor(g3f, omega, tol=1e-10)
         assert gr.sup_norm(sigma.real + tau) < 1e-8
+
+    def test_zero_budget_raises_solver_error(self, rng):
+        grid = gr.TorusGrid.reduced(3, 16, active_coords=(0, 2))
+        omega = tf.random_hermitian_metric(grid, rng, amplitude=0.2, max_mode=1)
+        with pytest.raises(SolverError, match="Gauduchon"):
+            sv.gauduchon_factor(grid, omega, max_newton=0)
+
+    def test_small_budget_names_gauduchon_solve(self, rng):
+        grid = gr.TorusGrid.reduced(3, 16, active_coords=(0, 2))
+        omega = tf.random_hermitian_metric(grid, rng, amplitude=0.2, max_mode=1)
+        with pytest.raises(SolverError, match="Gauduchon factor Newton: budget of 1 steps"):
+            sv.gauduchon_factor(grid, omega, max_newton=1)
+
+    def test_budget_counts_steps_not_iterates(self, g3f, rng, monkeypatch):
+        # the iterate after the last allowed step is still tested, so a
+        # budget of exactly the steps needed converges
+        omega = tf.random_hermitian_metric(g3f, rng, amplitude=0.2, max_mode=1)
+        steps = []
+        solve = sv._augmented_solve
+
+        def counted(*args):
+            steps.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(sv, "_augmented_solve", counted)
+        sigma = sv.gauduchon_factor(g3f, omega, tol=1e-10)
+        needed = len(steps)
+        assert needed > 1
+        again = sv.gauduchon_factor(g3f, omega, tol=1e-10, max_newton=needed)
+        np.testing.assert_array_equal(again, sigma)
+        with pytest.raises(SolverError, match="budget"):
+            sv.gauduchon_factor(g3f, omega, tol=1e-10, max_newton=needed - 1)
 
     def test_random_metric_defect_reduced(self, g3f, rng):
         omega = tf.random_hermitian_metric(g3f, rng, amplitude=0.2, max_mode=1)

@@ -127,8 +127,6 @@ def test_linearization_rejects_complex_argument(rng):
     np.testing.assert_array_equal(lin.apply(v + 1e-12j), lin.apply(v))
     with pytest.raises(ValidationError):
         lin.apply(v + 1e-6j)
-    with pytest.raises(ValidationError):
-        eq.linearized_apply(lin.spec, lin.state, v + 1e-6j)
 
 
 def test_method_switch_never_reuses_spectral_table(rng):
