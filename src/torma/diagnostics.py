@@ -151,8 +151,10 @@ def dealiased_residual(spec, state, factor=2):
     state_fine = eq.SolveState(
         u=gr.resample(grid, state.u, fine), b=state.b, t=state.t
     )
-    r = eq.ma_residual(spec_fine, state_fine, check_positive=False)
-    return gr.sup_norm(r)
+    log_det = ha.positive_log_det(eq.tilde_metric(spec_fine, state_fine.u))
+    if log_det is None:  # not admissible on the fine grid: no residual, sup inf
+        return np.inf
+    return gr.sup_norm(eq.ma_residual(spec_fine, state_fine, log_det=log_det))
 
 
 @dataclass

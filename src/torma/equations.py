@@ -107,7 +107,7 @@ class ProblemSpec:
     def log_det_ref(self):
         def build():
             ref = self.omega if self.rhs_volume is RhsVolume.OMEGA_N else self.omega_h
-            return np.log(np.linalg.det(ref).real)
+            return ha.log_det(ha.require_positive(ref, "volume reference metric"))
 
         return self._cached("log_det_ref", build)
 
@@ -201,7 +201,11 @@ def tilde_metric(spec, u, hess=None):
 
 
 def positivity_margin(gt):
-    """Smallest eigenvalue of gt over all nodes."""
+    """Smallest eigenvalue of gt over all nodes (exact, see ha.min_eigenvalue).
+
+    Positivity itself is decided by the Cholesky factor (ha.cholesky); this
+    margin is computed only where it is reported or explains a failure.
+    """
     return ha.min_eigenvalue(gt)
 
 
@@ -210,20 +214,26 @@ def violating_nodes(gt):
     return np.argwhere(lam[..., 0] <= 0.0)
 
 
-def ma_residual(spec, state, gt=None, check_positive=True):
-    """Log-form residual r = log det gt - log det(ref) - t F - b."""
-    if gt is None:
-        gt = tilde_metric(spec, state.u)
-    if check_positive:
-        margin = positivity_margin(gt)
-        if margin <= 0.0:
+def ma_residual(spec, state, gt=None, log_det=None):
+    """Log-form residual r = log det gt - log det(ref) - t F - b.
+
+    log det gt comes from gt's Cholesky factor (ha.positive_log_det).
+    log_det, when given, is that field and gt is not needed; otherwise gt
+    (default: the state's tilde metric) is factored here and PositivityError
+    is raised when it is not positive definite.
+    """
+    if log_det is None:
+        if gt is None:
+            gt = tilde_metric(spec, state.u)
+        log_det = ha.positive_log_det(gt)
+        if log_det is None:
             bad = violating_nodes(gt)
             raise PositivityError(
-                f"tilde metric not positive (min eigenvalue {margin:.3e} "
+                f"tilde metric not positive (min eigenvalue {positivity_margin(gt):.3e} "
                 f"at {len(bad)} nodes)",
                 bad_nodes=bad,
             )
-    return np.log(np.linalg.det(gt).real) - spec.log_det_ref - state.t * spec.F - state.b
+    return log_det - spec.log_det_ref - state.t * spec.F - state.b
 
 
 class Linearization:
@@ -236,19 +246,17 @@ class Linearization:
     exactly antisymmetric, so adjointness holds to roundoff.
     """
 
-    def __init__(self, spec, state, gt=None):
+    def __init__(self, spec, state, gt=None, factored=False):
         self.spec = spec
         self.state = state
         self.gt = tilde_metric(spec, state.u) if gt is None else gt
-        # positive definiteness by one batched Cholesky; the eigenvalue margin
-        # is computed only to explain a failure
-        try:
-            np.linalg.cholesky(self.gt)
-        except np.linalg.LinAlgError:
-            margin = positivity_margin(self.gt)
+        # factored: the caller has already passed gt through its Cholesky
+        # test; otherwise one batched Cholesky tests it here, and the
+        # eigenvalue margin only explains a failure
+        if not factored and ha.cholesky(self.gt) is None:
             raise PositivityError(
-                f"tilde metric not positive (min eig {margin:.3e})"
-            ) from None
+                f"tilde metric not positive (min eig {positivity_margin(self.gt):.3e})"
+            )
         n = spec.n
         self.gt_inv = np.linalg.inv(self.gt)
         tr = np.einsum("...ij,...ji->...", self.gt_inv, spec.omega)

@@ -82,8 +82,7 @@ def chern_connection(grid, omega):
 def chern_ricci(grid, omega):
     """Chern-Ricci form -d_i d_jbar log det g as a Hermitian field."""
     grid.check_field(omega, (grid.n, grid.n))
-    ha.require_positive(omega)
-    logdet = np.log(np.linalg.det(omega).real).astype(np.complex128)
+    logdet = ha.log_det(ha.require_positive(omega)).astype(np.complex128)
     return ha.hermitize(-gr.hessian_complex(grid, logdet))
 
 

@@ -44,18 +44,76 @@ def hermitize(a):
 
 
 def min_eigenvalue(a):
-    """Smallest eigenvalue over all nodes of a Hermitian field."""
-    return float(np.min(np.linalg.eigvalsh(a)))
+    """Smallest eigenvalue over all nodes of a Hermitian field.
+
+    Equal to np.min(np.linalg.eigvalsh(a)), which it computes on fewer nodes:
+    every node's minimum lies between its Gershgorin bound
+    min_i (d_i - sum_{j != i} |a_ij|) and its smallest diagonal entry, so a
+    node whose bound exceeds the field's smallest diagonal entry dmin (plus a
+    slack far above eigvalsh's roundoff) cannot hold the minimum. Like
+    eigvalsh, the screen reads the real diagonal and the lower triangle only.
+    Non-finite nodes are always kept.
+    """
+    a = np.asarray(a)
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    diag = np.arange(n)
+    rows, cols = np.tril_indices(n, -1)
+    # (n, nodes) layout: reductions over the n rows run along whole arrays
+    d = np.ascontiguousarray(flat[:, diag, diag].real.T)
+    touches = (diag[:, None] == rows) | (diag[:, None] == cols)
+    with np.errstate(invalid="ignore"):  # inf * 0 at non-finite nodes
+        radius = touches.astype(np.float64) @ np.abs(flat[:, rows, cols]).T
+        bound = np.min(d - radius, axis=0)
+        # a bound on each node's spectral radius, finite iff the entries read are
+        node_scale = np.max(np.abs(d) + radius, axis=0)
+    finite = np.isfinite(node_scale)
+    keep = ~finite
+    if finite.any():
+        slack = 1e-10 * float(np.max(node_scale[finite]))
+        keep |= bound <= float(np.min(d[:, finite])) + slack
+    return float(np.min(np.linalg.eigvalsh(flat[keep])))
 
 
-def is_positive(a, tol=0.0):
-    return min_eigenvalue(a) > tol
+def cholesky(a):
+    """Lower Cholesky factors L (a = L L^*) of every node of a Hermitian
+    field, or None when some node is not positive definite or not finite.
+
+    This is the positivity test; like eigvalsh it reads the lower triangle.
+    LAPACK's factorization lets NaN through, so the factor's diagonal is
+    checked as well: a non-finite entry of the lower triangle reaches it.
+    """
+    try:
+        factor = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(np.diagonal(factor, axis1=-2, axis2=-1))):
+        return None
+    return factor
+
+
+def log_det(factor):
+    """log det a = 2 sum_i log Re L_ii from the Cholesky factor a = L L^*."""
+    return 2.0 * np.sum(np.log(np.diagonal(factor, axis1=-2, axis2=-1).real), axis=-1)
+
+
+def positive_log_det(a):
+    """log det of every node from its Cholesky factor, or None when some node
+    is not positive definite: the positivity test and log det in one."""
+    factor = cholesky(a)
+    return None if factor is None else log_det(factor)
 
 
 def require_positive(a, what="metric"):
-    lam = min_eigenvalue(a)
-    if not lam > 0.0:
+    """Raise ValidationError unless every node of a is positive definite;
+    returns the Cholesky factor. The eigenvalue margin only words the error."""
+    factor = cholesky(a)
+    if factor is None:
+        if not np.all(np.isfinite(a)):
+            raise ValidationError(f"{what} has non-finite values")
+        lam = min_eigenvalue(a)
         raise ValidationError(f"{what} is not positive definite (min eigenvalue {lam:.3e})")
+    return factor
 
 
 def require_same_dim(*fields):
@@ -201,9 +259,8 @@ def star_power(omega_ref, omega):
     diag(prod_{j != i} lambda_j).
     """
     require_same_dim(omega_ref, omega)
-    require_positive(omega_ref, "reference metric")
-    require_positive(omega, "metric")
-    ratio = (np.linalg.det(omega) / np.linalg.det(omega_ref)).real
+    log_det_ref = log_det(require_positive(omega_ref, "reference metric"))
+    ratio = np.exp(log_det(require_positive(omega, "metric")) - log_det_ref)
     return ratio[..., None, None] * (omega_ref @ np.linalg.solve(omega, omega_ref))
 
 
@@ -215,10 +272,9 @@ def nm1_root(omega_ref, s):
     lambda_i = det(lambda)/s_i.
     """
     require_same_dim(omega_ref, s)
-    require_positive(omega_ref, "reference metric")
+    chol = require_positive(omega_ref, "reference metric")
     require_positive(s, "(n-1,n-1) form dual")
     n = s.shape[-1]
-    chol = np.linalg.cholesky(omega_ref)
     chol_inv = np.linalg.inv(chol)
     s_flat = chol_inv @ s @ np.conj(np.swapaxes(chol_inv, -1, -2))
     vals, vecs = np.linalg.eigh(s_flat)

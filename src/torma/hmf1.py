@@ -14,7 +14,8 @@ Byte layout (all integers little-endian):
                   (*sizes,) or (*sizes, n, n)
 
 The reader validates magic, version, size/mask consistency, component count,
-and the exact payload length. Round-trips are bit-exact.
+the exact payload length and that every payload value is finite. Round-trips
+are bit-exact.
 """
 
 from __future__ import annotations
@@ -86,5 +87,7 @@ def read_field(path):
             f"{path}: payload holds {len(payload)} bytes, expected {expected}"
         )
     values = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(f"{path}: payload holds non-finite values")
     shape = grid.sizes if ncomp == 1 else grid.sizes + (n, n)
     return grid, values.reshape(shape)

@@ -223,20 +223,42 @@ def _newton(x, ev, step, tol, max_iter, cfg, what, observe=None):
         x, ev = step(it, x, ev)
 
 
-def _ma_evaluation(spec, state):
-    """The state's gt, positivity margin, residual and resolved residual sup.
+def _ma_evaluation(spec, state, carry=None):
+    """The state's gt, log det gt, residual and resolved residual sup.
 
     Newton convergence and step acceptance are measured on the resolved
     (Nyquist-free) part of the residual: the collocation system is solvable
     only there, the complement being pure aliasing of the nonlinearity. The
-    full-field residual is reported separately in SolveReport. A state whose
-    gt is not positive has no residual and the sup inf.
+    full-field residual is reported separately in SolveReport. One batched
+    Cholesky of gt is both the positivity test and log det
+    (ha.positive_log_det); a state whose gt has no factor has log det and
+    residual None and the sup inf. The positivity margin is left to _margin, for the
+    iterates that are reported.
+
+    carry, an evaluation of the same u at another t or b, hands over its gt
+    and log det (they are removed from it, so carry pins no array while
+    Newton runs) and its margin; only the residual is recomputed.
     """
-    gt = eq.tilde_metric(spec, state.u)
-    margin = eq.positivity_margin(gt)
-    r = eq.ma_residual(spec, state, gt=gt, check_positive=False) if margin > 0.0 else None
-    sup = np.inf if r is None else gr.sup_norm(gr.drop_nyquist(spec.grid, r))
-    return {"gt": gt, "margin": margin, "residual": r, "residual_sup": sup}
+    carry = {} if carry is None else carry
+    if "gt" in carry:
+        ev = {"gt": carry.pop("gt"), "log_det": carry.pop("log_det")}
+    else:
+        gt = eq.tilde_metric(spec, state.u)
+        ev = {"gt": gt, "log_det": ha.positive_log_det(gt)}
+    if "margin" in carry:
+        ev["margin"] = carry["margin"]
+    if ev["log_det"] is None:
+        return {**ev, "residual": None, "residual_sup": np.inf}
+    r = eq.ma_residual(spec, state, log_det=ev["log_det"])
+    return {**ev, "residual": r,
+            "residual_sup": gr.sup_norm(gr.drop_nyquist(spec.grid, r))}
+
+
+def _margin(ev):
+    """The evaluated state's positivity margin, computed on first request."""
+    if "margin" not in ev:
+        ev["margin"] = eq.positivity_margin(ev["gt"])
+    return ev["margin"]
 
 
 def newton_step(spec, state, cfg=None, gt=None, residual=None):
@@ -245,10 +267,12 @@ def newton_step(spec, state, cfg=None, gt=None, residual=None):
     The largest damping factor in {1, 1/2, 1/4, ...} that keeps gt positive and
     reduces the resolved residual sup is applied; no eigenvalue clipping ever.
     info["damping"] is the factor taken (0.0 when the state has already
-    converged); info also holds the new state's evaluation: "gt", "margin",
-    "residual" and "residual_sup". gt and residual, when given, are the
-    state's tilde metric and residual; residual may instead be the state's
-    evaluation (the info of the step that made it), and nothing is recomputed.
+    converged); info also holds the new state's evaluation: "gt",
+    "log_det", "residual" and "residual_sup" (the positivity margin is
+    computed only by whoever reports the state). gt and residual, when
+    given, are the state's tilde metric and residual; residual may instead
+    be the state's evaluation (the info of the step that made it), and
+    nothing is recomputed.
     """
     cfg = cfg or SolverConfig()
     if isinstance(residual, dict):
@@ -256,13 +280,13 @@ def newton_step(spec, state, cfg=None, gt=None, residual=None):
     elif gt is None or residual is None:
         ev = _ma_evaluation(spec, state)
     else:
-        ev = {"gt": gt, "margin": None, "residual": residual,
+        ev = {"gt": gt, "log_det": None, "residual": residual,
               "residual_sup": gr.sup_norm(gr.drop_nyquist(spec.grid, residual))}
     if ev["residual"] is None:
-        raise PositivityError(f"tilde metric not positive (min eig {ev['margin']:.3e})")
+        raise PositivityError(f"tilde metric not positive (min eig {_margin(ev):.3e})")
     if ev["residual_sup"] < cfg.newton_tol:
         return state, {**ev, "damping": 0.0}
-    lin = eq.Linearization(spec, state, gt=ev["gt"])
+    lin = eq.Linearization(spec, state, gt=ev["gt"], factored=ev["log_det"] is not None)
     coeff_mean = np.mean(lin.coeff.reshape(-1, spec.n, spec.n), axis=0)
     precond = SpectralPreconditioner(spec.grid, coeff_mean)
     du, db = _augmented_solve(spec.grid, lin.apply, -ev["residual"], precond, cfg)
@@ -278,12 +302,8 @@ def newton_step(spec, state, cfg=None, gt=None, residual=None):
     return trial, {**ev, "damping": damping}
 
 
-def initial_state(spec, u0=None, t=0.0):
-    """Admissible start: mean-zero real u0 (default 0) and the mean-matching b.
-
-    u0 must have the grid's shape, be finite and be real (imaginary part at
-    most 1e-10, the rule for F); the state holds its real part.
-    """
+def _start(spec, u0=None, t=0.0):
+    """initial_state and the start's gt and log det gt."""
     if u0 is None:
         u0 = np.zeros(spec.grid.sizes)
     u0 = np.asarray(u0)
@@ -296,14 +316,24 @@ def initial_state(spec, u0=None, t=0.0):
     u0 -= np.mean(u0)
     state = eq.SolveState(u=u0, b=0.0, t=t)
     gt = eq.tilde_metric(spec, u0)
-    margin = eq.positivity_margin(gt)
-    if margin <= 0.0:
+    log_det = ha.positive_log_det(gt)
+    if log_det is None:
         raise ValidationError(
-            f"initial potential is not admissible (min eig {margin:.3e})"
+            f"initial potential is not admissible (min eig {eq.positivity_margin(gt):.3e})"
         )
-    r = eq.ma_residual(spec, state, gt=gt, check_positive=False)
+    r = eq.ma_residual(spec, state, log_det=log_det)
     state.b = float(np.mean(r.real))
-    return state
+    return state, {"gt": gt, "log_det": log_det}
+
+
+def initial_state(spec, u0=None, t=0.0):
+    """Admissible start: mean-zero real u0 (default 0) and the mean-matching b.
+
+    u0 must have the grid's shape, be finite and be real (imaginary part at
+    most 1e-10, the rule for F); the state holds its real part. Admissible
+    means that gt(u0) has a Cholesky factor at every node.
+    """
+    return _start(spec, u0, t)[0]
 
 
 def continuity_solve(spec, cfg=None, u0=None):
@@ -318,14 +348,16 @@ def continuity_solve(spec, cfg=None, u0=None):
     or the start) attached as exc.report.
     """
     cfg = cfg or SolverConfig()
-    state = initial_state(spec, u0)
+    # carry: the evaluation of the last accepted state, handed to the next
+    # attempt's start (same u, so only the residual is recomputed)
+    state, carry = _start(spec, u0)
     report = SolveReport(state=state, converged=False, residual_sup=np.inf,
                          positivity_margin=0.0)
 
     def record(it, s, e):
         report.records.append({
             "t": s.t, "iter": it, "residual_sup": e["residual_sup"], "b": float(s.b),
-            "positivity_margin": e["margin"], "damping": None,
+            "positivity_margin": _margin(e), "damping": None,
         })
 
     def step(it, s, e):
@@ -337,13 +369,13 @@ def continuity_solve(spec, cfg=None, u0=None):
         return new_state, info
 
     def accept(state, ev, history):
-        # numbers only: the evaluation's fields are freed before the next step
+        # numbers only: the report pins none of the evaluation's arrays
         report.state = state
-        report.positivity_margin = ev["margin"]
+        report.positivity_margin = _margin(ev)
         report.residual_sup = ev["residual_sup"]
         report.residual_sup_full = gr.sup_norm(ev["residual"])
         report.residual_history = history
-        return state
+        return state, {k: ev[k] for k in ("gt", "log_det", "margin")}
 
     # the t = 0 member first (trivial when the residual at u0 is constant)
     for t_target in cfg.continuity_steps:
@@ -355,8 +387,8 @@ def continuity_solve(spec, cfg=None, u0=None):
             min_first_damping = MIN_FIRST_DAMPING if can_halve else 0.0
             start = eq.SolveState(u=state.u, b=state.b, t=t_try)
             try:
-                state = accept(*_newton(
-                    start, _ma_evaluation(spec, start), step, cfg.newton_tol,
+                state, carry = accept(*_newton(
+                    start, _ma_evaluation(spec, start, carry), step, cfg.newton_tol,
                     cfg.max_newton, cfg, f"Newton at t={t_try:.4f}", record,
                 ))
             except SolverError as exc:
@@ -364,7 +396,7 @@ def continuity_solve(spec, cfg=None, u0=None):
                     t_try = state.t + 0.5 * (t_try - state.t)
                     continue
                 if not report.t_history:  # the t = 0 member failed
-                    accept(state, _ma_evaluation(spec, state), [])
+                    accept(state, _ma_evaluation(spec, state, carry), [])
                 report.message = f"stopped at t={state.t:.4f}: {exc}"
                 err = SolverError(report.message)
                 err.report = report

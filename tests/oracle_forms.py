@@ -391,3 +391,8 @@ def apply_transpose_pairs(lin, f, weights, method="spectral"):
             fo += d_holo_axes(grid, lin.first_order[..., p] * t, p, method)
         out -= fo.real
     return out.real / weights
+
+
+def min_eigenvalue_full(a):
+    """Smallest eigenvalue over all nodes by eigvalsh of every node."""
+    return float(np.min(np.linalg.eigvalsh(a)))

@@ -141,3 +141,14 @@ class TestEstimateReport:
         assert est.eta_mismatch < 1e-10
         if variant is eq.Variant.PHI:
             assert est.phi_closedness is not None
+
+
+class TestDealiasedResidual:
+    def test_flat_zero_and_inadmissible_inf(self, g3):
+        spec = flat_spec(g3)
+        assert dg.dealiased_residual(spec, eq.SolveState(u=np.zeros(g3.sizes), b=0.0)) < 1e-14
+        # u = A cos(2 pi x_1): gt = I + (lap u I - Hess u)/2 has the eigenvalue
+        # 1 - (pi^2 A/2) cos, negative for A = 0.3 where the cosine peaks; no
+        # residual exists there, so the sup is inf
+        u = 0.3 * np.cos(2 * np.pi * g3.coordinate(0)).real
+        assert dg.dealiased_residual(spec, eq.SolveState(u=u, b=0.0)) == np.inf

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torma import hermitian as ha
@@ -240,3 +240,91 @@ class TestContractionFamily:
         psi = of.one_one(sigma).wedge(of.wedge_power(of.one_one(g), n - 2))
         got = of.star_nm1(g, psi) / math.factorial(n - 2)
         np.testing.assert_allclose(got, s, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# positivity: screened eigenvalue margin, Cholesky test and log det
+
+
+@st.composite
+def hermitian_fields(draw, indefinite=True, nan_node=True):
+    """A stack of random Hermitian n x n nodes, n = 2, 3, 4, with optional
+    indefinite nodes, nodes whose diagonals agree to ~1e-11 (Gershgorin
+    bounds within the screen's slack of each other) and a NaN entry."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    nodes = draw(st.integers(min_value=1, max_value=48))
+    r = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    a = random_positive(r, n, shape=(nodes,), spread=draw(st.sampled_from([0.05, 0.3, 1.0])))
+    if draw(st.booleans()):
+        near = r.random(nodes) < 0.5
+        diag = 1.0 + 3e-11 * r.integers(-3, 4, size=(near.sum(), n))
+        a[near] = (diag[..., None] * np.eye(n)
+                   + random_hermitian(r, n, scale=1e-13, shape=(near.sum(),)))
+    if indefinite and draw(st.booleans()):
+        low = r.random(nodes) < 0.3
+        a[low] -= r.uniform(0.0, 4.0, size=(low.sum(), 1, 1)) * np.eye(n)
+    if nan_node and draw(st.booleans()):
+        i, j = sorted(r.integers(0, n, size=2))[::-1]  # diagonal or lower triangle
+        a[r.integers(0, nodes), i, j] = np.nan
+    return a * 10.0 ** draw(st.integers(min_value=-6, max_value=6))
+
+
+def margin_outcome(fn, a):
+    """fn(a), or the LinAlgError eigvalsh raises on some non-finite nodes."""
+    try:
+        return fn(a)
+    except np.linalg.LinAlgError as exc:
+        return str(exc)
+
+
+class TestPositivity:
+    @given(a=hermitian_fields())
+    @settings(max_examples=300, deadline=None)
+    def test_screened_margin_equals_full_eigvalsh(self, a):
+        np.testing.assert_array_equal(
+            margin_outcome(ha.min_eigenvalue, a), margin_outcome(of.min_eigenvalue_full, a)
+        )
+
+    @given(a=hermitian_fields(nan_node=False))
+    @settings(max_examples=200, deadline=None)
+    def test_screened_margin_ignores_upper_triangle(self, a):
+        # eigvalsh reads the lower triangle; so does the screen
+        n = a.shape[-1]
+        b = a + np.triu(np.full((n, n), 7.0 - 3.0j), 1)
+        assert ha.min_eigenvalue(b) == of.min_eigenvalue_full(b)
+
+    def test_screened_margin_keeps_shape_and_non_finite_nodes(self, rng):
+        a = random_positive(rng, 3, shape=(4, 5, 6))
+        assert ha.min_eigenvalue(a) == of.min_eigenvalue_full(a)
+        assert ha.min_eigenvalue(a[0, 0, 0]) == of.min_eigenvalue_full(a[0, 0, 0])
+        a[1, 2, 3, 2, 0] = np.inf
+        np.testing.assert_array_equal(
+            margin_outcome(ha.min_eigenvalue, a), margin_outcome(of.min_eigenvalue_full, a)
+        )
+
+    @given(a=hermitian_fields())
+    @settings(max_examples=300, deadline=None)
+    def test_cholesky_test_agrees_with_eigenvalues(self, a):
+        if not np.all(np.isfinite(a)):
+            assert ha.cholesky(a) is None
+            with pytest.raises(ValidationError, match="non-finite"):
+                ha.require_positive(a)
+            return
+        lam = of.min_eigenvalue_full(a)
+        scale = float(np.max(np.abs(np.linalg.eigvalsh(a))))
+        assume(abs(lam) > 1e-12 * scale)
+        if lam > 0.0:
+            factor = ha.require_positive(a)
+            np.testing.assert_array_equal(factor, np.linalg.cholesky(a))
+        else:
+            assert ha.cholesky(a) is None
+            with pytest.raises(ValidationError, match="not positive definite"):
+                ha.require_positive(a)
+
+    @given(a=hermitian_fields(indefinite=False, nan_node=False))
+    @settings(max_examples=300, deadline=None)
+    def test_cholesky_log_det_matches_det(self, a):
+        want = np.log(np.linalg.det(a).real)
+        got = ha.log_det(ha.cholesky(a))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))

@@ -62,6 +62,15 @@ class TestHMF1:
         with pytest.raises(ValidationError):
             hmf1.read_field(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_payload(self, g2, tmp_path, bad):
+        values = np.ones(g2.sizes, dtype=complex)
+        values[3, 0, 5, 0] = bad
+        path = tmp_path / "bad.hmf1"
+        hmf1.write_field(path, g2, values)
+        with pytest.raises(ValidationError, match="non-finite"):
+            hmf1.read_field(path)
+
     def test_rejects_bad_shape(self, g2):
         with pytest.raises(ValidationError):
             hmf1.write_field("/tmp/never.hmf1", g2, np.zeros((3, 3)))
@@ -137,6 +146,15 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["defects"]["gauduchon_defect"] < 1e-12
         assert payload["torsion_sup"] < 1e-12
+
+    def test_validate_metric_exit_2_on_non_finite_payload(self, tmp_path, capsys):
+        grid = gr.TorusGrid.reduced(3, 8)
+        flat = np.broadcast_to(np.eye(3, dtype=complex), grid.sizes + (3, 3)).copy()
+        flat[2, 0, 5, 0, 0, 0, 1, 0] = np.nan
+        path = tmp_path / "nan.hmf1"
+        hmf1.write_field(path, grid, flat)
+        assert cli.main(["validate-metric", "--field", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
 
     def test_exit_2_on_bad_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

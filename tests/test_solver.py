@@ -1,15 +1,20 @@
 """Newton-continuity solver, adjoint kernel, Gauduchon conformal factor."""
 
+import math
+
 import numpy as np
 import pytest
 
 from torma import equations as eq
 from torma import geometry as geo
 from torma import grid as gr
+from torma import hermitian as ha
 from torma import solver as sv
 from torma import testfields as tf
 from torma.errors import SolverError, ValidationError
 from torma.manufacture import manufacture_problem
+
+from . import oracle_forms as of
 
 
 @pytest.fixture
@@ -100,6 +105,51 @@ class TestNewton:
         assert last["t"] == 1.0 and last["damping"] is None
         assert report.residual_sup == last["residual_sup"]
         assert report.positivity_margin == last["positivity_margin"]
+
+    def test_one_evaluation_per_iterate(self, g3, rng, monkeypatch):
+        # one tilde metric and one Cholesky per distinct u: the start and
+        # every damping trial, none at continuity-attempt starts (the last
+        # accepted evaluation is carried) and none in Linearization (it is
+        # handed the factor); an eigenvalue margin only per recorded iterate
+        prob = manufacture_problem(g3, eq.Variant.PSI, rng, conformal_amplitude=0.25)
+        spec = prob.spec
+        spec.omega_h, spec.log_det_ref  # cached before counting
+        counts = {"tilde_metric": 0, "cholesky": 0}
+        margins = []
+        tilde_metric, cholesky, min_eigenvalue = eq.tilde_metric, np.linalg.cholesky, ha.min_eigenvalue
+
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def margin(gt):
+            margins.append((gt, min_eigenvalue(gt)))
+            return margins[-1][1]
+
+        monkeypatch.setattr(eq, "tilde_metric", counted("tilde_metric", tilde_metric))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", cholesky))
+        monkeypatch.setattr(ha, "min_eigenvalue", margin)
+        report = sv.continuity_solve(spec)
+        records = report.records
+        assert report.converged
+        assert report.t_history == list(sv.SolverConfig().continuity_steps)  # no halving
+        trials = sum(1 - math.log2(r["damping"]) for r in records if r["damping"])
+        assert counts["tilde_metric"] == 1 + trials
+        assert counts["cholesky"] == counts["tilde_metric"]
+        # later attempt starts repeat the previous record's margin
+        carried = [i for i, r in enumerate(records) if r["iter"] == 0 and r["t"] > 0.0]
+        assert len(carried) == len(report.t_history) - 1
+        for i in carried:
+            assert records[i]["positivity_margin"] == records[i - 1]["positivity_margin"]
+        reported = [r["positivity_margin"] for i, r in enumerate(records) if i not in carried]
+        assert [m for _, m in margins] == reported
+        for gt, m in margins:
+            assert m == of.min_eigenvalue_full(gt)
+        assert report.positivity_margin == records[-1]["positivity_margin"]
+        assert report.positivity_margin == of.min_eigenvalue_full(
+            tilde_metric(spec, report.state.u))
 
     def test_single_step_contraction_from_zero(self, g3, rng):
         # small-amplitude case: the start sits inside the Newton basin
