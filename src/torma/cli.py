@@ -213,10 +213,10 @@ def cmd_diagnose(args):
 
 def cmd_gauduchon_factor(args):
     grid, omega = hmf1.read_field(args.field)
-    before = geo.metric_defects(grid, omega).gauduchon
+    before = geo.gauduchon_defect(grid, omega)
     sigma = sv.gauduchon_factor(grid, omega, tol=args.tol)
     conformal = np.exp(sigma.real)[..., None, None] * omega
-    after = geo.metric_defects(grid, conformal).gauduchon
+    after = geo.gauduchon_defect(grid, conformal)
     if args.out:
         hmf1.write_field(args.out, grid, sigma)
     _emit({"defect_before": before, "defect_after": after,

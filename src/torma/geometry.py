@@ -10,18 +10,24 @@ Array layouts:
     dbar_g[..., k, i, j]     d_kbar g_{i jbar}
     ddbar_g[..., l, k, i, j] d_l d_kbar g_{i jbar}
 
-Every ddbar-type defect is reduced to the S/B contraction family of
-``hermitian`` by grouping the wedge factors into (1,1)-slots, e.g.
+Every ddbar-type defect is a sum of polarized wedge contractions S_m/B_m
+whose (1,1)-slots are matrix units or rank-one matrices labelled by
+derivative indices, e.g.
 
-    i ddbar(omega)         = sum_{l,k} E_{lk} ^ (ddbar_g slice)
+    i ddbar(omega)           = sum_{l,k} E_{lk} ^ (ddbar_g slice)
     i dbar(omega) ^ d(omega) = sum_{k,j,c} A_{kj} ^ E_{cj} ^ (d_c g)
 
-so no exterior coefficients are ever stored (they exist only in the test
-oracle).
+A unit slot raised by g^{-1} is g^{-1}_{xl} delta_{kX}, so each sum over
+slots collapses to index contractions of g^{-1}, sigma and the derivative
+tensors: the second-order blocks through the g-trace K of a ddbar tensor,
+the first-order ones through one alternating sum over permutations
+(docs/conventions.md, "ddbar of wedge powers"). No exterior coefficients
+and no per-slot loops exist outside the test oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,7 +65,11 @@ def metric_ddbar_tensor(grid, g, dbar_g=None):
     """ddbar_g[..., l, k, i, j] = d_l d_kbar g_{i jbar}."""
     if dbar_g is None:
         dbar_g = metric_dbar_tensor(grid, g)
-    return np.stack([gr.d_holo(grid, dbar_g, l) for l in range(grid.n)], axis=-4)
+    # filled in place: a stack of the slices would hold the n^4 tensor twice
+    out = np.empty(dbar_g.shape[:-3] + (grid.n,) + dbar_g.shape[-3:], dtype=np.complex128)
+    for l in range(grid.n):
+        out[..., l, :, :, :] = gr.d_holo(grid, dbar_g, l)
+    return out
 
 
 def chern_connection(grid, omega):
@@ -89,55 +99,83 @@ def chern_ricci(grid, omega):
 # ---------------------------------------------------------------------------
 # ddbar defect scalars and duals
 
+_ROWS, _COLS = "abcd", "ABCD"
 
-def _unit(n, r, s):
-    u = np.zeros((n, n), dtype=np.complex128)
-    u[r, s] = 1.0
-    return u
+
+def _alternating(subscripts, *operands):
+    """S_m(a_1, .., a_m) = sum_{pi in S_m} sgn(pi) sum_x prod_t (R_t)_{x_t x_pi(t)}
+    for raised slots R_t = g^{-1} a_t given through `operands`.
+
+    Slot t's row index is the t-th letter of "abcd" and its column index the
+    matching capital; the term of pi renames capital t to the row letter of
+    pi(t). A row letter kept in the output leaves its slot open, which gives
+    the matrix results of B_m type (see astheno_dual).
+    """
+    m = sum(c in subscripts for c in _COLS)
+    total = 0
+    for perm in itertools.permutations(range(m)):
+        inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+        renamed = subscripts.translate({ord(_COLS[t]): _ROWS[perm[t]] for t in range(m)})
+        total = total + (-1) ** inversions * np.einsum(renamed, *operands)
+    return total
+
+
+def _trace_product(a, b):
+    return np.einsum("...ij,...ji->...", a, b)
+
+
+def _ddbar_trace(gi, h):
+    """K_ab = g^{ji} (h_abij + h_ijab - h_ajib - h_ibaj) for h[l, k, i, j] =
+    d_l d_kbar s_{i jbar}: the g-trace of the (2,2)-form i ddbar(s) over one
+    (dz, dzbar) pair."""
+    return (np.einsum("...ji,...abij->...ab", gi, h) + np.einsum("...ji,...ijab->...ab", gi, h)
+            - np.einsum("...ji,...ajib->...ab", gi, h) - np.einsum("...ji,...ibaj->...ab", gi, h))
+
+
+def _ddbar_dual(gi, g, k):
+    """A2 = sum_{lk} B2(E_lk, d_l d_kbar g) = (tr_g K / 2) g - K from K of
+    ddbar_g: the star dual of i ddbar(omega) ^ omega^{n-3}/(n-3)!."""
+    return 0.5 * _trace_product(gi, k)[..., None, None] * g - k
+
+
+def _raised_d(gi, d_s):
+    """P[x, y, Y] = g^{-1}_{xc} g^{-1}_{ya} d_c s_{a Ybar}: the raised rank-one
+    slots e_c x (d_c s)_{a.} together with the unit slot E_a. that follows them."""
+    return np.einsum("...ya,...xaY->...xyY", gi, np.einsum("...xc,...caY->...xaY", gi, d_s))
+
+
+def _raised_dbar(gi, dbar_g):
+    """R[k, x, X] = (g^{-1} d_kbar g)_{xX}."""
+    return np.einsum("...xi,...kiX->...kxX", gi, dbar_g)
 
 
 def _ddbar_terms(grid, g, sigma, gi, dbar_g, ddbar_g):
-    """The four wedge-scalar blocks of i ddbar(sigma ^ omega^{n-2})."""
+    """The four wedge-scalar blocks of i ddbar(sigma ^ omega^{n-2}):
+
+        T_A  = sum_{lk} S2(E_lk, d_l d_kbar sigma) = tr(g^{-1} K_sigma)/2
+        T_B1 = -sum_{ack} S3(e_c x d_c sigma_{a.}, E_ak, d_kbar g)
+        T_C  = sum_{lk} S3(sigma, E_lk, d_l d_kbar g) = tr(g^{-1} sigma g^{-1} A2)
+        T_D  = sum_{kjc} S4(sigma, d_kbar g_{.j} x e_k, E_cj, d_c g)
+    """
     n = grid.n
-    dbar_sigma = metric_dbar_tensor(grid, sigma)
-    d_sigma = metric_d_tensor(grid, sigma, dbar_sigma)
-    ddbar_sigma = metric_ddbar_tensor(grid, sigma, dbar_sigma)
-    d_g = metric_d_tensor(grid, g, dbar_g)
-
-    # T_A = sum_{l,k} S2(U_lk, d_l d_kbar sigma)
-    t_a = np.zeros(grid.sizes, dtype=np.complex128)
-    for l in range(n):
-        for k in range(n):
-            t_a += ha.s2(g, _unit(n, l, k), ddbar_sigma[..., l, k, :, :], gi)
-
-    # T_B1: i d(sigma) ^ dbar(omega) = - sum_{a,c,k} (e_c x d_c sigma_{a .}) ^ E_ak ^ dbar_g_k
-    t_b1 = np.zeros(grid.sizes, dtype=np.complex128)
+    k_g = _ddbar_trace(gi, ddbar_g)
+    if sigma is g:
+        dbar_sigma, k_sigma = dbar_g, k_g
+    else:
+        # sigma's n^4 tensor lives only for this contraction
+        dbar_sigma = metric_dbar_tensor(grid, sigma)
+        k_sigma = _ddbar_trace(gi, metric_ddbar_tensor(grid, sigma, dbar_sigma))
+    t_a = 0.5 * _trace_product(gi, k_sigma)
+    t_b1 = t_c = t_d = 0.0
     if n >= 3:
-        for a in range(n):
-            for c in range(n):
-                row = d_sigma[..., c, a, :]
-                slot1 = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
-                slot1[..., c, :] = row
-                for k in range(n):
-                    t_b1 -= ha.s3(g, slot1, _unit(n, a, k), dbar_g[..., k, :, :], gi)
-
-    # T_C = sum_{l,k} S3(sigma, U_lk, ddbar_g slice)
-    t_c = np.zeros(grid.sizes, dtype=np.complex128)
-    if n >= 3:
-        for l in range(n):
-            for k in range(n):
-                t_c += ha.s3(g, sigma, _unit(n, l, k), ddbar_g[..., l, k, :, :], gi)
-
-    # T_D = sum_{k,j,c} S4(sigma, A_kj, E_cj, d_c g), A_kj = dbar_g[k,:,j] x e_k
-    t_d = np.zeros(grid.sizes, dtype=np.complex128)
+        raised_sigma = gi @ sigma
+        t_c = _trace_product(raised_sigma, gi @ _ddbar_dual(gi, g, k_g))
+        r_dbar = _raised_dbar(gi, dbar_g)
+        r_dsigma = _raised_d(gi, metric_d_tensor(grid, sigma, dbar_sigma))
+        t_b1 = -_alternating("...abA,...BcC->...", r_dsigma, r_dbar)
     if n >= 4:
-        for k in range(n):
-            for j in range(n):
-                col = dbar_g[..., k, :, j]
-                slot2 = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
-                slot2[..., :, k] = col
-                for c in range(n):
-                    t_d += ha.s4(g, sigma, slot2, _unit(n, c, j), d_g[..., c, :, :], gi)
+        r_d = _raised_d(gi, metric_d_tensor(grid, g, dbar_g))
+        t_d = _alternating("...aA,...BbC,...cdD->...", raised_sigma, r_dbar, r_d)
     return t_a, t_b1, t_c, t_d
 
 
@@ -169,11 +207,20 @@ def gauduchon_scalar(grid, omega, dbar_g=None, ddbar_g=None):
     return ddbar_scalar(grid, omega, omega, dbar_g=dbar_g, ddbar_g=ddbar_g)
 
 
+def gauduchon_defect(grid, omega):
+    """sup |gauduchon_scalar| of a validated metric: the Gauduchon part of
+    :func:`metric_defects` alone."""
+    grid.check_field(omega, (grid.n, grid.n))
+    ha.require_positive(omega)
+    return float(np.max(np.abs(gauduchon_scalar(grid, omega))))
+
+
 def astheno_dual(grid, omega, dbar_g=None, ddbar_g=None):
     """Hodge dual (1,1)-field of i ddbar(omega^{n-2}); None for n = 2.
 
     i ddbar(omega^{n-2}) = (n-2) [i ddbar(omega) ^ omega^{n-3}
-                                  - (n-3) i dbar(omega) ^ d(omega) ^ omega^{n-4}].
+                                  - (n-3) i dbar(omega) ^ d(omega) ^ omega^{n-4}],
+    whose second part is sum_{kjc} B3(d_kbar g_{.j} x e_k, E_cj, d_c g).
     """
     n = grid.n
     if n == 2:
@@ -184,20 +231,12 @@ def astheno_dual(grid, omega, dbar_g=None, ddbar_g=None):
         dbar_g = metric_dbar_tensor(grid, g)
     if ddbar_g is None:
         ddbar_g = metric_ddbar_tensor(grid, g, dbar_g)
-    dual = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
-    for l in range(n):
-        for k in range(n):
-            dual += ha.b2(g, _unit(n, l, k), ddbar_g[..., l, k, :, :], gi)
+    dual = _ddbar_dual(gi, g, _ddbar_trace(gi, ddbar_g))
     if n >= 4:
-        d_g = metric_d_tensor(grid, g, dbar_g)
-        cross = np.zeros_like(dual)
-        for k in range(n):
-            for j in range(n):
-                col = dbar_g[..., k, :, j]
-                slot1 = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
-                slot1[..., :, k] = col
-                for c in range(n):
-                    cross += ha.b3(g, slot1, _unit(n, c, j), d_g[..., c, :, :], gi)
+        r_dbar = _raised_dbar(gi, dbar_g)
+        r_d = _raised_d(gi, metric_d_tensor(grid, g, dbar_g))
+        # the output slot: B_ij = g_iq S4(.., c) with (g^{-1} c)_{xX} -> delta_xj delta_Xq
+        cross = _alternating("...AaB,...bcC,...iD->...id", r_dbar, r_d, g)
         dual = dual - (n - 3) * cross
     return ha.hermitize((n - 2) * dual)
 

@@ -331,11 +331,6 @@ def _holo_combo(j, anti=False):
     return [(2 * j, 0.5), (2 * j + 1, 0.5j if anti else -0.5j)]
 
 
-def deriv_real(grid, f, axis):
-    """d/dx along one real axis (periodic, unit period)."""
-    return _first_order(grid, f, [[(axis, 1.0)]])[0]
-
-
 def _check_coordinate(grid, i):
     if not 0 <= i < grid.n:
         raise ValidationError(f"coordinate index {i} out of range for n={grid.n}")

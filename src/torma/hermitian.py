@@ -14,13 +14,13 @@ Key closed forms (dual pairing tr(g^{-1} s g^{-1} c) against test (1,1)-forms):
 
     star(a ^ omega^{n-2} / (n-2)!)        = tr_g(a) g - a                    (B1)
     star(a ^ b ^ omega^{n-3} / (n-3)!)    = B2(a, b)
-    star(a ^ b ^ c ^ omega^{n-4}/(n-4)!)  = B3(a, b, c)
     [a1 ^ .. ^ ak ^ omega^{n-k} / ((n-k)! dV)] = Sk(a1, .., ak)
 
 where Sk is the full polarization of k! e_k(g^{-1}a) (elementary symmetric
-functions of the relative eigenvalues) and B_k pairs to S_{k+1}. These give
-the Hodge star of every wedge combination the equations require, without
-storing exterior coefficients.
+functions of the relative eigenvalues) and B_k pairs to S_{k+1}. S2 and B2
+are the slot forms that the closed-form torsion operator of ``equations`` is
+checked against; the higher orders that ddbar defects need are contracted in
+closed form by ``geometry``, and their slot forms live in the test oracle.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ from .errors import ValidationError
 
 # ---------------------------------------------------------------------------
 # basic checks
-
-
-def hermitian_error(a):
-    """Sup-norm deviation from Hermitian symmetry."""
-    return float(np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2)))))
 
 
 def hermitize(a):
@@ -135,55 +130,11 @@ def _raise_all(gi, mats):
     return [gi @ np.asarray(m, dtype=np.complex128) for m in mats]
 
 
-def s1(g, a, gi=None):
-    gi = np.linalg.inv(g) if gi is None else gi
-    return _trace(gi @ a)
-
-
 def s2(g, a, b, gi=None):
     """Polarized 2 e_2: S2(a,a) = (tr_g a)^2 - tr((g^{-1}a)^2)."""
     gi = np.linalg.inv(g) if gi is None else gi
     ra, rb = _raise_all(gi, (a, b))
     return _trace(ra) * _trace(rb) - _trace(ra @ rb)
-
-
-def s3(g, a, b, c, gi=None):
-    """Polarized 6 e_3 of the relative eigenvalues."""
-    gi = np.linalg.inv(g) if gi is None else gi
-    ra, rb, rc = _raise_all(gi, (a, b, c))
-    ta, tb, tc = _trace(ra), _trace(rb), _trace(rc)
-    rab, rac, rbc = ra @ rb, ra @ rc, rb @ rc
-    return (
-        ta * tb * tc
-        - ta * _trace(rbc)
-        - tb * _trace(rac)
-        - tc * _trace(rab)
-        + _trace(rab @ rc)
-        + _trace(rac @ rb)
-    )
-
-
-def s4(g, a, b, c, d, gi=None):
-    """Polarized 24 e_4 (cycle-partition expansion)."""
-    gi = np.linalg.inv(g) if gi is None else gi
-    ra, rb, rc, rd = _raise_all(gi, (a, b, c, d))
-    ta, tb, tc, td = _trace(ra), _trace(rb), _trace(rc), _trace(rd)
-    rab, rac, rad = ra @ rb, ra @ rc, ra @ rd
-    rbc, rbd, rcd = rb @ rc, rb @ rd, rc @ rd
-    tab, tac, tad = _trace(rab), _trace(rac), _trace(rad)
-    tbc, tbd, tcd = _trace(rbc), _trace(rbd), _trace(rcd)
-    return (
-        ta * tb * tc * td
-        - (tab * tc * td + tac * tb * td + tad * tb * tc
-           + tbc * ta * td + tbd * ta * tc + tcd * ta * tb)
-        + (tab * tcd + tac * tbd + tad * tbc)
-        + ta * (_trace(rbc @ rd) + _trace(rbd @ rc))
-        + tb * (_trace(rac @ rd) + _trace(rad @ rc))
-        + tc * (_trace(rab @ rd) + _trace(rad @ rb))
-        + td * (_trace(rab @ rc) + _trace(rac @ rb))
-        - (_trace(rab @ rcd) + _trace(rab @ rd @ rc) + _trace(rac @ rbd)
-           + _trace(rac @ rd @ rb) + _trace(rad @ rbc) + _trace(rad @ rc @ rb))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -208,43 +159,6 @@ def b2(g, a, b, gi=None):
         - tb[..., None, None] * a
         + g @ (ra @ rb + rb @ ra)
     )
-
-
-def b3(g, a, b, c, gi=None):
-    """star(a ^ b ^ c ^ omega^{n-4}/(n-4)!), n >= 4."""
-    gi = np.linalg.inv(g) if gi is None else gi
-    ra, rb, rc = _raise_all(gi, (a, b, c))
-    ta, tb, tc = _trace(ra), _trace(rb), _trace(rc)
-    rab, rac, rbc = ra @ rb, ra @ rc, rb @ rc
-    s2ab = ta * tb - _trace(rab)
-    s2ac = ta * tc - _trace(rac)
-    s2bc = tb * tc - _trace(rbc)
-    s3abc = (
-        ta * tb * tc - ta * _trace(rbc) - tb * _trace(rac) - tc * _trace(rab)
-        + _trace(rab @ rc) + _trace(rac @ rb)
-    )
-    chains = rab @ rc + rac @ rb + rb @ rac + rbc @ ra + rc @ rab + rc @ rb @ ra
-    return (
-        s3abc[..., None, None] * g
-        - s2ab[..., None, None] * c
-        - s2bc[..., None, None] * a
-        - s2ac[..., None, None] * b
-        + ta[..., None, None] * (g @ (rbc + rc @ rb))
-        + tb[..., None, None] * (g @ (rac + rc @ ra))
-        + tc[..., None, None] * (g @ (rab + rb @ ra))
-        - g @ chains
-    )
-
-
-def inverse_star_sigma(g, s, gi=None):
-    """sigma with star(s) = sigma ^ omega^{n-2}/(n-2)!: sigma = tr_g(s)/(n-1) g - s.
-
-    Lets any (n-1,n-1)-form given by its dual s be rewritten in the
-    sigma-wedge-omega^{n-2} shape used by the ddbar scalar machinery.
-    """
-    n = g.shape[-1]
-    gi = np.linalg.inv(g) if gi is None else gi
-    return (_trace(gi @ s) / (n - 1))[..., None, None] * g - s
 
 
 # ---------------------------------------------------------------------------

@@ -99,12 +99,13 @@ def calabi_yau_gauduchon(spec, f_prime, cfg=None, precondition_tol=1e-8,
                 f"omega is not astheno-Kahler within {precondition_tol:.1e} "
                 f"(defect {d_omega.astheno})"
             )
-        d_omega0 = geo.metric_defects(grid, spec.omega0)
-        if d_omega0.gauduchon > precondition_tol:
-            raise ValidationError(
-                f"omega_0 is not Gauduchon within {precondition_tol:.1e} "
-                f"(defect {d_omega0.gauduchon:.3e})"
-            )
+    # one evaluation serves the precondition and the diagnostics
+    omega0_defect = geo.gauduchon_defect(grid, spec.omega0)
+    if check_preconditions and omega0_defect > precondition_tol:
+        raise ValidationError(
+            f"omega_0 is not Gauduchon within {precondition_tol:.1e} "
+            f"(defect {omega0_defect:.3e})"
+        )
     f_prime = np.asarray(f_prime)
     psi_spec = eq.ProblemSpec(
         grid=grid, variant=eq.Variant.PSI, omega0=spec.omega0, omega=spec.omega,
@@ -118,17 +119,13 @@ def calabi_yau_gauduchon(spec, f_prime, cfg=None, precondition_tol=1e-8,
         np.log(np.linalg.det(omega_u).real) - np.log(np.linalg.det(spec.omega).real)
         - f_prime.real - b_prime
     )
-    defect = geo.metric_defects(grid, omega_u).gauduchon
     return PipelineResult(
         metric=omega_u,
         b_prime=b_prime,
         report=report,
         volume_identity_sup=gr.sup_norm(volume_residual),
-        gauduchon_defect=defect,
-        diagnostics={
-            "b": report.state.b,
-            "omega0_gauduchon_defect": geo.metric_defects(grid, spec.omega0).gauduchon,
-        },
+        gauduchon_defect=geo.gauduchon_defect(grid, omega_u),
+        diagnostics={"b": report.state.b, "omega0_gauduchon_defect": omega0_defect},
     )
 
 
@@ -165,11 +162,11 @@ def phi_pipeline(spec, f_datum, cfg=None, precondition_tol=1e-8,
     if n < 3:
         raise ValidationError("the PHI pipeline needs n >= 3")
     if check_preconditions:
-        d_omega = geo.metric_defects(grid, spec.omega)
-        if d_omega.gauduchon > precondition_tol:
+        omega_defect = geo.gauduchon_defect(grid, spec.omega)
+        if omega_defect > precondition_tol:
             raise ValidationError(
                 f"omega is not Gauduchon within {precondition_tol:.1e} "
-                f"(defect {d_omega.gauduchon:.3e})"
+                f"(defect {omega_defect:.3e})"
             )
     f_datum = np.asarray(f_datum)
     phi_spec = eq.ProblemSpec(
@@ -185,13 +182,11 @@ def phi_pipeline(spec, f_datum, cfg=None, precondition_tol=1e-8,
         - np.log(np.linalg.det(spec.omega).real)
         - (f_datum.real + report.state.b) / (n - 1)
     )
-    defect = geo.metric_defects(grid, omega_tilde).gauduchon
-    defect0 = geo.metric_defects(grid, spec.omega0).gauduchon
     return PipelineResult(
         metric=omega_tilde,
         b_prime=report.state.b,
         report=report,
         volume_identity_sup=gr.sup_norm(volume_residual),
-        gauduchon_defect=defect,
-        diagnostics={"omega0_gauduchon_defect": defect0},
+        gauduchon_defect=geo.gauduchon_defect(grid, omega_tilde),
+        diagnostics={"omega0_gauduchon_defect": geo.gauduchon_defect(grid, spec.omega0)},
     )

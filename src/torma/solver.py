@@ -551,7 +551,7 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30, cfg=None):
     sigma = (tau / (n - 1)).real
     sigma = sigma - np.mean(sigma)
     conformal = np.exp(sigma)[..., None, None] * omega
-    check = geo.metric_defects(grid, conformal).gauduchon
+    check = geo.gauduchon_defect(grid, conformal)
     if not check < max(10.0 * tol, 1e-7):
         raise SolverError(
             f"post-validation failed: Gauduchon defect {check:.3e} after the "

@@ -17,12 +17,13 @@ star(alpha ^ omega^{n-2}) = (n-2)!((tr alpha) omega - alpha), and the trace
 relation Psi ^ omega = tr(star Psi) dV.
 
 The slot-loop references evaluate the torsion contractions of
-torma.equations with one B2/S2 call per slot; the closed forms used in
-production are checked against them, and the Leibniz-route Gauduchon
-scalar checks the factorized one of torma.geometry. The per-axis derivative
-references at the end compose first derivatives one real axis at a time (a
-1-D FFT or the fd4 np.roll stencil); the fused spectral operators of
-torma.grid are checked against them.
+torma.equations and the ddbar blocks of torma.geometry with one S/B call
+per slot (S3, S4 and B3 live here, since production no longer calls them);
+the closed forms used in production are checked against them, and the
+Leibniz-route Gauduchon scalar checks the factorized one of torma.geometry.
+The per-axis derivative references at the end compose first derivatives one
+real axis at a time (a 1-D FFT or the fd4 np.roll stencil); the fused
+spectral operators of torma.grid are checked against them.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import math
 import numpy as np
 
 from torma import geometry as geo
+from torma import grid as gr
 from torma import hermitian as ha
 
 
@@ -268,13 +270,192 @@ def cross_slots(g, du, dbar_omega, ginv):
 
 
 # ---------------------------------------------------------------------------
-# Leibniz-route reference for the Gauduchon scalar
+# S/B contractions that production no longer calls: the slot-loop references
+# below and the contraction-family tests use them
+
+
+def _trace(x):
+    return np.einsum("...ii->...", x)
+
+
+def _raise_all(gi, mats):
+    return [gi @ np.asarray(m, dtype=np.complex128) for m in mats]
+
+
+def s3(g, a, b, c, gi=None):
+    """Polarized 6 e_3 of the relative eigenvalues."""
+    gi = np.linalg.inv(g) if gi is None else gi
+    ra, rb, rc = _raise_all(gi, (a, b, c))
+    ta, tb, tc = _trace(ra), _trace(rb), _trace(rc)
+    rab, rac, rbc = ra @ rb, ra @ rc, rb @ rc
+    return (
+        ta * tb * tc
+        - ta * _trace(rbc)
+        - tb * _trace(rac)
+        - tc * _trace(rab)
+        + _trace(rab @ rc)
+        + _trace(rac @ rb)
+    )
+
+
+def s4(g, a, b, c, d, gi=None):
+    """Polarized 24 e_4 (cycle-partition expansion)."""
+    gi = np.linalg.inv(g) if gi is None else gi
+    ra, rb, rc, rd = _raise_all(gi, (a, b, c, d))
+    ta, tb, tc, td = _trace(ra), _trace(rb), _trace(rc), _trace(rd)
+    rab, rac, rad = ra @ rb, ra @ rc, ra @ rd
+    rbc, rbd, rcd = rb @ rc, rb @ rd, rc @ rd
+    tab, tac, tad = _trace(rab), _trace(rac), _trace(rad)
+    tbc, tbd, tcd = _trace(rbc), _trace(rbd), _trace(rcd)
+    return (
+        ta * tb * tc * td
+        - (tab * tc * td + tac * tb * td + tad * tb * tc
+           + tbc * ta * td + tbd * ta * tc + tcd * ta * tb)
+        + (tab * tcd + tac * tbd + tad * tbc)
+        + ta * (_trace(rbc @ rd) + _trace(rbd @ rc))
+        + tb * (_trace(rac @ rd) + _trace(rad @ rc))
+        + tc * (_trace(rab @ rd) + _trace(rad @ rb))
+        + td * (_trace(rab @ rc) + _trace(rac @ rb))
+        - (_trace(rab @ rcd) + _trace(rab @ rd @ rc) + _trace(rac @ rbd)
+           + _trace(rac @ rd @ rb) + _trace(rad @ rbc) + _trace(rad @ rc @ rb))
+    )
+
+
+def b3(g, a, b, c, gi=None):
+    """star(a ^ b ^ c ^ omega^{n-4}/(n-4)!), n >= 4."""
+    gi = np.linalg.inv(g) if gi is None else gi
+    ra, rb, rc = _raise_all(gi, (a, b, c))
+    ta, tb, tc = _trace(ra), _trace(rb), _trace(rc)
+    rab, rac, rbc = ra @ rb, ra @ rc, rb @ rc
+    s2ab = ta * tb - _trace(rab)
+    s2ac = ta * tc - _trace(rac)
+    s2bc = tb * tc - _trace(rbc)
+    s3abc = (
+        ta * tb * tc - ta * _trace(rbc) - tb * _trace(rac) - tc * _trace(rab)
+        + _trace(rab @ rc) + _trace(rac @ rb)
+    )
+    chains = rab @ rc + rac @ rb + rb @ rac + rbc @ ra + rc @ rab + rc @ rb @ ra
+    return (
+        s3abc[..., None, None] * g
+        - s2ab[..., None, None] * c
+        - s2bc[..., None, None] * a
+        - s2ac[..., None, None] * b
+        + ta[..., None, None] * (g @ (rbc + rc @ rb))
+        + tb[..., None, None] * (g @ (rac + rc @ ra))
+        + tc[..., None, None] * (g @ (rab + rb @ ra))
+        - g @ chains
+    )
+
+
+def inverse_star_sigma(g, s, gi=None):
+    """sigma with star(s) = sigma ^ omega^{n-2}/(n-2)!: sigma = tr_g(s)/(n-1) g - s.
+
+    Lets any (n-1,n-1)-form given by its dual s be rewritten in the
+    sigma-wedge-omega^{n-2} shape used by the ddbar scalar machinery.
+    """
+    n = g.shape[-1]
+    gi = np.linalg.inv(g) if gi is None else gi
+    return (_trace(gi @ s) / (n - 1))[..., None, None] * g - s
+
+
+# ---------------------------------------------------------------------------
+# slot-loop references for the ddbar blocks of torma.geometry: one S/B call
+# per unit or rank-one slot
 
 
 def _unit(n, r, s):
     u = np.zeros((n, n), dtype=np.complex128)
     u[r, s] = 1.0
     return u
+
+
+def ddbar_terms_slots(grid, g, sigma, gi, dbar_g, ddbar_g):
+    """The blocks T_A, T_B1, T_C, T_D of i ddbar(sigma ^ omega^{n-2})."""
+    n = grid.n
+    dbar_sigma = geo.metric_dbar_tensor(grid, sigma)
+    d_sigma = geo.metric_d_tensor(grid, sigma, dbar_sigma)
+    ddbar_sigma = geo.metric_ddbar_tensor(grid, sigma, dbar_sigma)
+    d_g = geo.metric_d_tensor(grid, g, dbar_g)
+
+    # T_A = sum_{l,k} S2(U_lk, d_l d_kbar sigma)
+    t_a = np.zeros(grid.sizes, dtype=np.complex128)
+    for l in range(n):
+        for k in range(n):
+            t_a += ha.s2(g, _unit(n, l, k), ddbar_sigma[..., l, k, :, :], gi)
+
+    # T_B1: i d(sigma) ^ dbar(omega) = - sum_{a,c,k} (e_c x d_c sigma_{a .}) ^ E_ak ^ dbar_g_k
+    t_b1 = np.zeros(grid.sizes, dtype=np.complex128)
+    if n >= 3:
+        for a in range(n):
+            for c in range(n):
+                row = d_sigma[..., c, a, :]
+                slot1 = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
+                slot1[..., c, :] = row
+                for k in range(n):
+                    t_b1 -= s3(g, slot1, _unit(n, a, k), dbar_g[..., k, :, :], gi)
+
+    # T_C = sum_{l,k} S3(sigma, U_lk, ddbar_g slice)
+    t_c = np.zeros(grid.sizes, dtype=np.complex128)
+    if n >= 3:
+        for l in range(n):
+            for k in range(n):
+                t_c += s3(g, sigma, _unit(n, l, k), ddbar_g[..., l, k, :, :], gi)
+
+    # T_D = sum_{k,j,c} S4(sigma, A_kj, E_cj, d_c g), A_kj = dbar_g[k,:,j] x e_k
+    t_d = np.zeros(grid.sizes, dtype=np.complex128)
+    if n >= 4:
+        for k in range(n):
+            for j in range(n):
+                col = dbar_g[..., k, :, j]
+                slot2 = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
+                slot2[..., :, k] = col
+                for c in range(n):
+                    t_d += s4(g, sigma, slot2, _unit(n, c, j), d_g[..., c, :, :], gi)
+    return t_a, t_b1, t_c, t_d
+
+
+def ddbar_scalar_slots(grid, omega, sigma):
+    """[i ddbar(sigma ^ omega^{n-2})] / dV from the slot-loop blocks."""
+    n = grid.n
+    gi = np.linalg.inv(omega)
+    dbar_g = geo.metric_dbar_tensor(grid, omega)
+    ddbar_g = geo.metric_ddbar_tensor(grid, omega, dbar_g)
+    t_a, t_b1, t_c, t_d = ddbar_terms_slots(grid, omega, sigma, gi, dbar_g, ddbar_g)
+    rho = math.factorial(n - 2) * t_a
+    if n >= 3:
+        rho = rho + (n - 2) * math.factorial(n - 3) * (2.0 * t_b1.real + t_c)
+    if n >= 4:
+        rho = rho - (n - 2) * (n - 3) * math.factorial(n - 4) * t_d
+    return rho.real
+
+
+def astheno_dual_slots(grid, omega):
+    """Star dual of i ddbar(omega^{n-2}), one B2/B3 call per slot; n >= 3."""
+    n = grid.n
+    g = omega
+    gi = np.linalg.inv(g)
+    dbar_g = geo.metric_dbar_tensor(grid, g)
+    ddbar_g = geo.metric_ddbar_tensor(grid, g, dbar_g)
+    dual = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
+    for l in range(n):
+        for k in range(n):
+            dual += ha.b2(g, _unit(n, l, k), ddbar_g[..., l, k, :, :], gi)
+    if n >= 4:
+        d_g = geo.metric_d_tensor(grid, g, dbar_g)
+        cross = np.zeros_like(dual)
+        for k in range(n):
+            for j in range(n):
+                col = dbar_g[..., k, :, j]
+                slot1 = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
+                slot1[..., :, k] = col
+                for c in range(n):
+                    cross += b3(g, slot1, _unit(n, c, j), d_g[..., c, :, :], gi)
+        dual = dual - (n - 3) * cross
+    return ha.hermitize((n - 2) * dual)
+
+
+# ---------------------------------------------------------------------------
+# Leibniz-route reference for the Gauduchon scalar
 
 
 def gauduchon_scalar_direct(grid, omega):
@@ -303,7 +484,7 @@ def gauduchon_scalar_direct(grid, omega):
                 slot1 = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
                 slot1[..., :, k] = col
                 for c in range(n):
-                    s3_sum += ha.s3(g, slot1, _unit(n, c, j), d_g[..., c, :, :], gi)
+                    s3_sum += s3(g, slot1, _unit(n, c, j), d_g[..., c, :, :], gi)
         rho = rho - (n - 2) * math.factorial(n - 3) * s3_sum
     return ((n - 1) * rho).real
 
@@ -312,6 +493,11 @@ def gauduchon_scalar_direct(grid, omega):
 # per-axis derivative references for the fused spectral operators of
 # torma.grid: one 1-D transform (or np.roll stencil) per real axis, composed
 # one derivative at a time
+
+
+def deriv_real(grid, f, axis):
+    """d/dx along one real axis through the fused first-derivative helper."""
+    return gr._first_order(grid, f, [[(axis, 1.0)]])[0]
 
 
 def deriv_real_axis(grid, f, axis, method="spectral"):

@@ -1,5 +1,7 @@
 """Chern connection/curvature and metric closedness defects."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -204,3 +206,83 @@ class TestMetricDefects:
             err[grid.sizes[0]] = np.max(np.abs(spectral - metric.dbar_tensor(grid)))
         assert err[32] < 1e-8
         assert err[16] > 100 * err[32]
+
+
+# x-only and y-active grids per dimension for the closed-form/slot-loop match
+ORACLE_GRIDS = {
+    "n2-x": (2, 16, (0, 2)),
+    "n2-y": (2, 8, (0, 1, 3)),
+    "n3-x": (3, 8, (0, 2, 4)),
+    "n3-y": (3, 8, (0, 1, 4)),
+    "n4-x": (4, 4, (0, 2, 4, 6)),
+    "n4-y": (4, 4, (0, 3, 5)),
+}
+
+
+def oracle_case(key, sigma_kind, rng):
+    n, size, active = ORACLE_GRIDS[key]
+    grid = gr.TorusGrid.reduced(n, size, active_coords=active)
+    metric = tf.random_hermitian_metric(grid, rng, amplitude=0.2)
+    if sigma_kind == "omega":
+        sigma = metric
+    else:
+        # an indefinite real (1,1)-form
+        sigma = tf.random_hermitian_metric(grid, rng, amplitude=0.4) - 0.8 * np.eye(n)
+    return grid, metric, sigma
+
+
+def assert_oracle_close(got, want, what=""):
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert float(np.max(np.abs(got - want))) <= 1e-12 * scale, what
+
+
+@pytest.mark.parametrize("key", list(ORACLE_GRIDS))
+class TestClosedFormsAgainstSlotLoops:
+    """The closed-form contractions of geometry against one S/B call per slot."""
+
+    @pytest.mark.parametrize("sigma_kind", ["omega", "other"])
+    def test_blocks(self, key, sigma_kind, rng):
+        grid, metric, sigma = oracle_case(key, sigma_kind, rng)
+        gi = np.linalg.inv(metric)
+        dbar_g = geo.metric_dbar_tensor(grid, metric)
+        ddbar_g = geo.metric_ddbar_tensor(grid, metric, dbar_g)
+        got = geo._ddbar_terms(grid, metric, sigma, gi, dbar_g, ddbar_g)
+        want = of.ddbar_terms_slots(grid, metric, sigma, gi, dbar_g, ddbar_g)
+        for block, a, b in zip(("T_A", "T_B1", "T_C", "T_D"), got, want):
+            assert_oracle_close(a, b, block)
+
+    @pytest.mark.parametrize("sigma_kind", ["omega", "other"])
+    def test_ddbar_scalar(self, key, sigma_kind, rng):
+        grid, metric, sigma = oracle_case(key, sigma_kind, rng)
+        assert_oracle_close(geo.ddbar_scalar(grid, metric, sigma),
+                            of.ddbar_scalar_slots(grid, metric, sigma))
+
+    def test_astheno_dual(self, key, rng):
+        grid, metric, _ = oracle_case(key, "omega", rng)
+        dual = geo.astheno_dual(grid, metric)
+        if grid.n == 2:
+            assert dual is None
+        else:
+            assert_oracle_close(dual, of.astheno_dual_slots(grid, metric))
+
+
+def test_ddbar_scalar_allocation_bound():
+    # one ddbar_scalar with sigma != omega at the pipeline benchmark's grid
+    # (64^2, n = 3), derivative tensors of omega given: 11.8 MB peak measured.
+    # An n^4 complex temporary per node is 5.3 MB here; taking K from a
+    # stacked g^{-1} h_lk peaks at 14.2 MB, an n^4 product of two g^{-1} in
+    # the first-order blocks at 14.9 MB.
+    grid = gr.TorusGrid.reduced(3, 64, active_coords=(0, 2))
+    rng = np.random.default_rng(5)
+    metric = tf.random_hermitian_metric(grid, rng, amplitude=0.15, max_mode=1)
+    sigma = tf.random_hermitian_metric(grid, rng, amplitude=0.3, max_mode=1) - 0.5 * np.eye(3)
+    dbar_g = geo.metric_dbar_tensor(grid, metric)
+    ddbar_g = geo.metric_ddbar_tensor(grid, metric, dbar_g)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        geo.ddbar_scalar(grid, metric, sigma, dbar_g, ddbar_g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 13.0e6

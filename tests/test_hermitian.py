@@ -188,7 +188,7 @@ class TestContractionFamily:
         if n > 3:
             top = top.wedge(of.wedge_power(of.one_one(g), n - 3))
         want = of.top_ratio(top, g) / math.factorial(n - 3)
-        np.testing.assert_allclose(ha.s3(g, a, b, c), want, atol=1e-10)
+        np.testing.assert_allclose(of.s3(g, a, b, c), want, atol=1e-10)
 
     def test_s4(self, rng):
         n = 4
@@ -196,7 +196,7 @@ class TestContractionFamily:
         a, b, c, d = (random_complex(rng, n, n) for _ in range(4))
         top = of.one_one(a).wedge(of.one_one(b)).wedge(of.one_one(c)).wedge(of.one_one(d))
         want = of.top_ratio(top, g)
-        np.testing.assert_allclose(ha.s4(g, a, b, c, d), want, atol=1e-9)
+        np.testing.assert_allclose(of.s4(g, a, b, c, d), want, atol=1e-9)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_b2(self, rng, n):
@@ -214,7 +214,7 @@ class TestContractionFamily:
         a, b, c = (random_complex(rng, n, n) for _ in range(3))
         psi = of.one_one(a).wedge(of.one_one(b)).wedge(of.one_one(c))
         want = of.star_nm1(g, psi)
-        np.testing.assert_allclose(ha.b3(g, a, b, c), want, atol=1e-9)
+        np.testing.assert_allclose(of.b3(g, a, b, c), want, atol=1e-9)
 
     @given(seed=st.integers(min_value=0, max_value=10_000), n=st.sampled_from([2, 3, 4]))
     @settings(max_examples=40, deadline=None)
@@ -226,17 +226,17 @@ class TestContractionFamily:
         a, b, c = (random_complex(r, n, n) for _ in range(3))
         pair = lambda s, x: np.trace(gi @ s @ gi @ x)
         assert abs(pair(ha.b1(g, a), c) - ha.s2(g, a, c)) < 1e-10
-        assert abs(pair(ha.b2(g, a, b), c) - ha.s3(g, a, b, c)) < 1e-9
+        assert abs(pair(ha.b2(g, a, b), c) - of.s3(g, a, b, c)) < 1e-9
         if n >= 2:
             d = random_complex(r, n, n)
-            assert abs(pair(ha.b3(g, a, b, c), d) - ha.s4(g, a, b, c, d)) < 1e-8
+            assert abs(pair(of.b3(g, a, b, c), d) - of.s4(g, a, b, c, d)) < 1e-8
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_inverse_star_sigma(self, rng, n):
         # sigma-rep reproduces the original dual under the star machinery
         g = random_positive(rng, n)
         s = random_hermitian(rng, n)
-        sigma = ha.inverse_star_sigma(g, s)
+        sigma = of.inverse_star_sigma(g, s)
         psi = of.one_one(sigma).wedge(of.wedge_power(of.one_one(g), n - 2))
         got = of.star_nm1(g, psi) / math.factorial(n - 2)
         np.testing.assert_allclose(got, s, atol=1e-10)

@@ -114,6 +114,22 @@ class TestPrescribedRicci:
         result = pl.prescribed_ricci(spec, psi)
         assert result.diagnostics["ricci_defect"] < 1e-8
 
+    def test_omega0_defect_evaluated_once(self, g3, astheno_omega, gauduchon_omega0,
+                                          monkeypatch):
+        # the precondition and the diagnostics share one Gauduchon evaluation
+        spec = cy_spec(g3, gauduchon_omega0, astheno_omega)
+        scalar = geo.gauduchon_scalar
+        seen = []
+
+        def counting(grid, omega, *args, **kwargs):
+            seen.append(np.array_equal(omega, spec.omega0))
+            return scalar(grid, omega, *args, **kwargs)
+
+        monkeypatch.setattr(geo, "gauduchon_scalar", counting)
+        result = pl.prescribed_ricci(spec, geo.chern_ricci(g3, astheno_omega))
+        assert sum(seen) == 1
+        assert result.diagnostics["omega0_gauduchon_defect"] < 1e-9
+
     def test_shifted_representative(self, g3, astheno_omega, gauduchon_omega0):
         rng = np.random.default_rng(13)
         phi = 0.2 * tf.random_band_limited_real(g3, rng, max_mode=1)
