@@ -56,6 +56,7 @@ def _solve_payload(report):
         "t_history": report.t_history,
         "b_history": [float(b) for b in report.b_history],
         "newton_residuals_final_t": report.residual_history,
+        "linear_iterations": report.linear_iterations(),
         "message": report.message,
     }
     payload.update(report.diagnostics)

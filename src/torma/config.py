@@ -14,6 +14,7 @@ Example::
     [solver]
     newton_tol = 1e-11
     continuity_steps = 0,0.5,1
+    linear_tol = 1e-10            ; optional, in (0, 0.01]
 
     [outputs]
     report = out/report.json
@@ -23,6 +24,12 @@ Example::
     [run]
     seed = 7
     threads = 0                   ; 0 = all cores; TORMA_THREADS overrides
+
+``linear_tol`` is the floor of the inexact-Newton forcing term: each GMRES
+solve aims at min(0.01, max(linear_tol, 0.1 r)) for the step's resolved
+residual sup r, so the floor binds only near convergence; ``newton_tol``
+still decides the accuracy of the solve. Every [solver] value goes through
+the checks of SolverConfig.
 """
 
 from __future__ import annotations

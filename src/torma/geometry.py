@@ -149,16 +149,19 @@ def _raised_dbar(gi, dbar_g):
     return np.einsum("...xi,...kiX->...kxX", gi, dbar_g)
 
 
-def _ddbar_terms(grid, g, sigma, gi, dbar_g, ddbar_g):
+def _ddbar_terms(grid, g, sigma, gi, dbar_g, ddbar_g, k_g=None):
     """The four wedge-scalar blocks of i ddbar(sigma ^ omega^{n-2}):
 
         T_A  = sum_{lk} S2(E_lk, d_l d_kbar sigma) = tr(g^{-1} K_sigma)/2
         T_B1 = -sum_{ack} S3(e_c x d_c sigma_{a.}, E_ak, d_kbar g)
         T_C  = sum_{lk} S3(sigma, E_lk, d_l d_kbar g) = tr(g^{-1} sigma g^{-1} A2)
         T_D  = sum_{kjc} S4(sigma, d_kbar g_{.j} x e_k, E_cj, d_c g)
+
+    k_g, when given, is _ddbar_trace(gi, ddbar_g).
     """
     n = grid.n
-    k_g = _ddbar_trace(gi, ddbar_g)
+    if k_g is None:
+        k_g = _ddbar_trace(gi, ddbar_g)
     if sigma is g:
         dbar_sigma, k_sigma = dbar_g, k_g
     else:
@@ -186,14 +189,17 @@ def ddbar_scalar(grid, omega, sigma, dbar_g=None, ddbar_g=None):
     Gauduchon defect scalar of omega^{n-1}; with the sigma-representation of a
     dual (1,1)-form it evaluates ddbar of any (n-1,n-1)-form.
     """
-    n = grid.n
-    g = omega
-    gi = np.linalg.inv(g)
     if dbar_g is None:
-        dbar_g = metric_dbar_tensor(grid, g)
+        dbar_g = metric_dbar_tensor(grid, omega)
     if ddbar_g is None:
-        ddbar_g = metric_ddbar_tensor(grid, g, dbar_g)
-    t_a, t_b1, t_c, t_d = _ddbar_terms(grid, g, sigma, gi, dbar_g, ddbar_g)
+        ddbar_g = metric_ddbar_tensor(grid, omega, dbar_g)
+    return _ddbar_scalar(grid, omega, sigma, np.linalg.inv(omega), dbar_g, ddbar_g)
+
+
+def _ddbar_scalar(grid, g, sigma, gi, dbar_g, ddbar_g, k_g=None):
+    """ddbar_scalar from g^{-1} and the derivative tensors (and K of ddbar_g)."""
+    n = grid.n
+    t_a, t_b1, t_c, t_d = _ddbar_terms(grid, g, sigma, gi, dbar_g, ddbar_g, k_g)
     rho = math.factorial(n - 2) * t_a
     if n >= 3:
         rho = rho + (n - 2) * math.factorial(n - 3) * (2.0 * t_b1.real + t_c)
@@ -215,6 +221,15 @@ def gauduchon_defect(grid, omega):
     return float(np.max(np.abs(gauduchon_scalar(grid, omega))))
 
 
+def astheno_defect(grid, omega):
+    """sup |astheno_dual| of a validated metric (None for n = 2): the
+    astheno-Kahler part of :func:`metric_defects` alone."""
+    grid.check_field(omega, (grid.n, grid.n))
+    ha.require_positive(omega)
+    dual = astheno_dual(grid, omega)
+    return None if dual is None else float(np.max(np.abs(dual)))
+
+
 def astheno_dual(grid, omega, dbar_g=None, ddbar_g=None):
     """Hodge dual (1,1)-field of i ddbar(omega^{n-2}); None for n = 2.
 
@@ -222,16 +237,20 @@ def astheno_dual(grid, omega, dbar_g=None, ddbar_g=None):
                                   - (n-3) i dbar(omega) ^ d(omega) ^ omega^{n-4}],
     whose second part is sum_{kjc} B3(d_kbar g_{.j} x e_k, E_cj, d_c g).
     """
-    n = grid.n
-    if n == 2:
+    if grid.n == 2:
         return None
-    g = omega
-    gi = np.linalg.inv(g)
+    gi = np.linalg.inv(omega)
     if dbar_g is None:
-        dbar_g = metric_dbar_tensor(grid, g)
+        dbar_g = metric_dbar_tensor(grid, omega)
     if ddbar_g is None:
-        ddbar_g = metric_ddbar_tensor(grid, g, dbar_g)
-    dual = _ddbar_dual(gi, g, _ddbar_trace(gi, ddbar_g))
+        ddbar_g = metric_ddbar_tensor(grid, omega, dbar_g)
+    return _astheno_dual(grid, omega, gi, dbar_g, _ddbar_trace(gi, ddbar_g))
+
+
+def _astheno_dual(grid, g, gi, dbar_g, k_g):
+    """astheno_dual (n >= 3) from g^{-1}, dbar_g and K of ddbar_g."""
+    n = grid.n
+    dual = _ddbar_dual(gi, g, k_g)
     if n >= 4:
         r_dbar = _raised_dbar(gi, dbar_g)
         r_d = _raised_d(gi, metric_d_tensor(grid, g, dbar_g))
@@ -265,7 +284,12 @@ def metric_defects(grid, omega):
     ddbar_g = metric_ddbar_tensor(grid, omega, dbar_g)
     d_g = metric_d_tensor(grid, omega, dbar_g)
     kahler = float(np.max(np.abs(d_g - np.swapaxes(d_g, -3, -2))))
-    gauduchon = float(np.max(np.abs(gauduchon_scalar(grid, omega, dbar_g, ddbar_g))))
-    dual = astheno_dual(grid, omega, dbar_g, ddbar_g)
-    astheno = None if dual is None else float(np.max(np.abs(dual)))
+    # g^{-1} and the g-trace K of ddbar_g serve both ddbar defects
+    gi = np.linalg.inv(omega)
+    k_g = _ddbar_trace(gi, ddbar_g)
+    rho = _ddbar_scalar(grid, omega, omega, gi, dbar_g, ddbar_g, k_g)
+    gauduchon = float(np.max(np.abs(rho)))
+    astheno = None
+    if grid.n >= 3:
+        astheno = float(np.max(np.abs(_astheno_dual(grid, omega, gi, dbar_g, k_g))))
     return MetricDefects(gauduchon=gauduchon, astheno=astheno, kahler=kahler)

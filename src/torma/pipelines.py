@@ -93,11 +93,11 @@ def calabi_yau_gauduchon(spec, f_prime, cfg=None, precondition_tol=1e-8,
     grid = spec.grid
     n = spec.n
     if check_preconditions:
-        d_omega = geo.metric_defects(grid, spec.omega)
-        if d_omega.astheno is None or d_omega.astheno > precondition_tol:
+        astheno = geo.astheno_defect(grid, spec.omega)
+        if astheno is None or astheno > precondition_tol:
             raise ValidationError(
                 f"omega is not astheno-Kahler within {precondition_tol:.1e} "
-                f"(defect {d_omega.astheno})"
+                f"(defect {astheno})"
             )
     # one evaluation serves the precondition and the diagnostics
     omega0_defect = geo.gauduchon_defect(grid, spec.omega0)

@@ -15,6 +15,9 @@ solving the augmented linear system
 
 by GMRES, preconditioned with the exact inverse of the constant-coefficient
 (node-averaged) second-order part, which is diagonal in Fourier space.
+Newton is inexact: each GMRES solve aims only at the forcing term
+_forcing_term(cfg, r) relative to the step's resolved residual sup r, and
+the Newton tolerance test, not the linear tolerance, decides accuracy.
 Positivity of gt is maintained by step damping only; the equation is never
 modified.
 """
@@ -37,11 +40,18 @@ from .errors import PositivityError, SolverError, ValidationError
 # a continuity step whose first Newton step has to be damped below this is
 # too long and is halved (down to SolverConfig.min_t_step)
 MIN_FIRST_DAMPING = 0.25
+# inexact Newton: a step from resolved residual sup r solves its linear system
+# to the relative tolerance min(FORCING_CAP, max(cfg.linear_tol, FORCING_RATIO r))
+FORCING_CAP = 0.01
+FORCING_RATIO = 0.1
+# the linear-solve fields of an iterate no Newton step was taken from
+NO_LINEAR_SOLVE = {"linear_iterations": 0, "linear_rtol": None, "linear_residual": None}
 
 
 @dataclass
 class SolverConfig:
-    """Newton/continuity tuning knobs."""
+    """Newton/continuity tuning knobs; linear_tol is the floor of the
+    inexact-Newton forcing term and must lie in (0, FORCING_CAP]."""
 
     newton_tol: float = 1e-11
     max_newton: int = 40
@@ -63,6 +73,8 @@ class SolverConfig:
                 raise ValidationError(f"{name} must be at least 1")
         if not 0.0 < self.min_damping <= 1.0:
             raise ValidationError("min_damping must lie in (0, 1]")
+        if not 0.0 < self.linear_tol <= FORCING_CAP:
+            raise ValidationError(f"linear_tol must lie in (0, {FORCING_CAP:g}]")
         if not self.min_t_step > 0:
             raise ValidationError("min_t_step must be positive")
         steps = tuple(float(t) for t in self.continuity_steps)
@@ -77,7 +89,8 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Outcome of a continuity solve; records hold one dict per Newton iterate."""
+    """Outcome of a continuity solve; records hold one dict per Newton iterate,
+    with the linear solve of the step taken from it (NO_LINEAR_SOLVE if none)."""
 
     state: eq.SolveState
     converged: bool
@@ -93,6 +106,10 @@ class SolveReport:
 
     def u_sup_normalized(self):
         return self.state.normalized_sup()
+
+    def linear_iterations(self):
+        """GMRES iterations over all recorded Newton steps."""
+        return sum(rec["linear_iterations"] for rec in self.records)
 
     def write_records(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -140,12 +157,21 @@ class SpectralPreconditioner:
         return gr.irfftn(self.grid, rho_hat), beta
 
 
-def _augmented_solve(grid, apply_fn, rhs, precond, cfg):
+def _forcing_term(cfg, r):
+    """GMRES relative tolerance of a Newton step from resolved residual sup r:
+    0.1 r, kept between cfg.linear_tol and 0.01 (the forcing term of
+    inexact Newton, Dembo, Eisenstat and Steihaug 1982)."""
+    return min(FORCING_CAP, max(cfg.linear_tol, FORCING_RATIO * r))
+
+
+def _augmented_solve(grid, apply_fn, rhs, precond, cfg, rtol):
     """GMRES on [L(v) - beta = rhs ; mean(v) = 0] over packed real vectors.
 
     Solved in the resolved (Nyquist-free) subspace: the spectral Jacobian is
     singular on Nyquist modes, so both the operator and the right-hand side
-    are projected there.
+    are projected there. Returns (v, beta, linear); linear holds the GMRES
+    iterations, the relative tolerance rtol and GMRES's last (preconditioned,
+    relative) residual estimate.
     """
     size = grid.num_nodes
     rhs = gr.drop_nyquist(grid, rhs)
@@ -159,6 +185,7 @@ def _augmented_solve(grid, apply_fn, rhs, precond, cfg):
         v, beta = precond.solve_augmented(x[:size].reshape(grid.sizes), mean_target=x[size])
         return np.concatenate([v.ravel(), [beta]])
 
+    estimates = []
     op = spla.LinearOperator((size + 1, size + 1), matvec=matvec, dtype=np.float64)
     m_op = spla.LinearOperator((size + 1, size + 1), matvec=psolve, dtype=np.float64)
     b = np.concatenate([rhs.ravel(), [0.0]])
@@ -166,13 +193,20 @@ def _augmented_solve(grid, apply_fn, rhs, precond, cfg):
     # absolute floor: once the linear residual is far below the Newton
     # tolerance, further digits cannot matter
     x, info = spla.gmres(
-        op, b, rtol=cfg.linear_tol, atol=1e-3 * cfg.newton_tol,
+        op, b, rtol=rtol, atol=1e-3 * cfg.newton_tol,
         restart=cfg.linear_restart, maxiter=maxiter, M=m_op,
+        callback=estimates.append, callback_type="pr_norm",
     )
+    linear = {"linear_iterations": len(estimates), "linear_rtol": rtol,
+              "linear_residual": float(estimates[-1]) if estimates else None}
     if info != 0:
-        raise SolverError(f"inner GMRES did not reach tolerance (info={info})")
+        raise SolverError(
+            f"inner GMRES did not reach rtol {rtol:.3e} in {len(estimates)} "
+            f"iterations (last residual estimate {linear['linear_residual']:.3e}, "
+            f"info={info})"
+        )
     v = x[:size].reshape(grid.sizes)
-    return v - np.mean(v), float(x[size])
+    return v - np.mean(v), float(x[size]), linear
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +301,9 @@ def newton_step(spec, state, cfg=None, gt=None, residual=None):
     The largest damping factor in {1, 1/2, 1/4, ...} that keeps gt positive and
     reduces the resolved residual sup is applied; no eigenvalue clipping ever.
     info["damping"] is the factor taken (0.0 when the state has already
-    converged); info also holds the new state's evaluation: "gt",
+    converged); "linear_iterations", "linear_rtol" and "linear_residual"
+    describe the step's GMRES solve (NO_LINEAR_SOLVE when none was needed);
+    info also holds the new state's evaluation: "gt",
     "log_det", "residual" and "residual_sup" (the positivity margin is
     computed only by whoever reports the state). gt and residual, when
     given, are the state's tilde metric and residual; residual may instead
@@ -285,11 +321,12 @@ def newton_step(spec, state, cfg=None, gt=None, residual=None):
     if ev["residual"] is None:
         raise PositivityError(f"tilde metric not positive (min eig {_margin(ev):.3e})")
     if ev["residual_sup"] < cfg.newton_tol:
-        return state, {**ev, "damping": 0.0}
+        return state, {**ev, "damping": 0.0, **NO_LINEAR_SOLVE}
     lin = eq.Linearization(spec, state, gt=ev["gt"], factored=ev["log_det"] is not None)
     coeff_mean = np.mean(lin.coeff.reshape(-1, spec.n, spec.n), axis=0)
     precond = SpectralPreconditioner(spec.grid, coeff_mean)
-    du, db = _augmented_solve(spec.grid, lin.apply, -ev["residual"], precond, cfg)
+    du, db, linear = _augmented_solve(spec.grid, lin.apply, -ev["residual"], precond,
+                                      cfg, _forcing_term(cfg, ev["residual_sup"]))
 
     def trial_at(damping):
         u = state.u + damping * du
@@ -299,7 +336,7 @@ def newton_step(spec, state, cfg=None, gt=None, residual=None):
         trial_at, lambda s: _ma_evaluation(spec, s), ev["residual_sup"], cfg,
         f"Newton at t={state.t:.4f}",
     )
-    return trial, {**ev, "damping": damping}
+    return trial, {**ev, "damping": damping, **linear}
 
 
 def _start(spec, u0=None, t=0.0):
@@ -357,12 +394,13 @@ def continuity_solve(spec, cfg=None, u0=None):
     def record(it, s, e):
         report.records.append({
             "t": s.t, "iter": it, "residual_sup": e["residual_sup"], "b": float(s.b),
-            "positivity_margin": _margin(e), "damping": None,
+            "positivity_margin": _margin(e), "damping": None, **NO_LINEAR_SOLVE,
         })
 
     def step(it, s, e):
         new_state, info = newton_step(spec, s, cfg, residual=e)
-        report.records[-1]["damping"] = info["damping"]
+        report.records[-1].update(
+            {k: info[k] for k in ("damping", *NO_LINEAR_SOLVE)})
         if it == 0 and info["damping"] < min_first_damping:
             raise SolverError(f"continuity step to t={s.t:.4f} too long: first "
                               f"Newton step damped to {info['damping']:g}")
@@ -537,7 +575,8 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30, cfg=None):
         first = 2.0 * (np.einsum("...j,...ji->...i", np.conj(ev["dtau"]), ginv)
                        + cross_coeff)
         jac = gr.SecondOrderOperator(grid, ginv, first)
-        dtau, _ = _augmented_solve(grid, jac.apply, -ev["residual"], precond, cfg)
+        dtau, _, _ = _augmented_solve(grid, jac.apply, -ev["residual"], precond, cfg,
+                                      _forcing_term(cfg, ev["residual_sup"]))
 
         def trial_at(damping):
             trial = tau + damping * dtau

@@ -8,6 +8,7 @@ import pytest
 from torma import geometry as geo
 from torma import grid as gr
 from torma import testfields as tf
+from torma.errors import ValidationError
 
 from . import oracle_forms as of
 
@@ -123,6 +124,39 @@ class TestChernRicci:
 
 
 class TestMetricDefects:
+    @pytest.mark.parametrize("n,size", [(3, 16), (4, 8)])
+    def test_shared_parts_match_separate_defects(self, rng, n, size, monkeypatch):
+        # one g^{-1} and one K of ddbar_g serve both ddbar defects, with the
+        # values of the separate evaluations bit for bit
+        grid = gr.TorusGrid.reduced(n, size, active_coords=(0, 2))
+        metric = tf.random_hermitian_metric(grid, rng, amplitude=0.2)
+        gauduchon = geo.gauduchon_defect(grid, metric)
+        astheno = geo.astheno_defect(grid, metric)
+        assert astheno == float(np.max(np.abs(geo.astheno_dual(grid, metric))))
+        calls = {"inv": 0, "trace": 0}
+        inv, trace = np.linalg.inv, geo._ddbar_trace
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", inv))
+        monkeypatch.setattr(geo, "_ddbar_trace", counted("trace", trace))
+        d = geo.metric_defects(grid, metric)
+        assert calls == {"inv": 1, "trace": 1}
+        assert d.gauduchon == gauduchon
+        assert d.astheno == astheno
+
+    def test_astheno_defect_n2_and_validation(self, rng):
+        g2 = gr.TorusGrid.reduced(2, 8)
+        metric = tf.random_hermitian_metric(g2, rng, amplitude=0.2)
+        assert geo.astheno_defect(g2, metric) is None
+        g3 = gr.TorusGrid.reduced(3, 8, active_coords=(0, 2))
+        with pytest.raises(ValidationError):
+            geo.astheno_defect(g3, -tf.random_hermitian_metric(g3, rng, amplitude=0.2))
+
     def test_constant_metric_all_zero(self, g3, rng):
         from .conftest import random_positive
 

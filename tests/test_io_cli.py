@@ -136,6 +136,9 @@ class TestCli:
         rel = np.max(np.abs(u - u_star_sup)) / np.max(np.abs(u_star_sup))
         assert rel < 1e-6
         assert abs(report["b"] - meta["b_star"]) < 1e-8
+        lines = (out / "records.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert report["linear_iterations"] == sum(r["linear_iterations"] for r in records) > 0
 
     def test_validate_metric_flat(self, tmp_path, capsys):
         grid = gr.TorusGrid.reduced(3, 8)
@@ -169,6 +172,18 @@ class TestCli:
         )
         assert cli.main(["solve", "--config", str(cfg)]) == 2
         assert "max_newton" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1e-12", "nan", "0.5"])
+    def test_exit_2_on_bad_linear_tol(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"[problem]\nn = 2\nsizes = 16,1,16,1\n\n[solver]\nlinear_tol = {value}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValidationError, match="linear_tol"):
+            load_config(cfg)
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        assert "linear_tol" in capsys.readouterr().err
 
     def test_exit_3_on_solver_failure(self, tmp_path, capsys):
         grid = gr.TorusGrid.reduced(2, 16)

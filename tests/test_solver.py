@@ -50,6 +50,11 @@ class TestConfig:
         ("min_damping", 0.0),
         ("min_damping", 1.5),
         ("min_t_step", 0.0),
+        ("linear_tol", 0.0),
+        ("linear_tol", -1e-12),
+        ("linear_tol", float("nan")),
+        ("linear_tol", float("inf")),
+        ("linear_tol", 0.5),
     ])
     def test_rejects_bad_setting(self, field, value):
         with pytest.raises(ValidationError, match=field):
@@ -286,6 +291,72 @@ class TestNewton:
         db = abs(results[0].b - results[1].b)
         assert du < 1e-8
         assert db < 1e-8
+
+
+class TestInexactNewton:
+    def test_forcing_term_regimes(self):
+        cfg = sv.SolverConfig(linear_tol=1e-10)
+        assert sv._forcing_term(cfg, 3.0) == sv.FORCING_CAP == 0.01
+        assert sv._forcing_term(cfg, 0.1) == sv.FORCING_CAP
+        assert sv._forcing_term(cfg, 0.02) == 0.1 * 0.02
+        assert sv._forcing_term(cfg, 1e-6) == 0.1 * 1e-6
+        assert sv._forcing_term(cfg, 1e-10) == 1e-10
+        assert sv._forcing_term(cfg, 0.0) == 1e-10
+        assert sv._forcing_term(sv.SolverConfig(linear_tol=0.01), 1e-9) == 0.01
+
+    def test_newton_step_reports_its_linear_solve(self, g3, rng):
+        prob = manufacture_problem(g3, eq.Variant.PSI, rng, conformal_amplitude=0.25)
+        state = sv.initial_state(prob.spec)
+        state.t = 1.0
+        cfg = sv.SolverConfig()
+        r0 = sv._ma_evaluation(prob.spec, state)["residual_sup"]
+        _, info = sv.newton_step(prob.spec, state, cfg)
+        assert info["linear_rtol"] == sv._forcing_term(cfg, r0)
+        assert info["linear_iterations"] > 0
+        assert 0.0 <= info["linear_residual"] < 1.0
+        # a converged state takes no step and solves nothing
+        flat = flat_spec(g3)
+        _, info = sv.newton_step(flat, sv.initial_state(flat, t=1.0), cfg)
+        assert info["damping"] == 0.0
+        assert {k: info[k] for k in sv.NO_LINEAR_SOLVE} == sv.NO_LINEAR_SOLVE
+
+    @pytest.mark.parametrize("variant", [eq.Variant.PSI, eq.Variant.PHI])
+    def test_forcing_term_saves_linear_work(self, g3, rng, variant, monkeypatch):
+        # against exact linear solves (rtol = linear_tol at every step): the
+        # same Newton iterates to within one, at least 40% fewer GMRES
+        # iterations, and the accuracy of test_manufactured_recovery
+        prob = manufacture_problem(g3, variant, rng, conformal_amplitude=0.25)
+        inexact = sv.continuity_solve(prob.spec)
+        monkeypatch.setattr(sv, "_forcing_term", lambda cfg, r: cfg.linear_tol)
+        exact = sv.continuity_solve(prob.spec)
+        assert inexact.converged and exact.converged
+        assert abs(len(inexact.records) - len(exact.records)) <= 1
+        assert inexact.linear_iterations() <= 0.6 * exact.linear_iterations()
+        err_u = gr.sup_norm(inexact.state.u - prob.u_star) / gr.sup_norm(prob.u_star)
+        assert err_u < 1e-6
+        assert abs(inexact.state.b - prob.b_star) < 1e-8
+        cfg = sv.SolverConfig()
+        stepped = [r for r in inexact.records if r["damping"] is not None]
+        assert len(stepped) == len(inexact.records) - len(inexact.t_history)
+        for rec in inexact.records:
+            if rec["damping"] is None:
+                assert {k: rec[k] for k in sv.NO_LINEAR_SOLVE} == sv.NO_LINEAR_SOLVE
+            else:
+                assert cfg.linear_tol <= rec["linear_rtol"] <= sv.FORCING_CAP
+                assert rec["linear_iterations"] > 0
+        assert all(r["linear_rtol"] == cfg.linear_tol for r in exact.records
+                   if r["damping"] is not None)
+
+    def test_gmres_failure_names_target_and_progress(self, g3, rng):
+        # one Krylov vector per solve cannot reach the first step's rtol
+        prob = manufacture_problem(g3, eq.Variant.PSI, rng, conformal_amplitude=0.25)
+        state = sv.initial_state(prob.spec)
+        state.t = 1.0
+        cfg = sv.SolverConfig(linear_restart=1, linear_maxiter=1)
+        message = (r"inner GMRES did not reach rtol 1\.000e-02 in 1 iterations "
+                   r"\(last residual estimate \d\.\d{3}e[-+]\d+, info=1\)")
+        with pytest.raises(SolverError, match=message):
+            sv.newton_step(prob.spec, state, cfg)
 
 
 class TestAdjointKernel:
