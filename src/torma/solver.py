@@ -125,25 +125,24 @@ class SpectralPreconditioner:
     """Exact inverse of v -> sum C[i,j] d_j d_ibar v - beta for constant C.
 
     Solves [Lbar(v) - beta = rho ; mean(v) = s] one Fourier mode at a time;
-    used as the right preconditioner of the augmented Newton system and, with
-    a shift, of the adjoint-kernel iteration. The symbol is real and even, so
-    real fields are solved on half spectra.
+    used as the preconditioner of the augmented Newton system and,
+    conjugated by the volume weights, of the bordered adjoint-kernel system.
+    The symbol is real and even, so real fields are solved on half spectra.
     """
 
-    def __init__(self, grid, coeff_mean, shift=0.0):
+    def __init__(self, grid, coeff_mean):
         self.grid = grid
-        symbol = gr.SecondOrderOperator(grid, coeff_mean).symbol()
-        self.symbol = symbol - shift
+        self.symbol = gr.SecondOrderOperator(grid, coeff_mean).symbol()
         self.zero = tuple(0 for _ in grid.sizes)
         # modes annihilated by the derivative multipliers (k = 0, Nyquist) pass
         # through the preconditioner unchanged
-        scale = max(np.max(np.abs(symbol)), 1.0)
+        scale = max(np.max(np.abs(self.symbol)), 1.0)
         self.safe_symbol = np.where(
             np.abs(self.symbol) < 1e-13 * scale, 1.0, self.symbol
         )
 
     def solve_field(self, rho):
-        """(Lbar - shift)^{-1} rho for a real rho, zero mode passed through the shift."""
+        """Lbar^{-1} rho (no solver caller; perfbench/spans.py traces it)."""
         rho_hat = gr.rfftn(self.grid, rho)
         rho_hat /= self.safe_symbol
         return gr.irfftn(self.grid, rho_hat)
@@ -164,14 +163,33 @@ def _forcing_term(cfg, r):
     return min(FORCING_CAP, max(cfg.linear_tol, FORCING_RATIO * r))
 
 
+def _gmres(matvec, psolve, b, cfg, rtol, atol):
+    """Preconditioned restarted GMRES on matvec(x) = b within cfg's budget.
+
+    Returns (x, info, linear); linear holds the iterations, rtol and GMRES's
+    last (preconditioned, relative) residual estimate.
+    """
+    size = b.size
+    estimates = []
+    op = spla.LinearOperator((size, size), matvec=matvec, dtype=np.float64)
+    m_op = spla.LinearOperator((size, size), matvec=psolve, dtype=np.float64)
+    x, info = spla.gmres(
+        op, b, rtol=rtol, atol=atol,
+        restart=cfg.linear_restart, maxiter=max(1, cfg.linear_maxiter // cfg.linear_restart),
+        M=m_op, callback=estimates.append, callback_type="pr_norm",
+    )
+    linear = {"linear_iterations": len(estimates), "linear_rtol": rtol,
+              "linear_residual": float(estimates[-1]) if estimates else None}
+    return x, info, linear
+
+
 def _augmented_solve(grid, apply_fn, rhs, precond, cfg, rtol):
     """GMRES on [L(v) - beta = rhs ; mean(v) = 0] over packed real vectors.
 
     Solved in the resolved (Nyquist-free) subspace: the spectral Jacobian is
     singular on Nyquist modes, so both the operator and the right-hand side
-    are projected there. Returns (v, beta, linear); linear holds the GMRES
-    iterations, the relative tolerance rtol and GMRES's last (preconditioned,
-    relative) residual estimate.
+    are projected there. Returns (v, beta, linear) with linear as in _gmres;
+    raises SolverError when GMRES misses rtol.
     """
     size = grid.num_nodes
     rhs = gr.drop_nyquist(grid, rhs)
@@ -185,23 +203,13 @@ def _augmented_solve(grid, apply_fn, rhs, precond, cfg, rtol):
         v, beta = precond.solve_augmented(x[:size].reshape(grid.sizes), mean_target=x[size])
         return np.concatenate([v.ravel(), [beta]])
 
-    estimates = []
-    op = spla.LinearOperator((size + 1, size + 1), matvec=matvec, dtype=np.float64)
-    m_op = spla.LinearOperator((size + 1, size + 1), matvec=psolve, dtype=np.float64)
-    b = np.concatenate([rhs.ravel(), [0.0]])
-    maxiter = max(1, cfg.linear_maxiter // cfg.linear_restart)
     # absolute floor: once the linear residual is far below the Newton
     # tolerance, further digits cannot matter
-    x, info = spla.gmres(
-        op, b, rtol=rtol, atol=1e-3 * cfg.newton_tol,
-        restart=cfg.linear_restart, maxiter=maxiter, M=m_op,
-        callback=estimates.append, callback_type="pr_norm",
-    )
-    linear = {"linear_iterations": len(estimates), "linear_rtol": rtol,
-              "linear_residual": float(estimates[-1]) if estimates else None}
+    x, info, linear = _gmres(matvec, psolve, np.concatenate([rhs.ravel(), [0.0]]),
+                             cfg, rtol, atol=1e-3 * cfg.newton_tol)
     if info != 0:
         raise SolverError(
-            f"inner GMRES did not reach rtol {rtol:.3e} in {len(estimates)} "
+            f"inner GMRES did not reach rtol {rtol:.3e} in {linear['linear_iterations']} "
             f"iterations (last residual estimate {linear['linear_residual']:.3e}, "
             f"info={info})"
         )
@@ -464,68 +472,54 @@ class AdjointKernel:
     iterations: int
 
 
-def adjoint_kernel(spec, state, tol=1e-9, max_iterations=60, cfg=None):
-    """Kernel of the adjoint linearization by shifted inverse power iteration.
+def adjoint_kernel(spec, state, tol=1e-9, cfg=None):
+    """Kernel of the adjoint linearization from one bordered GMRES solve.
 
-    The adjoint is taken in the discrete L^2 pairing weighted by the current
-    tilde-metric volume form. Raises SolverError if the iteration stalls or the
-    kernel function changes sign (analytically impossible).
+    L* = W^{-1} L^T W is the adjoint in the L^2 pairing weighted by the
+    tilde-metric volume W. Its range is w-weighted mean-zero (L kills the
+    constants), so [L* f - beta = 0 ; sum(f w) = 1] gives the kernel with
+    beta = 0 (Keller 1977; docs/conventions.md). Success is sup|L* f|, f
+    scaled to max 1, below tol. Raises ValidationError unless tol is positive
+    and finite, and SolverError if that residual misses tol or f changes sign.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     cfg = cfg or SolverConfig()
     lin = eq.Linearization(spec, state)
     grid = spec.grid
+    size = grid.num_nodes
     weights = gr.volume_weights(grid, lin.gt)
     coeff_mean = np.mean(lin.coeff.reshape(-1, spec.n, spec.n), axis=0)
-    # the target eigenvalue is 0 and the rest of the spectrum sits below
-    # -pi^2 lambda_min(coeff); a small positive shift gives inverse iteration
-    # a contraction factor of roughly gap/shift per step
-    gap = np.pi ** 2 * float(np.min(np.linalg.eigvalsh(coeff_mean).real))
-    shift = 0.05 * gap
-    precond = SpectralPreconditioner(grid, coeff_mean, shift=shift)
-    size = grid.num_nodes
+    precond = SpectralPreconditioner(grid, coeff_mean)
 
     def matvec(x):
-        v = x.reshape(grid.sizes)
-        return (lin.apply_transpose(v, weights) - shift * v).ravel()
+        f = x[:size].reshape(grid.sizes)
+        out = lin.apply_transpose(f, weights) - x[size]
+        return np.concatenate([out.ravel(), [np.sum(f * weights)]])
 
     def psolve(x):
-        # L* = W^{-1} L^T W, so conjugate the constant-coefficient inverse by
-        # the volume weights: (L* - mu)^{-1} ~ W^{-1} (Lbar - mu)^{-1} W
-        rho = x.reshape(grid.sizes) * weights
-        return (precond.solve_field(rho) / weights).ravel()
+        # L* = W^{-1} L^T W: v = W f solves Lbar(v) - beta = W rho with the
+        # constraint sum(f w) = mean(v) size
+        v, beta = precond.solve_augmented(x[:size].reshape(grid.sizes) * weights,
+                                          mean_target=x[size] / size)
+        return np.concatenate([(v / weights).ravel(), [beta]])
 
-    op = spla.LinearOperator((size, size), matvec=matvec, dtype=np.float64)
-    m_op = spla.LinearOperator((size, size), matvec=psolve, dtype=np.float64)
-
-    f = np.ones(grid.sizes)
-    residual = np.inf
-    for it in range(1, max_iterations + 1):
-        rhs = f.ravel()
-        x, info = spla.gmres(
-            op, rhs, rtol=1e-12, atol=0.0, restart=cfg.linear_restart,
-            maxiter=max(1, cfg.linear_maxiter // cfg.linear_restart), M=m_op,
-        )
-        if info != 0:
-            raise SolverError(f"adjoint-kernel inner solve failed (info={info})")
-        f = x.reshape(grid.sizes)
-        f = f / np.max(np.abs(f))
-        residual = gr.sup_norm(lin.apply_transpose(f, weights))
-        if residual < tol:
-            break
-    else:
+    # tied to tol: a fixed target far below it can stall near roundoff
+    rtol = 0.1 * tol
+    x, info, linear = _gmres(matvec, psolve, np.append(np.zeros(size), 1.0), cfg, rtol, atol=0.0)
+    f = x[:size].reshape(grid.sizes) / np.max(np.abs(x[:size]))
+    residual = gr.sup_norm(lin.apply_transpose(f, weights))
+    if not residual < tol:
         raise SolverError(
-            f"adjoint-kernel power iteration did not converge (|L*f| = {residual:.3e})"
+            f"adjoint kernel: |L*f| = {residual:.3e} not below tol {tol:.3e} after "
+            f"GMRES to rtol {rtol:.3e} in {linear['linear_iterations']} iterations "
+            f"(info={info})"
         )
-    if np.mean(f) < 0:
-        f = -f
     if f.min() <= 0.0:
-        raise SolverError(
-            "adjoint kernel changes sign on the grid; refine the discretization"
-        )
+        raise SolverError("adjoint kernel changes sign on the grid; refine the discretization")
     f = f / float(np.sum(f * weights))
-    return AdjointKernel(
-        f=f, sigma=np.log(f), residual_sup=residual, iterations=it
-    )
+    return AdjointKernel(f=f, sigma=np.log(f), residual_sup=residual,
+                         iterations=linear["linear_iterations"])
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +538,8 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30, cfg=None):
     the main solver (the scalar unknown absorbs the one-dimensional
     compatibility of the system).
     """
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     cfg = cfg or SolverConfig()
     ha.require_positive(omega)
     n = grid.n

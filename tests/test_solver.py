@@ -386,6 +386,35 @@ class TestAdjointKernel:
             assert val < 1e-8
         np.testing.assert_allclose(result.sigma, np.log(result.f), atol=1e-13)
 
+    def test_bordered_solve_at_64sq(self):
+        # at 64 nodes per axis a GMRES target of 1e-12 stalls (info=20); the
+        # bordered solve's target follows tol
+        grid = gr.TorusGrid.reduced(3, 64, active_coords=(0, 2))
+        prob = manufacture_problem(grid, eq.Variant.PSI, np.random.default_rng(0),
+                                   amplitude=0.04, conformal_amplitude=0.2)
+        report = sv.continuity_solve(prob.spec)
+        result = sv.adjoint_kernel(prob.spec, report.state)
+        assert result.f.min() > 0.0
+        assert result.residual_sup < 1e-8
+        assert 0 < result.iterations <= sv.SolverConfig().linear_restart
+
+    def test_missed_residual_names_solve(self, g3, rng):
+        # one Krylov vector cannot resolve the kernel of a perturbed metric
+        prob = manufacture_problem(g3, eq.Variant.PSI, rng, amplitude=0.04,
+                                   conformal_amplitude=0.2)
+        report = sv.continuity_solve(prob.spec)
+        cfg = sv.SolverConfig(linear_restart=1, linear_maxiter=1)
+        message = (r"adjoint kernel: \|L\*f\| = \d\.\d{3}e[-+]\d+ not below tol "
+                   r"1\.000e-09 after GMRES to rtol 1\.000e-10 in 1 iterations \(info=1\)")
+        with pytest.raises(SolverError, match=message):
+            sv.adjoint_kernel(prob.spec, report.state, cfg=cfg)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_rejects_bad_tol(self, g3, tol):
+        state = eq.SolveState(u=np.zeros(g3.sizes), b=0.0)
+        with pytest.raises(ValidationError, match="tol must be positive"):
+            sv.adjoint_kernel(flat_spec(g3), state, tol=tol)
+
 
 class TestGauduchonFactor:
     # the defect machinery differentiates exp-conformal metrics, whose spectral
@@ -415,6 +444,11 @@ class TestGauduchonFactor:
         omega = tf.random_hermitian_metric(grid, rng, amplitude=0.2, max_mode=1)
         with pytest.raises(SolverError, match="Gauduchon"):
             sv.gauduchon_factor(grid, omega, max_newton=0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_rejects_bad_tol(self, g3, tol):
+        with pytest.raises(ValidationError, match="tol must be positive"):
+            sv.gauduchon_factor(g3, flat_field(g3), tol=tol)
 
     def test_small_budget_names_gauduchon_solve(self, rng):
         grid = gr.TorusGrid.reduced(3, 16, active_coords=(0, 2))
