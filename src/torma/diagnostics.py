@@ -138,18 +138,10 @@ def dealiased_residual(spec, state, factor=2):
     zero-pad resampled, so a genuinely converged smooth solve shows a residual
     at the truncation level of the data.
     """
-    grid = spec.grid
-    fine = grid.refined(factor)
-    spec_fine = eq.ProblemSpec(
-        grid=fine,
-        variant=spec.variant,
-        omega0=ha.hermitize(gr.resample(grid, spec.omega0, fine)),
-        omega=ha.hermitize(gr.resample(grid, spec.omega, fine)),
-        F=gr.resample(grid, spec.F.astype(complex), fine).real,
-        rhs_volume=spec.rhs_volume,
-    )
+    fine = spec.grid.refined(factor)
+    spec_fine = spec.resampled(fine)
     state_fine = eq.SolveState(
-        u=gr.resample(grid, state.u, fine), b=state.b, t=state.t
+        u=gr.resample(spec.grid, state.u, fine), b=state.b, t=state.t
     )
     log_det = ha.positive_log_det(eq.tilde_metric(spec_fine, state_fine.u))
     if log_det is None:  # not admissible on the fine grid: no residual, sup inf

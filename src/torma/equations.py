@@ -73,6 +73,20 @@ class ProblemSpec:
     def n(self):
         return self.grid.n
 
+    def resampled(self, grid):
+        """The same problem on another grid: omega_0, omega and F spectrally
+        resampled (truncated to coarsen, zero-padded to refine), the metrics
+        hermitized and F real. Raises ValidationError when a resampled metric
+        is not positive."""
+        return ProblemSpec(
+            grid=grid,
+            variant=self.variant,
+            omega0=ha.hermitize(gr.resample(self.grid, self.omega0, grid)),
+            omega=ha.hermitize(gr.resample(self.grid, self.omega, grid)),
+            F=gr.resample(self.grid, self.F.astype(complex), grid).real,
+            rhs_volume=self.rhs_volume,
+        )
+
     def _cached(self, key, builder):
         if key not in self._cache:
             self._cache[key] = builder()

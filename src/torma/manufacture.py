@@ -21,7 +21,7 @@ from .errors import ValidationError
 
 @dataclass
 class ManufacturedProblem:
-    """Sampled problem plus the analytic recipe it came from (re-samplable)."""
+    """Sampled problem plus the analytic recipe it came from."""
 
     spec: eq.ProblemSpec
     u_star: np.ndarray
@@ -32,13 +32,6 @@ class ManufacturedProblem:
 
     def state(self):
         return eq.SolveState(u=self.u_star.copy(), b=self.b_star, t=1.0)
-
-    def on_grid(self, grid):
-        """Same analytic problem sampled on another grid (convergence studies)."""
-        return _assemble(
-            grid, self.spec.variant, self.omega_analytic, self.omega0_analytic,
-            self.u_analytic, self.b_star, self.spec.rhs_volume,
-        )
 
 
 def _assemble(grid, variant, omega_a, omega0_a, u_poly, b_star, rhs_volume,

@@ -4,10 +4,15 @@ The continuity family raises t from 0 to 1 in
 
     det gt(u_t) = e^{t F + b_t} det(ref),
 
-warm-starting damped Newton at each step. It and Gauduchon's conformal
-factor share one driver: _newton (tolerance, stagnation and budget tests)
-and _line_search (the largest damping 2^-k >= min_damping whose trial is
-admissible and lowers the resolved residual sup). Each equation supplies an
+warm-starting damped Newton at each step. continuity_solve runs that march
+on the coarsest of a sequence of grids, each with every active axis halved,
+and then one Newton solve at t = 1 on each finer grid from the prolonged
+answer (nested iteration, the outer loop of full multigrid; Brandt 1977). A
+level whose Newton solve fails marches on its own grid instead. The
+continuity solve and Gauduchon's conformal factor share one driver: _newton
+(tolerance, stagnation and budget tests) and _line_search (the largest
+damping 2^-k >= min_damping whose trial is admissible and lowers the
+resolved residual sup). Each equation supplies an
 evaluation, carried forward from the accepted trial, and a Newton direction
 solving the augmented linear system
 
@@ -40,6 +45,9 @@ from .errors import PositivityError, SolverError, ValidationError
 # a continuity step whose first Newton step has to be damped below this is
 # too long and is halved (down to SolverConfig.min_t_step)
 MIN_FIRST_DAMPING = 0.25
+# nested iteration halves every active axis while each stays at least this
+# (coarsening 8 -> 4 bought nothing, 16 -> 8 did)
+MIN_COARSE_SIZE = 8
 # inexact Newton: a step from resolved residual sup r solves its linear system
 # to the relative tolerance min(FORCING_CAP, max(cfg.linear_tol, FORCING_RATIO r))
 FORCING_CAP = 0.01
@@ -92,10 +100,10 @@ class SolveReport:
     """Outcome of a continuity solve; records hold one dict per Newton iterate,
     with the linear solve of the step taken from it (NO_LINEAR_SOLVE if none)."""
 
-    state: eq.SolveState
-    converged: bool
-    residual_sup: float
-    positivity_margin: float
+    state: eq.SolveState = None
+    converged: bool = False
+    residual_sup: float = np.inf
+    positivity_margin: float = 0.0
     residual_sup_full: float = np.inf
     t_history: list = field(default_factory=list)
     residual_history: list = field(default_factory=list)
@@ -381,27 +389,32 @@ def initial_state(spec, u0=None, t=0.0):
     return _start(spec, u0, t)[0]
 
 
-def continuity_solve(spec, cfg=None, u0=None):
-    """March t through the schedule with warm starts and adaptive halving.
+def _accept(report, state, ev, history):
+    """Make state, evaluated as ev with Newton history history, the report's;
+    returns it with its carry. Numbers only: the report pins none of the
+    evaluation's arrays."""
+    report.state = state
+    report.positivity_margin = _margin(ev)
+    report.residual_sup = ev["residual_sup"]
+    report.residual_sup_full = gr.sup_norm(ev["residual"])
+    report.residual_history = history
+    report.diagnostics["residual_gap"] = report.residual_sup_full - report.residual_sup
+    return state, {k: ev[k] for k in ("gt", "log_det", "margin")}
 
-    A continuity step is halved when its Newton iteration fails or when its
-    first Newton step has to be damped below MIN_FIRST_DAMPING; positivity
-    is then kept by shorter steps rather than by near-zero damping.
 
-    Returns a SolveReport at t = 1; on unrecoverable failure raises SolverError
-    with the report of the last good state (converged at the last t reached,
-    or the start) attached as exc.report.
+def _member(spec, cfg, report, start, carry, min_first_damping):
+    """Damped Newton at start.t from start, every iterate recorded in report.
+
+    carry, the evaluation of the same u (or None), hands over its arrays as in
+    _ma_evaluation. A first step damped below min_first_damping raises
+    SolverError, as do _newton's and newton_step's failures. The converged
+    state becomes the report's and joins t_history and b_history; returns it
+    with its carry.
     """
-    cfg = cfg or SolverConfig()
-    # carry: the evaluation of the last accepted state, handed to the next
-    # attempt's start (same u, so only the residual is recomputed)
-    state, carry = _start(spec, u0)
-    report = SolveReport(state=state, converged=False, residual_sup=np.inf,
-                         positivity_margin=0.0)
-
     def record(it, s, e):
         report.records.append({
-            "t": s.t, "iter": it, "residual_sup": e["residual_sup"], "b": float(s.b),
+            "t": s.t, "iter": it, "sizes": list(spec.grid.sizes),
+            "residual_sup": e["residual_sup"], "b": float(s.b),
             "positivity_margin": _margin(e), "damping": None, **NO_LINEAR_SOLVE,
         })
 
@@ -414,14 +427,32 @@ def continuity_solve(spec, cfg=None, u0=None):
                               f"Newton step damped to {info['damping']:g}")
         return new_state, info
 
-    def accept(state, ev, history):
-        # numbers only: the report pins none of the evaluation's arrays
-        report.state = state
-        report.positivity_margin = _margin(ev)
-        report.residual_sup = ev["residual_sup"]
-        report.residual_sup_full = gr.sup_norm(ev["residual"])
-        report.residual_history = history
-        return state, {k: ev[k] for k in ("gt", "log_det", "margin")}
+    state, carry = _accept(report, *_newton(
+        start, _ma_evaluation(spec, start, carry), step, cfg.newton_tol,
+        cfg.max_newton, cfg, f"Newton at t={start.t:.4f}", record,
+    ))
+    report.t_history.append(state.t)
+    report.b_history.append(state.b)
+    return state, carry
+
+
+def _march(spec, cfg, u0=None, report=None):
+    """March t through the schedule on spec's grid with warm starts and
+    adaptive halving; appends to report when given (the levels of a nested
+    solve share one) and returns it.
+
+    A continuity step is halved when its Newton iteration fails or when its
+    first Newton step has to be damped below MIN_FIRST_DAMPING; positivity
+    is then kept by shorter steps rather than by near-zero damping. On
+    unrecoverable failure raises SolverError with the report attached as
+    exc.report, its state the last good one (converged at the last t
+    reached, or this march's start).
+    """
+    # carry: the evaluation of the last accepted state, handed to the next
+    # attempt's start (same u, so only the residual is recomputed)
+    state, carry = _start(spec, u0)
+    report = SolveReport(state=state) if report is None else report
+    members = len(report.t_history)
 
     # the t = 0 member first (trivial when the residual at u0 is constant)
     for t_target in cfg.continuity_steps:
@@ -430,31 +461,94 @@ def continuity_solve(spec, cfg=None, u0=None):
             # a step that cannot be halved further is not judged by its
             # first damping
             can_halve = t_try - state.t > cfg.min_t_step + 1e-14
-            min_first_damping = MIN_FIRST_DAMPING if can_halve else 0.0
             start = eq.SolveState(u=state.u, b=state.b, t=t_try)
             try:
-                state, carry = accept(*_newton(
-                    start, _ma_evaluation(spec, start, carry), step, cfg.newton_tol,
-                    cfg.max_newton, cfg, f"Newton at t={t_try:.4f}", record,
-                ))
+                state, carry = _member(spec, cfg, report, start, carry,
+                                       MIN_FIRST_DAMPING if can_halve else 0.0)
             except SolverError as exc:
                 if can_halve:
                     t_try = state.t + 0.5 * (t_try - state.t)
                     continue
-                if not report.t_history:  # the t = 0 member failed
-                    accept(state, _ma_evaluation(spec, state, carry), [])
+                if len(report.t_history) == members:  # the t = 0 member failed
+                    _accept(report, state, _ma_evaluation(spec, state, carry), [])
+                report.converged = False
                 report.message = f"stopped at t={state.t:.4f}: {exc}"
                 err = SolverError(report.message)
                 err.report = report
                 raise err from exc
-            report.t_history.append(state.t)
-            report.b_history.append(state.b)
             if state.t >= t_target - 1e-14:
                 break
             t_try = t_target
 
     report.converged = True
+    report.message = ""
     return report
+
+
+def _coarse_start(spec, cfg, report):
+    """Start of the t = 1 Newton solve on spec's grid from the coarse answer.
+
+    Solves the problem resampled to the grid with every active axis halved
+    (by _nested, so recursively), prolongs its u spectrally (real part, mean
+    removed) and keeps its b. Returns None when an active axis would drop
+    below MIN_COARSE_SIZE, the coarse spec is not admissible or the coarse
+    solve fails; its records stay in report.
+    """
+    active = [spec.grid.sizes[a] for a in spec.grid.active_axes]
+    if min(active, default=0) < 2 * MIN_COARSE_SIZE:
+        return None
+    coarse_grid = spec.grid.coarsened(2)
+    try:
+        coarse_spec = spec.resampled(coarse_grid)
+    except ValidationError:
+        return None
+    try:
+        coarse = _nested(coarse_spec, cfg, report).state
+    except SolverError:
+        return None
+    # returning frees coarse_spec before the fine solve
+    u = gr.resample(coarse_grid, coarse.u, spec.grid).real
+    return eq.SolveState(u=u - np.mean(u), b=coarse.b, t=1.0)
+
+
+def _nested(spec, cfg, report):
+    """Nested iteration: Newton at t = 1 on spec's grid from the coarse answer
+    (_coarse_start), _march where there is none or that Newton solve fails.
+
+    diagnostics["coarse_gap"] is sup|u - P u_coarse| of the solve at t = 1,
+    P the prolongation; a level that marches has none.
+    """
+    start = _coarse_start(spec, cfg, report)
+    if start is not None:
+        try:
+            _member(spec, cfg, report, start, None, MIN_FIRST_DAMPING)
+        except SolverError:  # and PositivityError
+            pass  # march outside the handler, which pins the failed solve's arrays
+        else:
+            report.diagnostics["coarse_gap"] = gr.sup_norm(report.state.u - start.u)
+            return report
+    report.diagnostics.pop("coarse_gap", None)
+    return _march(spec, cfg, report=report)
+
+
+def continuity_solve(spec, cfg=None, u0=None):
+    """Solve at t = 1 by nested iteration, or by one march from a given u0.
+
+    Without u0 the problem is solved on coarsened grids first, the continuity
+    march on the coarsest, then one Newton solve at t = 1 on each finer grid
+    from the prolonged answer (_nested); a level that fails marches on its
+    own grid instead. The report's records hold every level's iterates,
+    coarsest first, each with its grid's "sizes"; t_history and b_history
+    one entry per converged member per level; the residual numbers are the
+    finest level's. With u0 the caller has chosen the start: one march.
+
+    Returns a SolveReport at t = 1; on unrecoverable failure raises SolverError
+    with the report of the last good state attached as exc.report.
+    """
+    cfg = cfg or SolverConfig()
+    if u0 is not None:
+        return _march(spec, cfg, u0)
+    return _nested(spec, cfg, SolveReport())
 
 
 # ---------------------------------------------------------------------------

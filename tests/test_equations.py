@@ -39,6 +39,36 @@ def random_spec(grid, rng, variant, metric_amplitude=0.15):
     )
 
 
+class TestResampledSpec:
+    @pytest.mark.parametrize("variant", [eq.Variant.PSI, eq.Variant.PHI])
+    def test_coarsen_then_refine_keeps_band_limited_data(self, g3, rng, variant):
+        # the data are band-limited below the coarse Nyquist: both ways exact
+        spec = random_spec(g3, rng, variant)
+        spec = eq.ProblemSpec(grid=g3, variant=variant, omega0=spec.omega0, omega=spec.omega,
+                              F=tf.random_band_limited_real(g3, rng, max_mode=2),
+                              rhs_volume=eq.RhsVolume.OMEGA_H_N)
+        coarse = spec.resampled(g3.coarsened(2))
+        assert coarse.grid == g3.coarsened(2)
+        assert (coarse.variant, coarse.rhs_volume) == (variant, eq.RhsVolume.OMEGA_H_N)
+        assert coarse.F.dtype == np.float64
+        for name in ("omega0", "omega"):
+            m = getattr(coarse, name)
+            np.testing.assert_array_equal(m, ha.hermitize(m))
+        back = coarse.resampled(g3)
+        for name in ("omega0", "omega", "F"):
+            np.testing.assert_allclose(getattr(back, name), getattr(spec, name), atol=1e-13)
+
+    def test_inadmissible_resample_raises(self, g3):
+        # a conformal step 0.01 | 1 along x_1: truncated to 8 x 8, its Gibbs
+        # undershoot is negative at some coarse nodes
+        step = np.where(g3.coordinate(0) < 0.5, 0.01, 1.0)
+        omega = step[..., None, None] * flat_field(g3)
+        spec = eq.ProblemSpec(grid=g3, variant=eq.Variant.PSI, omega0=flat_field(g3),
+                              omega=omega, F=np.zeros(g3.sizes))
+        with pytest.raises(ValidationError, match="omega"):
+            spec.resampled(g3.coarsened(2))
+
+
 class TestOmegaH:
     def test_flat(self, g3):
         spec = flat_spec(g3)

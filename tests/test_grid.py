@@ -51,6 +51,13 @@ class TestGridConstruction:
         assert gr.TorusGrid.default(2).sizes == (32, 1, 32, 1)
         assert gr.TorusGrid.default(3).sizes == (16, 1, 16, 1, 16, 1)
 
+    def test_coarsened_halves_active_axes(self, g3):
+        assert g3.coarsened(2).sizes == (8, 1, 8, 1, 8, 1)
+        assert gr.TorusGrid(2, (16, 1, 32, 8)).coarsened(2).sizes == (8, 1, 16, 4)
+        assert g3.coarsened(2).refined(2) == g3
+        with pytest.raises(ValidationError):
+            gr.TorusGrid.reduced(2, 4).coarsened(2)  # active axes stay >= 4
+
     def test_node_budget(self):
         with pytest.raises(ValidationError):
             gr.TorusGrid(4, (1024,) * 8)

@@ -139,6 +139,10 @@ class TestCli:
         lines = (out / "records.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in lines]
         assert report["linear_iterations"] == sum(r["linear_iterations"] for r in records) > 0
+        # the nested solve's resolution numbers and per-record grid sizes
+        assert 0.0 < report["coarse_gap"] < 1.0
+        assert report["residual_gap"] == report["residual_sup_full"] - report["residual_sup"]
+        assert records[0]["sizes"] == [8, 1, 8, 1, 1, 1] and records[-1]["sizes"] == [16, 1, 16, 1, 1, 1]
 
     def test_validate_metric_flat(self, tmp_path, capsys):
         grid = gr.TorusGrid.reduced(3, 8)

@@ -11,7 +11,7 @@ from torma import grid as gr
 from torma import hermitian as ha
 from torma import solver as sv
 from torma import testfields as tf
-from torma.errors import SolverError, ValidationError
+from torma.errors import PositivityError, SolverError, ValidationError
 from torma.manufacture import manufacture_problem
 
 from . import oracle_forms as of
@@ -112,40 +112,50 @@ class TestNewton:
         assert report.positivity_margin == last["positivity_margin"]
 
     def test_one_evaluation_per_iterate(self, g3, rng, monkeypatch):
-        # one tilde metric and one Cholesky per distinct u: the start and
-        # every damping trial, none at continuity-attempt starts (the last
-        # accepted evaluation is carried) and none in Linearization (it is
-        # handed the factor); an eigenvalue margin only per recorded iterate
+        # per grid level, one tilde metric and one Cholesky per distinct u:
+        # the level's start and every damping trial, none at continuity-attempt
+        # starts (the last accepted evaluation is carried) and none in
+        # Linearization (it is handed the factor); an eigenvalue margin only
+        # per recorded iterate
         prob = manufacture_problem(g3, eq.Variant.PSI, rng, conformal_amplitude=0.25)
         spec = prob.spec
         spec.omega_h, spec.log_det_ref  # cached before counting
         counts = {"tilde_metric": 0, "cholesky": 0}
-        margins = []
+        metrics, margins = [], []
         tilde_metric, cholesky, min_eigenvalue = eq.tilde_metric, np.linalg.cholesky, ha.min_eigenvalue
 
-        def counted(name, fn):
-            def wrapped(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
+        def counted_tilde_metric(*args, **kwargs):
+            counts["tilde_metric"] += 1
+            metrics.append(tilde_metric(*args, **kwargs))
+            return metrics[-1]
+
+        def counted_cholesky(a):
+            # the coarse spec's reference metrics are factored too; count gt's
+            counts["cholesky"] += any(a is gt for gt in metrics)
+            return cholesky(a)
 
         def margin(gt):
             margins.append((gt, min_eigenvalue(gt)))
             return margins[-1][1]
 
-        monkeypatch.setattr(eq, "tilde_metric", counted("tilde_metric", tilde_metric))
-        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", cholesky))
+        monkeypatch.setattr(eq, "tilde_metric", counted_tilde_metric)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
         monkeypatch.setattr(ha, "min_eigenvalue", margin)
         report = sv.continuity_solve(spec)
         records = report.records
         assert report.converged
-        assert report.t_history == list(sv.SolverConfig().continuity_steps)  # no halving
+        levels = [list(g3.coarsened(2).sizes), list(g3.sizes)]
+        assert [r["sizes"] for r in records] == sorted(
+            (r["sizes"] for r in records), key=levels.index)
+        schedule = list(sv.SolverConfig().continuity_steps)
+        assert report.t_history == schedule + [1.0]  # no halving, one fine member
         trials = sum(1 - math.log2(r["damping"]) for r in records if r["damping"])
-        assert counts["tilde_metric"] == 1 + trials
+        assert counts["tilde_metric"] == len(levels) + trials
         assert counts["cholesky"] == counts["tilde_metric"]
-        # later attempt starts repeat the previous record's margin
-        carried = [i for i, r in enumerate(records) if r["iter"] == 0 and r["t"] > 0.0]
-        assert len(carried) == len(report.t_history) - 1
+        # later attempt starts on a level repeat the previous record's margin
+        carried = [i for i, r in enumerate(records)
+                   if r["iter"] == 0 and i > 0 and records[i - 1]["sizes"] == r["sizes"]]
+        assert len(carried) == len(schedule) - 1
         for i in carried:
             assert records[i]["positivity_margin"] == records[i - 1]["positivity_margin"]
         reported = [r["positivity_margin"] for i, r in enumerate(records) if i not in carried]
@@ -180,8 +190,8 @@ class TestNewton:
 
     @pytest.mark.parametrize("variant", [eq.Variant.PSI, eq.Variant.PHI])
     def test_torsion_operator_built_once_for_phi_only(self, g3, rng, variant, monkeypatch):
-        # a PHI spec caches its torsion operator for the whole solve; a PSI
-        # solve must never allocate it
+        # a PHI spec caches its torsion operator for the whole solve, once per
+        # grid level of the nested solve; a PSI solve must never allocate it
         prob = manufacture_problem(g3, variant, rng)
         builds = []
         build = eq.torsion_operator_from_parts
@@ -191,8 +201,11 @@ class TestNewton:
             return build(*args)
 
         monkeypatch.setattr(eq, "torsion_operator_from_parts", counted)
-        assert sv.continuity_solve(prob.spec).converged
-        assert len(builds) == (1 if variant is eq.Variant.PHI else 0)
+        report = sv.continuity_solve(prob.spec)
+        assert report.converged
+        levels = {tuple(r["sizes"]) for r in report.records}
+        assert len(levels) == 2
+        assert len(builds) == (len(levels) if variant is eq.Variant.PHI else 0)
 
     def test_quadratic_convergence_tail(self, g3, rng):
         prob = manufacture_problem(
@@ -226,7 +239,7 @@ class TestNewton:
         cfg = sv.SolverConfig(continuity_steps=(0.0, 1.0), max_newton=25)
         report = sv.continuity_solve(spec, cfg)
         assert report.converged
-        assert len(report.t_history) > 2  # halving actually kicked in
+        assert any(0.0 < t < 1.0 for t in report.t_history)  # halving actually kicked in
         assert report.t_history[-1] == 1.0
         assert report.positivity_margin > 0
 
@@ -248,7 +261,7 @@ class TestNewton:
         assert report.t_history[-1] == 1.0
         direct = [r for r in report.records if r["t"] == 1.0 and r["iter"] == 0][0]
         assert direct["damping"] == 0.25
-        assert (len(report.t_history) > 2) == halved
+        assert any(0.0 < t < 1.0 for t in report.t_history) == halved
 
     def test_failure_attaches_last_good_report(self, g3, rng):
         # a datum far outside the reachable cone at the coarse budget
@@ -291,6 +304,165 @@ class TestNewton:
         db = abs(results[0].b - results[1].b)
         assert du < 1e-8
         assert db < 1e-8
+
+
+def halvings(report):
+    """perfbench's count: iter-0 records (attempts) not accepted into t_history."""
+    return sum(1 for r in report.records if r["iter"] == 0) - len(report.t_history)
+
+
+def count_marches(monkeypatch):
+    """Record the grid sizes of every _march call from now on."""
+    marches = []
+    march = sv._march
+
+    def counted(spec, *args, **kwargs):
+        marches.append(spec.grid.sizes)
+        return march(spec, *args, **kwargs)
+
+    monkeypatch.setattr(sv, "_march", counted)
+    return marches
+
+
+def assert_same_report(a, b):
+    np.testing.assert_array_equal(a.state.u, b.state.u)
+    for name in ("b", "t"):
+        assert getattr(a.state, name) == getattr(b.state, name)
+    for name in ("converged", "residual_sup", "residual_sup_full", "positivity_margin",
+                 "t_history", "b_history", "residual_history", "records", "diagnostics",
+                 "message"):
+        assert getattr(a, name) == getattr(b, name), name
+
+
+class TestNestedIteration:
+    @pytest.mark.parametrize("variant", [eq.Variant.PSI, eq.Variant.PHI])
+    @pytest.mark.parametrize("grid", [gr.TorusGrid.default(3),
+                                      gr.TorusGrid.reduced(3, 16, active_coords=(0, 2))],
+                             ids=["16cubed", "16sq"])
+    def test_nested_matches_march(self, grid, variant):
+        prob = manufacture_problem(grid, variant, np.random.default_rng(5),
+                                   conformal_amplitude=0.25)
+        nested = sv.continuity_solve(prob.spec)
+        direct = sv._march(prob.spec, sv.SolverConfig())
+        assert nested.converged and direct.converged
+        assert [r["sizes"] for r in nested.records][-1] == list(grid.sizes)
+        assert {tuple(r["sizes"]) for r in nested.records} == {grid.sizes,
+                                                              grid.coarsened(2).sizes}
+        assert gr.sup_norm(nested.state.u - direct.state.u) <= 1e-12
+        assert abs(nested.state.b - direct.state.b) <= 1e-12
+        assert nested.residual_sup < sv.SolverConfig().newton_tol
+
+    def test_records_carry_sizes_and_count_no_halving(self):
+        # 32 x 32 -> 16 x 16 -> 8 x 8: a march on 8 x 8, then one member per finer grid
+        grid = gr.TorusGrid.reduced(2, 32)
+        prob = manufacture_problem(grid, eq.Variant.PSI, np.random.default_rng(2),
+                                   conformal_amplitude=0.25)
+        report = sv.continuity_solve(prob.spec)
+        assert report.converged
+        sizes = [tuple(r["sizes"]) for r in report.records]
+        assert sorted(set(sizes), reverse=True) == [grid.sizes, grid.coarsened(2).sizes,
+                                                    grid.coarsened(4).sizes]
+        assert sizes[0] == grid.coarsened(4).sizes and sizes[-1] == grid.sizes
+        assert report.t_history == list(sv.SolverConfig().continuity_steps) + [1.0, 1.0]
+        assert len(report.b_history) == len(report.t_history)
+        assert halvings(report) == 0
+        fine = [r for r in report.records if tuple(r["sizes"]) == grid.sizes]
+        assert report.residual_history == [r["residual_sup"] for r in fine]
+        assert report.residual_sup == fine[-1]["residual_sup"]
+        assert report.positivity_margin == fine[-1]["positivity_margin"]
+
+    def test_coarsest_grid_marches_once(self, monkeypatch):
+        # an active axis of 8 cannot be halved: one march, its report as is
+        grid = gr.TorusGrid(3, (16, 1, 8, 1, 1, 1))
+        prob = manufacture_problem(grid, eq.Variant.PHI, np.random.default_rng(3))
+        cfg = sv.SolverConfig()
+        direct = sv._march(prob.spec, cfg)
+        marches = count_marches(monkeypatch)
+        report = sv.continuity_solve(prob.spec, cfg)
+        assert marches == [grid.sizes]
+        assert_same_report(report, direct)
+        assert "coarse_gap" not in report.diagnostics
+
+    def test_inadmissible_coarse_spec_marches(self, g3, rng, monkeypatch):
+        prob = manufacture_problem(g3, eq.Variant.PSI, rng, conformal_amplitude=0.25)
+        direct = sv._march(prob.spec, sv.SolverConfig())
+
+        def inadmissible(spec, grid):
+            raise ValidationError("omega is not positive definite")
+
+        monkeypatch.setattr(eq.ProblemSpec, "resampled", inadmissible)
+        assert_same_report(sv.continuity_solve(prob.spec), direct)
+
+    def test_given_start_marches_once(self, g3, rng, monkeypatch):
+        prob = manufacture_problem(g3, eq.Variant.PSI, rng, conformal_amplitude=0.25)
+        u0 = tf.random_band_limited_real(g3, np.random.default_rng(1), amplitude=0.01)
+        direct = sv._march(prob.spec, sv.SolverConfig(), u0)
+        marches = count_marches(monkeypatch)
+        report = sv.continuity_solve(prob.spec, u0=u0)
+        assert marches == [g3.sizes]
+        assert all(r["sizes"] == list(g3.sizes) for r in report.records)
+        assert_same_report(report, direct)
+
+    def test_failed_fine_newton_falls_back_to_march(self, g3, rng, monkeypatch):
+        prob = manufacture_problem(g3, eq.Variant.PSI, rng, conformal_amplitude=0.25)
+        cfg = sv.SolverConfig()
+        direct = sv._march(prob.spec, cfg)
+        newton_step = sv.newton_step
+        failed = []
+
+        def failing(spec, state, *args, **kwargs):
+            if spec.grid == g3 and not failed:
+                failed.append(state.t)
+                raise PositivityError("no damping keeps the metric positive")
+            return newton_step(spec, state, *args, **kwargs)
+
+        monkeypatch.setattr(sv, "newton_step", failing)
+        report = sv.continuity_solve(prob.spec, cfg)
+        assert failed == [1.0]
+        assert report.converged
+        np.testing.assert_array_equal(report.state.u, direct.state.u)
+        assert report.state.b == direct.state.b
+        # coarse march, the failed t = 1 attempt on g3, then g3's own march
+        fine = [i for i, r in enumerate(report.records) if r["sizes"] == list(g3.sizes)]
+        attempt = report.records[fine[0]]
+        assert attempt["t"] == 1.0 and attempt["iter"] == 0 and attempt["damping"] is None
+        assert report.records[fine[0] + 1:] == direct.records
+        assert report.t_history == direct.t_history + direct.t_history
+        assert halvings(report) == 1
+        assert report.residual_history == direct.residual_history
+        assert "coarse_gap" not in report.diagnostics
+
+    def test_failed_coarse_solve_falls_back_to_march(self, g3, monkeypatch):
+        # the coarse solve fails: g3 marches on its own grid
+        spec = flat_spec(g3, F=(2.0 * np.cos(2 * np.pi * g3.coordinate(0))).real)
+        cfg = sv.SolverConfig()
+        direct = sv._march(spec, cfg)
+        march = sv._march
+
+        def failing_on_coarse(spec, *args, **kwargs):
+            if spec.grid != g3:
+                raise SolverError("coarse failure")
+            return march(spec, *args, **kwargs)
+
+        monkeypatch.setattr(sv, "_march", failing_on_coarse)
+        assert_same_report(sv.continuity_solve(spec, cfg), direct)
+
+    def test_gaps_separate_resolved_from_under_resolved(self, g3):
+        # a low-mode trig problem is resolved on 16 x 16; a warped one is not
+        low = manufacture_problem(g3, eq.Variant.PSI, np.random.default_rng(1),
+                                  conformal_amplitude=0.0, metric_amplitude=0.1, max_mode=1)
+        warped = manufacture_problem(g3, eq.Variant.PSI, np.random.default_rng(1),
+                                     u_family="warped", u_max_mode=2)
+        gaps = []
+        for prob in (low, warped):
+            report = sv.continuity_solve(prob.spec)
+            assert report.converged
+            d = report.diagnostics
+            assert d["residual_gap"] == report.residual_sup_full - report.residual_sup
+            gaps.append((d["coarse_gap"], d["residual_gap"]))
+        (coarse_low, resid_low), (coarse_warped, resid_warped) = gaps
+        assert coarse_warped > 100.0 * coarse_low
+        assert resid_warped > 100.0 * abs(resid_low)
 
 
 class TestInexactNewton:

@@ -187,6 +187,34 @@ class TestTransformCounts:
         assert counts["forward"] + counts["inverse"] <= live ** 2 + 1
 
 
+def test_fft_workers_by_array_size(monkeypatch):
+    # small arrays run on one thread; large ones on the set worker count,
+    # with bit-identical output
+    grid = gr.TorusGrid.reduced(3, 32)
+    seen = []
+    rfftn = scipy.fft.rfftn
+
+    def recorded(*args, workers=None, **kwargs):
+        seen.append(workers)
+        return rfftn(*args, workers=workers, **kwargs)
+
+    monkeypatch.setattr(scipy.fft, "rfftn", recorded)
+    rng = np.random.default_rng(0)
+    scalar = rng.standard_normal(grid.sizes)
+    matrix = rng.standard_normal(grid.sizes + (3, 3))
+    assert scalar.size < gr.PARALLEL_FFT_MIN_SIZE <= matrix.size
+    spectra = []
+    for workers in (1, -1):
+        gr.set_fft_workers(workers)
+        try:
+            spectra.append((gr.rfftn(grid, scalar), gr.rfftn(grid, matrix)))
+        finally:
+            gr.set_fft_workers(-1)
+    assert seen == [1, 1, 1, -1]
+    for a, b in zip(*spectra):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_solve_bit_identical_across_fft_workers():
     grid = gr.TorusGrid.reduced(3, 8)
     prob = manufacture_problem(grid, eq.Variant.PSI, np.random.default_rng(3),
