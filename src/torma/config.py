@@ -23,7 +23,7 @@ Example::
 
     [run]
     seed = 7
-    threads = 0                   ; 0 = all cores; TORMA_THREADS overrides
+    threads = 1                   ; FFT threads, 0 = all cores; TORMA_THREADS overrides
 
 ``linear_tol`` is the floor of the inexact-Newton forcing term: each GMRES
 solve aims at min(0.01, max(linear_tol, 0.1 r)) for the step's resolved
@@ -148,7 +148,7 @@ def load_config(path):
     outputs = dict(parser["outputs"]) if "outputs" in parser else {}
     run = parser["run"] if "run" in parser else {}
     seed = int(run.get("seed", 0))
-    threads = int(os.environ.get("TORMA_THREADS", run.get("threads", 0)))
+    threads = int(os.environ.get("TORMA_THREADS", run.get("threads", 1)))
     dealias = str(run.get("dealias", "false")).strip().lower() in ("1", "true", "yes")
     return RunConfig(
         spec=spec, solver=solver, outputs=outputs, seed=seed, threads=threads,

@@ -34,12 +34,7 @@ import scipy.fft
 from .errors import ValidationError
 
 _DERIVATIVE_METHOD = "spectral"
-_FFT_WORKERS = -1  # scipy.fft convention: -1 means all available cores
-# arrays of fewer elements are transformed on one thread whatever the worker
-# setting: on a 2-core VM two workers took 1.1-2x the time of one at 256 to
-# 36 864 elements (the coarse grids of a nested solve) and gained nothing up
-# to 3e5; nested 32^3 psi solves took 1.2-4.8 s with them, 0.6-0.9 s without
-PARALLEL_FFT_MIN_SIZE = 2 ** 16
+_FFT_WORKERS = 1  # scipy.fft workers; -1 means all available cores
 _MAX_NODES = 2 ** 24  # memory guard: ~2.4 GiB for one complex 3x3 matrix field
 
 
@@ -58,8 +53,8 @@ def set_derivative_method(method):
 
 
 def set_fft_workers(workers):
-    """Thread count for FFTs of at least PARALLEL_FFT_MIN_SIZE elements
-    (scipy.fft workers); -1 uses all cores. Smaller ones use one thread."""
+    """Thread count for every FFT (scipy.fft workers, default 1); -1 uses all
+    cores."""
     global _FFT_WORKERS
     _FFT_WORKERS = int(workers)
 
@@ -162,17 +157,12 @@ class TorusGrid:
 # transforms over the active axes (all FFTs of torma go through these)
 
 
-def _workers(a):
-    """scipy.fft workers for transforming the array a."""
-    return _FFT_WORKERS if np.size(a) >= PARALLEL_FFT_MIN_SIZE else 1
-
-
 def fftn(grid, f, axes=None):
     """Full spectrum of a field over the given active axes (default: all)."""
     axes = grid.active_axes if axes is None else axes
     if not axes:
         return np.array(f, dtype=np.complex128)
-    return scipy.fft.fftn(f, axes=axes, workers=_workers(f))
+    return scipy.fft.fftn(f, axes=axes, workers=_FFT_WORKERS)
 
 
 def ifftn(grid, fh, axes=None):
@@ -180,7 +170,7 @@ def ifftn(grid, fh, axes=None):
     axes = grid.active_axes if axes is None else axes
     if not axes:
         return np.array(fh, dtype=np.complex128)
-    return scipy.fft.ifftn(fh, axes=axes, workers=_workers(fh))
+    return scipy.fft.ifftn(fh, axes=axes, workers=_FFT_WORKERS)
 
 
 def rfftn(grid, f, axes=None):
@@ -189,7 +179,7 @@ def rfftn(grid, f, axes=None):
     axes = grid.active_axes if axes is None else axes
     if not axes:
         return np.array(f, dtype=np.complex128)
-    return scipy.fft.rfftn(f, axes=axes, workers=_workers(f))
+    return scipy.fft.rfftn(f, axes=axes, workers=_FFT_WORKERS)
 
 
 def irfftn(grid, fh, axes=None):
@@ -198,7 +188,7 @@ def irfftn(grid, fh, axes=None):
     if not axes:
         return np.array(fh.real, dtype=np.float64)
     shape = [grid.sizes[a] for a in axes]
-    return scipy.fft.irfftn(fh, s=shape, axes=axes, workers=_workers(fh))
+    return scipy.fft.irfftn(fh, s=shape, axes=axes, workers=_FFT_WORKERS)
 
 
 def _axis_symbol(size, method):

@@ -7,8 +7,8 @@ The continuity family raises t from 0 to 1 in
 warm-starting damped Newton at each step. continuity_solve runs that march
 on the coarsest of a sequence of grids, each with every active axis halved,
 and then one Newton solve at t = 1 on each finer grid from the prolonged
-answer (nested iteration, the outer loop of full multigrid; Brandt 1977). A
-level whose Newton solve fails marches on its own grid instead. The
+answer (nested iteration, the outer loop of full multigrid; Brandt 1977).
+When a level fails, the grid asked for marches instead. The
 continuity solve and Gauduchon's conformal factor share one driver: _newton
 (tolerance, stagnation and budget tests) and _line_search (the largest
 damping 2^-k >= min_damping whose trial is admissible and lowers the
@@ -45,9 +45,10 @@ from .errors import PositivityError, SolverError, ValidationError
 # a continuity step whose first Newton step has to be damped below this is
 # too long and is halved (down to SolverConfig.min_t_step)
 MIN_FIRST_DAMPING = 0.25
-# nested iteration halves every active axis while each stays at least this
-# (coarsening 8 -> 4 bought nothing, 16 -> 8 did)
-MIN_COARSE_SIZE = 8
+# nested iteration halves every active axis while the coarse grid keeps at
+# least this many nodes (coarse grids of 64 nodes cost more than they saved;
+# 256, 512 and 4096 paid)
+MIN_COARSE_NODES = 256
 # inexact Newton: a step from resolved residual sup r solves its linear system
 # to the relative tolerance min(FORCING_CAP, max(cfg.linear_tol, FORCING_RATIO r))
 FORCING_CAP = 0.01
@@ -485,48 +486,60 @@ def _march(spec, cfg, u0=None, report=None):
     return report
 
 
+def _coarse_grid(grid):
+    """grid with every active axis halved; None when that grid would hold
+    fewer than MIN_COARSE_NODES nodes or an active axis below 4."""
+    active = [grid.sizes[a] for a in grid.active_axes]
+    if not active or min(active) < 8:
+        return None
+    if math.prod(active) // 2 ** len(active) < MIN_COARSE_NODES:
+        return None
+    return grid.coarsened(2)
+
+
 def _coarse_start(spec, cfg, report):
     """Start of the t = 1 Newton solve on spec's grid from the coarse answer.
 
-    Solves the problem resampled to the grid with every active axis halved
-    (by _nested, so recursively), prolongs its u spectrally (real part, mean
-    removed) and keeps its b. Returns None when an active axis would drop
-    below MIN_COARSE_SIZE, the coarse spec is not admissible or the coarse
-    solve fails; its records stay in report.
+    Solves the problem resampled to _coarse_grid (by _nested, so
+    recursively), prolongs its u spectrally (real part, mean removed) and
+    keeps its b. Returns None when spec's grid is the coarsest level: there
+    is no coarse grid or the coarse spec is not admissible. A failed coarse
+    solve raises; its records stay in report.
     """
-    active = [spec.grid.sizes[a] for a in spec.grid.active_axes]
-    if min(active, default=0) < 2 * MIN_COARSE_SIZE:
+    coarse_grid = _coarse_grid(spec.grid)
+    if coarse_grid is None:
         return None
-    coarse_grid = spec.grid.coarsened(2)
     try:
         coarse_spec = spec.resampled(coarse_grid)
     except ValidationError:
         return None
-    try:
-        coarse = _nested(coarse_spec, cfg, report).state
-    except SolverError:
-        return None
+    coarse = _nested(coarse_spec, cfg, report).state
     # returning frees coarse_spec before the fine solve
     u = gr.resample(coarse_grid, coarse.u, spec.grid).real
     return eq.SolveState(u=u - np.mean(u), b=coarse.b, t=1.0)
 
 
-def _nested(spec, cfg, report):
+def _nested(spec, cfg, report, fallback=False):
     """Nested iteration: Newton at t = 1 on spec's grid from the coarse answer
-    (_coarse_start), _march where there is none or that Newton solve fails.
+    (_coarse_start), _march on the coarsest level.
 
-    diagnostics["coarse_gap"] is sup|u - P u_coarse| of the solve at t = 1,
-    P the prolongation; a level that marches has none.
+    A failed coarse solve or t = 1 solve raises SolverError (PositivityError),
+    unless fallback is set: then spec's grid marches instead. Only the grid
+    the caller asked for sets it, so a problem that cannot be solved costs
+    its coarse attempts and one march. diagnostics["coarse_gap"] is
+    sup|u - P u_coarse| of the solve at t = 1, P the prolongation; a level
+    that marches has none.
     """
-    start = _coarse_start(spec, cfg, report)
-    if start is not None:
-        try:
+    try:
+        start = _coarse_start(spec, cfg, report)
+        if start is not None:
             _member(spec, cfg, report, start, None, MIN_FIRST_DAMPING)
-        except SolverError:  # and PositivityError
-            pass  # march outside the handler, which pins the failed solve's arrays
-        else:
             report.diagnostics["coarse_gap"] = gr.sup_norm(report.state.u - start.u)
             return report
+    except SolverError:  # and PositivityError
+        if not fallback:
+            raise
+    # march outside the handler, which pins the failed solve's arrays
     report.diagnostics.pop("coarse_gap", None)
     return _march(spec, cfg, report=report)
 
@@ -536,11 +549,11 @@ def continuity_solve(spec, cfg=None, u0=None):
 
     Without u0 the problem is solved on coarsened grids first, the continuity
     march on the coarsest, then one Newton solve at t = 1 on each finer grid
-    from the prolonged answer (_nested); a level that fails marches on its
-    own grid instead. The report's records hold every level's iterates,
-    coarsest first, each with its grid's "sizes"; t_history and b_history
-    one entry per converged member per level; the residual numbers are the
-    finest level's. With u0 the caller has chosen the start: one march.
+    from the prolonged answer (_nested); when any of these fails, the grid
+    asked for marches instead. The report's records hold every level's
+    iterates, coarsest first, each with its grid's "sizes"; t_history and
+    b_history one entry per converged member per level; the residual numbers
+    are the finest level's. With u0 the caller has chosen the start: one march.
 
     Returns a SolveReport at t = 1; on unrecoverable failure raises SolverError
     with the report of the last good state attached as exc.report.
@@ -548,7 +561,7 @@ def continuity_solve(spec, cfg=None, u0=None):
     cfg = cfg or SolverConfig()
     if u0 is not None:
         return _march(spec, cfg, u0)
-    return _nested(spec, cfg, SolveReport())
+    return _nested(spec, cfg, SolveReport(), fallback=True)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,23 @@ class TestConfig:
         with pytest.raises(ValidationError, match="variant"):
             load_config(cfg)
 
+    def test_threads_default_one_and_honoured(self, tmp_path, monkeypatch):
+        # [run] threads defaults to one FFT thread; a set count reaches the
+        # grid as given, 0 meaning all cores
+        monkeypatch.delenv("TORMA_THREADS", raising=False)
+        monkeypatch.setattr(gr, "_FFT_WORKERS", gr._FFT_WORKERS)
+        problem = "[problem]\nn = 2\nsizes = 16,1,16,1\n"
+        cfg = tmp_path / "run.cfg"
+        for run_section, threads, workers in (("", 1, 1), ("[run]\nthreads = 0\n", 0, -1),
+                                              ("[run]\nthreads = 2\n", 2, 2)):
+            cfg.write_text(problem + run_section, encoding="utf-8")
+            run = load_config(cfg)
+            assert run.threads == threads
+            cli._apply_threads(run.threads)
+            assert gr._FFT_WORKERS == workers
+        monkeypatch.setenv("TORMA_THREADS", "3")
+        assert load_config(cfg).threads == 3
+
 
 class TestCli:
     def test_solve_flat_exit_zero(self, tmp_path, capsys):
@@ -139,10 +156,27 @@ class TestCli:
         lines = (out / "records.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in lines]
         assert report["linear_iterations"] == sum(r["linear_iterations"] for r in records) > 0
-        # the nested solve's resolution numbers and per-record grid sizes
+        # resolution numbers and per-record grid sizes; 16 x 16 is not
+        # coarsened (8 x 8 is below solver.MIN_COARSE_NODES), so no coarse gap
+        assert report["residual_gap"] == report["residual_sup_full"] - report["residual_sup"]
+        assert "coarse_gap" not in report
+        assert all(r["sizes"] == [16, 1, 16, 1, 1, 1] for r in records)
+
+    def test_nested_solve_writes_coarse_gap(self, tmp_path, capsys):
+        out = tmp_path / "prob"
+        assert cli.main([
+            "manufacture", "--n", "3", "--size", "32", "--active", "0,2",
+            "--amplitude", "0.05", "--seed", "7", "--out", str(out),
+        ]) == 0
+        assert cli.main(["solve", "--config", str(out / "solve.cfg")]) == 0
+        report = json.loads((out / "report.json").read_text())
+        records = [json.loads(line) for line in
+                   (out / "records.jsonl").read_text().splitlines()]
+        assert report["converged"]
         assert 0.0 < report["coarse_gap"] < 1.0
         assert report["residual_gap"] == report["residual_sup_full"] - report["residual_sup"]
-        assert records[0]["sizes"] == [8, 1, 8, 1, 1, 1] and records[-1]["sizes"] == [16, 1, 16, 1, 1, 1]
+        assert records[0]["sizes"] == [16, 1, 16, 1, 1, 1]
+        assert records[-1]["sizes"] == [32, 1, 32, 1, 1, 1]
 
     def test_validate_metric_flat(self, tmp_path, capsys):
         grid = gr.TorusGrid.reduced(3, 8)

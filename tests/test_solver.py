@@ -22,6 +22,12 @@ def g3():
     return gr.TorusGrid.reduced(3, 16, active_coords=(0, 2))
 
 
+@pytest.fixture
+def g32():
+    # the smallest two-axis grid that nests: 16 x 16 holds MIN_COARSE_NODES
+    return gr.TorusGrid.reduced(3, 32, active_coords=(0, 2))
+
+
 def flat_field(grid):
     return np.broadcast_to(np.eye(grid.n, dtype=complex), grid.sizes + (grid.n, grid.n)).copy()
 
@@ -112,59 +118,7 @@ class TestNewton:
         assert report.positivity_margin == last["positivity_margin"]
 
     def test_one_evaluation_per_iterate(self, g3, rng, monkeypatch):
-        # per grid level, one tilde metric and one Cholesky per distinct u:
-        # the level's start and every damping trial, none at continuity-attempt
-        # starts (the last accepted evaluation is carried) and none in
-        # Linearization (it is handed the factor); an eigenvalue margin only
-        # per recorded iterate
-        prob = manufacture_problem(g3, eq.Variant.PSI, rng, conformal_amplitude=0.25)
-        spec = prob.spec
-        spec.omega_h, spec.log_det_ref  # cached before counting
-        counts = {"tilde_metric": 0, "cholesky": 0}
-        metrics, margins = [], []
-        tilde_metric, cholesky, min_eigenvalue = eq.tilde_metric, np.linalg.cholesky, ha.min_eigenvalue
-
-        def counted_tilde_metric(*args, **kwargs):
-            counts["tilde_metric"] += 1
-            metrics.append(tilde_metric(*args, **kwargs))
-            return metrics[-1]
-
-        def counted_cholesky(a):
-            # the coarse spec's reference metrics are factored too; count gt's
-            counts["cholesky"] += any(a is gt for gt in metrics)
-            return cholesky(a)
-
-        def margin(gt):
-            margins.append((gt, min_eigenvalue(gt)))
-            return margins[-1][1]
-
-        monkeypatch.setattr(eq, "tilde_metric", counted_tilde_metric)
-        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
-        monkeypatch.setattr(ha, "min_eigenvalue", margin)
-        report = sv.continuity_solve(spec)
-        records = report.records
-        assert report.converged
-        levels = [list(g3.coarsened(2).sizes), list(g3.sizes)]
-        assert [r["sizes"] for r in records] == sorted(
-            (r["sizes"] for r in records), key=levels.index)
-        schedule = list(sv.SolverConfig().continuity_steps)
-        assert report.t_history == schedule + [1.0]  # no halving, one fine member
-        trials = sum(1 - math.log2(r["damping"]) for r in records if r["damping"])
-        assert counts["tilde_metric"] == len(levels) + trials
-        assert counts["cholesky"] == counts["tilde_metric"]
-        # later attempt starts on a level repeat the previous record's margin
-        carried = [i for i, r in enumerate(records)
-                   if r["iter"] == 0 and i > 0 and records[i - 1]["sizes"] == r["sizes"]]
-        assert len(carried) == len(schedule) - 1
-        for i in carried:
-            assert records[i]["positivity_margin"] == records[i - 1]["positivity_margin"]
-        reported = [r["positivity_margin"] for i, r in enumerate(records) if i not in carried]
-        assert [m for _, m in margins] == reported
-        for gt, m in margins:
-            assert m == of.min_eigenvalue_full(gt)
-        assert report.positivity_margin == records[-1]["positivity_margin"]
-        assert report.positivity_margin == of.min_eigenvalue_full(
-            tilde_metric(spec, report.state.u))
+        check_one_evaluation_per_iterate(g3, rng, monkeypatch)
 
     def test_single_step_contraction_from_zero(self, g3, rng):
         # small-amplitude case: the start sits inside the Newton basin
@@ -189,10 +143,10 @@ class TestNewton:
         assert abs(report.state.b - prob.b_star) < 1e-8
 
     @pytest.mark.parametrize("variant", [eq.Variant.PSI, eq.Variant.PHI])
-    def test_torsion_operator_built_once_for_phi_only(self, g3, rng, variant, monkeypatch):
+    def test_torsion_operator_built_once_for_phi_only(self, g32, rng, variant, monkeypatch):
         # a PHI spec caches its torsion operator for the whole solve, once per
         # grid level of the nested solve; a PSI solve must never allocate it
-        prob = manufacture_problem(g3, variant, rng)
+        prob = manufacture_problem(g32, variant, rng)
         builds = []
         build = eq.torsion_operator_from_parts
 
@@ -204,7 +158,7 @@ class TestNewton:
         report = sv.continuity_solve(prob.spec)
         assert report.converged
         levels = {tuple(r["sizes"]) for r in report.records}
-        assert len(levels) == 2
+        assert levels == {g32.sizes, g32.coarsened(2).sizes}
         assert len(builds) == (len(levels) if variant is eq.Variant.PHI else 0)
 
     def test_quadratic_convergence_tail(self, g3, rng):
@@ -239,7 +193,7 @@ class TestNewton:
         cfg = sv.SolverConfig(continuity_steps=(0.0, 1.0), max_newton=25)
         report = sv.continuity_solve(spec, cfg)
         assert report.converged
-        assert any(0.0 < t < 1.0 for t in report.t_history)  # halving actually kicked in
+        assert len(report.t_history) > 2  # halving actually kicked in
         assert report.t_history[-1] == 1.0
         assert report.positivity_margin > 0
 
@@ -306,6 +260,65 @@ class TestNewton:
         assert db < 1e-8
 
 
+def check_one_evaluation_per_iterate(grid, rng, monkeypatch):
+    """Per grid level, one tilde metric and one Cholesky per distinct u: the
+    level's start and every damping trial, none at continuity-attempt starts
+    (the last accepted evaluation is carried) and none in Linearization (it
+    is handed the factor); an eigenvalue margin only per recorded iterate.
+    Returns the levels' sizes, coarsest first."""
+    prob = manufacture_problem(grid, eq.Variant.PSI, rng, conformal_amplitude=0.25)
+    spec = prob.spec
+    spec.omega_h, spec.log_det_ref  # cached before counting
+    counts = {"tilde_metric": 0, "cholesky": 0}
+    metrics, margins = [], []
+    tilde_metric, cholesky, min_eigenvalue = eq.tilde_metric, np.linalg.cholesky, ha.min_eigenvalue
+
+    def counted_tilde_metric(*args, **kwargs):
+        counts["tilde_metric"] += 1
+        metrics.append(tilde_metric(*args, **kwargs))
+        return metrics[-1]
+
+    def counted_cholesky(a):
+        # a coarse spec's reference metrics are factored too; count gt's
+        counts["cholesky"] += any(a is gt for gt in metrics)
+        return cholesky(a)
+
+    def margin(gt):
+        margins.append((gt, min_eigenvalue(gt)))
+        return margins[-1][1]
+
+    monkeypatch.setattr(eq, "tilde_metric", counted_tilde_metric)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(ha, "min_eigenvalue", margin)
+    report = sv.continuity_solve(spec)
+    records = report.records
+    assert report.converged
+    sizes = [tuple(r["sizes"]) for r in records]
+    assert sizes == sorted(sizes, key=math.prod)  # each level's records together
+    levels = list(dict.fromkeys(sizes))
+    assert levels[-1] == grid.sizes
+    schedule = list(sv.SolverConfig().continuity_steps)
+    # no halving, one member per finer level
+    assert report.t_history == schedule + [1.0] * (len(levels) - 1)
+    trials = sum(1 - math.log2(r["damping"]) for r in records if r["damping"])
+    assert counts["tilde_metric"] == len(levels) + trials
+    assert counts["cholesky"] == counts["tilde_metric"]
+    # later attempt starts on a level repeat the previous record's margin
+    carried = [i for i, r in enumerate(records)
+               if r["iter"] == 0 and i > 0 and records[i - 1]["sizes"] == r["sizes"]]
+    assert len(carried) == len(schedule) - 1
+    for i in carried:
+        assert records[i]["positivity_margin"] == records[i - 1]["positivity_margin"]
+    reported = [r["positivity_margin"] for i, r in enumerate(records) if i not in carried]
+    assert [m for _, m in margins] == reported
+    for gt, m in margins:
+        assert m == of.min_eigenvalue_full(gt)
+    assert report.positivity_margin == records[-1]["positivity_margin"]
+    assert report.positivity_margin == of.min_eigenvalue_full(
+        tilde_metric(spec, report.state.u))
+    return levels
+
+
 def halvings(report):
     """perfbench's count: iter-0 records (attempts) not accepted into t_history."""
     return sum(1 for r in report.records if r["iter"] == 0) - len(report.t_history)
@@ -334,11 +347,16 @@ def assert_same_report(a, b):
         assert getattr(a, name) == getattr(b, name), name
 
 
+def flat_failing_spec(grid):
+    # a datum far outside the reachable cone at the coarse budget of cfg below
+    return flat_spec(grid, F=(80.0 * np.cos(2 * np.pi * grid.coordinate(0))).real)
+
+
 class TestNestedIteration:
     @pytest.mark.parametrize("variant", [eq.Variant.PSI, eq.Variant.PHI])
     @pytest.mark.parametrize("grid", [gr.TorusGrid.default(3),
-                                      gr.TorusGrid.reduced(3, 16, active_coords=(0, 2))],
-                             ids=["16cubed", "16sq"])
+                                      gr.TorusGrid.reduced(3, 32, active_coords=(0, 2))],
+                             ids=["16cubed", "32sq"])
     def test_nested_matches_march(self, grid, variant):
         prob = manufacture_problem(grid, variant, np.random.default_rng(5),
                                    conformal_amplitude=0.25)
@@ -352,9 +370,29 @@ class TestNestedIteration:
         assert abs(nested.state.b - direct.state.b) <= 1e-12
         assert nested.residual_sup < sv.SolverConfig().newton_tol
 
+    def test_one_evaluation_per_iterate_per_level(self, g32, rng, monkeypatch):
+        levels = check_one_evaluation_per_iterate(g32, rng, monkeypatch)
+        assert levels == [g32.coarsened(2).sizes, g32.sizes]
+
+    def test_coarsening_floor(self):
+        # halve while the coarse grid keeps MIN_COARSE_NODES nodes and every
+        # active axis stays a valid size (>= 4)
+        assert sv.MIN_COARSE_NODES == 256
+        cases = {
+            (32, 1, 32, 1, 1, 1): (16, 1, 16, 1, 1, 1),
+            (16, 1, 16, 1, 1, 1): None,  # 8 x 8 = 64 nodes
+            (16, 1, 16, 1, 16, 1): (8, 1, 8, 1, 8, 1),
+            (8, 1, 8, 1, 8, 1): None,
+            (8, 8, 8, 8, 8, 8): (4, 4, 4, 4, 4, 4),
+            (1024, 1, 4, 1, 1, 1): None,  # an axis of 2
+        }
+        for sizes, coarse in cases.items():
+            got = sv._coarse_grid(gr.TorusGrid(3, sizes))
+            assert (got and got.sizes) == coarse, sizes
+
     def test_records_carry_sizes_and_count_no_halving(self):
-        # 32 x 32 -> 16 x 16 -> 8 x 8: a march on 8 x 8, then one member per finer grid
-        grid = gr.TorusGrid.reduced(2, 32)
+        # 64 x 64 -> 32 x 32 -> 16 x 16: a march on 16 x 16, then one member per finer grid
+        grid = gr.TorusGrid.reduced(2, 64)
         prob = manufacture_problem(grid, eq.Variant.PSI, np.random.default_rng(2),
                                    conformal_amplitude=0.25)
         report = sv.continuity_solve(prob.spec)
@@ -372,7 +410,7 @@ class TestNestedIteration:
         assert report.positivity_margin == fine[-1]["positivity_margin"]
 
     def test_coarsest_grid_marches_once(self, monkeypatch):
-        # an active axis of 8 cannot be halved: one march, its report as is
+        # 16 x 8 coarsens to 8 x 4, below the floor: one march, its report as is
         grid = gr.TorusGrid(3, (16, 1, 8, 1, 1, 1))
         prob = manufacture_problem(grid, eq.Variant.PHI, np.random.default_rng(3))
         cfg = sv.SolverConfig()
@@ -383,47 +421,54 @@ class TestNestedIteration:
         assert_same_report(report, direct)
         assert "coarse_gap" not in report.diagnostics
 
-    def test_inadmissible_coarse_spec_marches(self, g3, rng, monkeypatch):
-        prob = manufacture_problem(g3, eq.Variant.PSI, rng, conformal_amplitude=0.25)
+    def test_inadmissible_coarse_spec_marches(self, g32, rng, monkeypatch):
+        prob = manufacture_problem(g32, eq.Variant.PSI, rng, conformal_amplitude=0.25)
         direct = sv._march(prob.spec, sv.SolverConfig())
+        resampled = []
 
         def inadmissible(spec, grid):
+            resampled.append(grid.sizes)
             raise ValidationError("omega is not positive definite")
 
         monkeypatch.setattr(eq.ProblemSpec, "resampled", inadmissible)
+        marches = count_marches(monkeypatch)
         assert_same_report(sv.continuity_solve(prob.spec), direct)
+        assert resampled == [g32.coarsened(2).sizes]
+        assert marches == [g32.sizes]
 
-    def test_given_start_marches_once(self, g3, rng, monkeypatch):
-        prob = manufacture_problem(g3, eq.Variant.PSI, rng, conformal_amplitude=0.25)
-        u0 = tf.random_band_limited_real(g3, np.random.default_rng(1), amplitude=0.01)
+    def test_given_start_marches_once(self, g32, rng, monkeypatch):
+        prob = manufacture_problem(g32, eq.Variant.PSI, rng, conformal_amplitude=0.25)
+        u0 = tf.random_band_limited_real(g32, np.random.default_rng(1), amplitude=0.01)
         direct = sv._march(prob.spec, sv.SolverConfig(), u0)
         marches = count_marches(monkeypatch)
         report = sv.continuity_solve(prob.spec, u0=u0)
-        assert marches == [g3.sizes]
-        assert all(r["sizes"] == list(g3.sizes) for r in report.records)
+        assert marches == [g32.sizes]
+        assert all(r["sizes"] == list(g32.sizes) for r in report.records)
         assert_same_report(report, direct)
 
-    def test_failed_fine_newton_falls_back_to_march(self, g3, rng, monkeypatch):
-        prob = manufacture_problem(g3, eq.Variant.PSI, rng, conformal_amplitude=0.25)
+    def test_failed_fine_newton_falls_back_to_march(self, g32, rng, monkeypatch):
+        prob = manufacture_problem(g32, eq.Variant.PSI, rng, conformal_amplitude=0.25)
         cfg = sv.SolverConfig()
         direct = sv._march(prob.spec, cfg)
         newton_step = sv.newton_step
         failed = []
 
         def failing(spec, state, *args, **kwargs):
-            if spec.grid == g3 and not failed:
+            if spec.grid == g32 and not failed:
                 failed.append(state.t)
                 raise PositivityError("no damping keeps the metric positive")
             return newton_step(spec, state, *args, **kwargs)
 
         monkeypatch.setattr(sv, "newton_step", failing)
+        marches = count_marches(monkeypatch)
         report = sv.continuity_solve(prob.spec, cfg)
         assert failed == [1.0]
+        assert marches == [g32.coarsened(2).sizes, g32.sizes]
         assert report.converged
         np.testing.assert_array_equal(report.state.u, direct.state.u)
         assert report.state.b == direct.state.b
-        # coarse march, the failed t = 1 attempt on g3, then g3's own march
-        fine = [i for i, r in enumerate(report.records) if r["sizes"] == list(g3.sizes)]
+        # coarse march, the failed t = 1 attempt on g32, then g32's own march
+        fine = [i for i, r in enumerate(report.records) if r["sizes"] == list(g32.sizes)]
         attempt = report.records[fine[0]]
         assert attempt["t"] == 1.0 and attempt["iter"] == 0 and attempt["damping"] is None
         assert report.records[fine[0] + 1:] == direct.records
@@ -432,26 +477,69 @@ class TestNestedIteration:
         assert report.residual_history == direct.residual_history
         assert "coarse_gap" not in report.diagnostics
 
-    def test_failed_coarse_solve_falls_back_to_march(self, g3, monkeypatch):
-        # the coarse solve fails: g3 marches on its own grid
-        spec = flat_spec(g3, F=(2.0 * np.cos(2 * np.pi * g3.coordinate(0))).real)
+    def test_failed_coarse_solve_falls_back_to_march(self, g32, monkeypatch):
+        # the coarse solve fails: g32 marches on its own grid
+        spec = flat_spec(g32, F=(2.0 * np.cos(2 * np.pi * g32.coordinate(0))).real)
         cfg = sv.SolverConfig()
         direct = sv._march(spec, cfg)
         march = sv._march
 
         def failing_on_coarse(spec, *args, **kwargs):
-            if spec.grid != g3:
+            if spec.grid != g32:
                 raise SolverError("coarse failure")
             return march(spec, *args, **kwargs)
 
         monkeypatch.setattr(sv, "_march", failing_on_coarse)
         assert_same_report(sv.continuity_solve(spec, cfg), direct)
 
-    def test_gaps_separate_resolved_from_under_resolved(self, g3):
-        # a low-mode trig problem is resolved on 16 x 16; a warped one is not
-        low = manufacture_problem(g3, eq.Variant.PSI, np.random.default_rng(1),
+    def test_failing_intermediate_level_does_not_march(self, monkeypatch):
+        # 64 x 64 -> 32 x 32 -> 16 x 16: a failed t = 1 solve on 32 x 32 goes
+        # straight to the march on 64 x 64
+        grid = gr.TorusGrid.reduced(3, 64, active_coords=(0, 2))
+        prob = manufacture_problem(grid, eq.Variant.PSI, np.random.default_rng(4),
+                                   conformal_amplitude=0.25)
+        middle = grid.coarsened(2)
+        newton_step = sv.newton_step
+
+        def failing(spec, state, *args, **kwargs):
+            if spec.grid == middle:
+                raise PositivityError("no damping keeps the metric positive")
+            return newton_step(spec, state, *args, **kwargs)
+
+        monkeypatch.setattr(sv, "newton_step", failing)
+        marches = count_marches(monkeypatch)
+        report = sv.continuity_solve(prob.spec)
+        assert report.converged
+        assert marches == [grid.coarsened(4).sizes, grid.sizes]
+        assert {tuple(r["sizes"]) for r in report.records} == {
+            grid.sizes, middle.sizes, grid.coarsened(4).sizes}
+
+    def test_unsolvable_problem_marches_once_per_attempted_grid(self, monkeypatch):
+        # the coarsest march fails; no level between it and the grid asked
+        # for marches, so the solve fails after two marches, not one per level
+        grid = gr.TorusGrid.reduced(3, 64, active_coords=(0, 2))
+        cfg = sv.SolverConfig(max_newton=4, min_t_step=1.0 / 8.0,
+                              continuity_steps=(0.0, 1.0))
+        marches = count_marches(monkeypatch)
+        with pytest.raises(SolverError) as err:
+            sv.continuity_solve(flat_failing_spec(grid), cfg)
+        assert marches == [grid.coarsened(4).sizes, grid.sizes]
+        report = err.value.report
+        assert not report.converged and report.t_history[-1] < 1.0
+        assert err.value.args[0] == report.message
+        assert {tuple(r["sizes"]) for r in report.records} == {
+            grid.coarsened(4).sizes, grid.sizes}
+        # the march on the grid asked for fails as the single march does
+        with pytest.raises(SolverError) as direct:
+            sv._march(flat_failing_spec(grid), cfg)
+        assert report.message == direct.value.report.message
+        assert report.records[-len(direct.value.report.records):] == direct.value.report.records
+
+    def test_gaps_separate_resolved_from_under_resolved(self, g32):
+        # a low-mode trig problem is resolved on 32 x 32; a warped one is not
+        low = manufacture_problem(g32, eq.Variant.PSI, np.random.default_rng(1),
                                   conformal_amplitude=0.0, metric_amplitude=0.1, max_mode=1)
-        warped = manufacture_problem(g3, eq.Variant.PSI, np.random.default_rng(1),
+        warped = manufacture_problem(g32, eq.Variant.PSI, np.random.default_rng(1),
                                      u_family="warped", u_max_mode=2)
         gaps = []
         for prob in (low, warped):

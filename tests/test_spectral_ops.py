@@ -187,49 +187,56 @@ class TestTransformCounts:
         assert counts["forward"] + counts["inverse"] <= live ** 2 + 1
 
 
-def test_fft_workers_by_array_size(monkeypatch):
-    # small arrays run on one thread; large ones on the set worker count,
-    # with bit-identical output
+@pytest.fixture
+def fft_workers():
+    """Set the FFT worker count inside a test; the previous one comes back after."""
+    before = gr._FFT_WORKERS
+    yield gr.set_fft_workers
+    gr.set_fft_workers(before)
+
+
+def test_every_transform_honours_worker_count(fft_workers, monkeypatch):
+    # a 32^3 scalar and a 3 x 3 matrix field, each through all four
+    # transforms: the set count reaches scipy.fft, with bit-identical output
     grid = gr.TorusGrid.reduced(3, 32)
     seen = []
-    rfftn = scipy.fft.rfftn
+    for name in ("fftn", "ifftn", "rfftn", "irfftn"):
+        def recorded(*args, _transform=getattr(scipy.fft, name), workers=None, **kwargs):
+            seen.append(workers)
+            return _transform(*args, workers=workers, **kwargs)
 
-    def recorded(*args, workers=None, **kwargs):
-        seen.append(workers)
-        return rfftn(*args, workers=workers, **kwargs)
-
-    monkeypatch.setattr(scipy.fft, "rfftn", recorded)
+        monkeypatch.setattr(scipy.fft, name, recorded)
     rng = np.random.default_rng(0)
-    scalar = rng.standard_normal(grid.sizes)
-    matrix = rng.standard_normal(grid.sizes + (3, 3))
-    assert scalar.size < gr.PARALLEL_FFT_MIN_SIZE <= matrix.size
-    spectra = []
+    fields = (rng.standard_normal(grid.sizes), rng.standard_normal(grid.sizes + (3, 3)))
+    results = []
     for workers in (1, -1):
-        gr.set_fft_workers(workers)
-        try:
-            spectra.append((gr.rfftn(grid, scalar), gr.rfftn(grid, matrix)))
-        finally:
-            gr.set_fft_workers(-1)
-    assert seen == [1, 1, 1, -1]
-    for a, b in zip(*spectra):
+        fft_workers(workers)
+        seen.clear()
+        out = []
+        for f in fields:
+            out += [gr.ifftn(grid, gr.fftn(grid, f)), gr.irfftn(grid, gr.rfftn(grid, f))]
+        assert seen == [workers] * 8
+        results.append(out)
+    for a, b in zip(*results):
         np.testing.assert_array_equal(a, b)
 
 
-def test_solve_bit_identical_across_fft_workers():
-    grid = gr.TorusGrid.reduced(3, 8)
+def test_solve_bit_identical_across_fft_workers(fft_workers):
+    # 16^3 nests through 8^3: every transform of both levels runs on the
+    # given worker count
+    grid = gr.TorusGrid.default(3)
     prob = manufacture_problem(grid, eq.Variant.PSI, np.random.default_rng(3),
                                amplitude=0.03)
     reports = []
     for workers in (1, -1):
-        gr.set_fft_workers(workers)
-        try:
-            reports.append(sv.continuity_solve(prob.spec))
-        finally:
-            gr.set_fft_workers(-1)
+        fft_workers(workers)
+        reports.append(sv.continuity_solve(prob.spec))
     one, default = reports
     assert one.converged and default.converged
+    assert {tuple(r["sizes"]) for r in one.records} == {grid.sizes, grid.coarsened(2).sizes}
     np.testing.assert_array_equal(one.state.u, default.state.u)
     assert one.state.b == default.state.b
+    assert one.records == default.records
 
 
 class TestInitialPotential:
