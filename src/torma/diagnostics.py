@@ -22,7 +22,7 @@ def b_bound_check(spec, state):
     At an extremum of u the comparison det gt vs det h gives
     |b| <= sup|tF| + sup|log det(h) - log det(ref)|.
     """
-    log_ratio = np.log(np.linalg.det(spec.omega_h).real) - spec.log_det_ref
+    log_ratio = ha.log_det(ha.require_positive(spec.omega_h, "omega_h")) - spec.log_det_ref
     c_meas = gr.sup_norm(log_ratio)
     sup_f = gr.sup_norm(state.t * spec.F)
     return {

@@ -20,6 +20,7 @@ move that leaves b untouched.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -92,14 +93,28 @@ class ProblemSpec:
             self._cache[key] = builder()
         return self._cache[key]
 
+    def _metric_fields(self):
+        """omega^{-1}, omega_h and the volume reference's log det, built
+        together from one Cholesky factorization of each metric. The factors
+        are dropped: a spec that is built but never solved holds none of this."""
+        factor = ha.require_positive(self.omega, "omega")
+        log_det = ha.log_det(factor)
+        omega_inv = ha.inverse(factor)
+        del factor
+        omega_h = ha.star_power(self.omega, self.omega0, ref_log_det=log_det,
+                                factor=ha.require_positive(self.omega0, "omega_0"))
+        if self.rhs_volume is RhsVolume.OMEGA_H_N:
+            log_det = ha.log_det(ha.require_positive(omega_h, "volume reference metric"))
+        return {"omega_inv": omega_inv, "omega_h": omega_h, "log_det_ref": log_det}
+
     @property
     def omega_inv(self):
-        return self._cached("omega_inv", lambda: np.linalg.inv(self.omega))
+        return self._cached("metric_fields", self._metric_fields)["omega_inv"]
 
     @property
     def omega_h(self):
         """omega_h = (1/(n-1)!) star(omega_0^{n-1}), a positive Hermitian field."""
-        return self._cached("omega_h", lambda: ha.star_power(self.omega, self.omega0))
+        return self._cached("metric_fields", self._metric_fields)["omega_h"]
 
     @property
     def dbar_omega(self):
@@ -119,11 +134,8 @@ class ProblemSpec:
 
     @property
     def log_det_ref(self):
-        def build():
-            ref = self.omega if self.rhs_volume is RhsVolume.OMEGA_N else self.omega_h
-            return ha.log_det(ha.require_positive(ref, "volume reference metric"))
-
-        return self._cached("log_det_ref", build)
+        """log det of the volume reference: omega, or omega_h for OMEGA_H_N."""
+        return self._cached("metric_fields", self._metric_fields)["log_det_ref"]
 
 
 @dataclass
@@ -186,7 +198,7 @@ def e_term_from_parts(g, du, dbar_omega, ginv=None):
     d_kbar g_{i jbar}. Decomposing i du ^ dbar(omega) into (1,1)-slot wedges
     gives star E = Re( sum_k B2(du x e_k, d_kbar g) ) / (n-1).
     """
-    ginv = np.linalg.inv(g) if ginv is None else ginv
+    ginv = ha.inverse(ha.require_positive(g)) if ginv is None else ginv
     return _torsion_from_operator(torsion_operator_from_parts(g, dbar_omega, ginv), du, ginv)
 
 
@@ -207,10 +219,13 @@ def tilde_metric(spec, u, hess=None):
     if hess is None:
         hess = gr.hessian_complex(spec.grid, u)
     lap = np.einsum("...ij,...ji->...", spec.omega_inv, hess)
-    gt = spec.omega_h + (lap[..., None, None] * spec.omega - hess) / (n - 1)
+    # in place: one field-sized array besides hess
+    gt = lap[..., None, None] * spec.omega
+    gt -= hess
+    gt /= n - 1
+    gt += spec.omega_h
     if spec.variant is Variant.PHI:
-        z, _ = e_term(spec, u)
-        gt = gt + z
+        gt += e_term(spec, u)[0]
     return ha.hermitize(gt)
 
 
@@ -250,6 +265,20 @@ def ma_residual(spec, state, gt=None, log_det=None):
     return log_det - spec.log_det_ref - state.t * spec.F - state.b
 
 
+def _second_order_coeff(spec, gt_inv):
+    """C with apply = trace(C @ Hess v) + first order: (tr(gt^{-1} g) g^{-1} - gt^{-1})/(n-1)."""
+    tr = np.einsum("...ij,...ji->...", gt_inv, spec.omega)
+    return (tr[..., None, None] * spec.omega_inv - gt_inv) / (spec.n - 1)
+
+
+def _first_order_coeff(spec, gt_inv):
+    """a_p = tr(gt^{-1} M_p)/(n-1), so tr(gt^{-1} Z(v)) = Re sum_p a_p d_p v;
+    None for PSI."""
+    if spec.variant is not Variant.PHI:
+        return None
+    return np.einsum("...ij,...pji->...p", gt_inv, spec.torsion_operator) / (spec.n - 1)
+
+
 class Linearization:
     """Derivative of u -> log det gt(u) at a state, with its discrete transpose.
 
@@ -258,31 +287,45 @@ class Linearization:
     the PSI variant drops the Z part. The transpose is taken against the real
     weighted pairing <a, b>_w = sum a b w; spectral derivative matrices are
     exactly antisymmetric, so adjointness holds to roundoff.
+
+    gt^{-1} comes from gt's Cholesky factor: factor, when given, is that
+    factor (the caller has already tested positivity); otherwise gt is
+    factored here and PositivityError raised when it is not positive
+    definite. The operator holds only real coefficient fields and coeff_mean,
+    the node mean of the second-order coefficients C (the preconditioner's
+    constant-coefficient model); gt_inv and C itself are rebuilt on request.
     """
 
-    def __init__(self, spec, state, gt=None, factored=False):
+    def __init__(self, spec, state, gt=None, factor=None):
         self.spec = spec
         self.state = state
         self.gt = tilde_metric(spec, state.u) if gt is None else gt
-        # factored: the caller has already passed gt through its Cholesky
-        # test; otherwise one batched Cholesky tests it here, and the
-        # eigenvalue margin only explains a failure
-        if not factored and ha.cholesky(self.gt) is None:
-            raise PositivityError(
-                f"tilde metric not positive (min eig {positivity_margin(self.gt):.3e})"
-            )
-        n = spec.n
-        self.gt_inv = np.linalg.inv(self.gt)
-        tr = np.einsum("...ij,...ji->...", self.gt_inv, spec.omega)
-        # second-order coefficients: apply = trace(C @ Hess v) + first order
-        self.coeff = (tr[..., None, None] * spec.omega_inv - self.gt_inv) / (n - 1)
-        self.first_order = None
-        if spec.variant is Variant.PHI:
-            # tr(gt^{-1} Z(v)) = Re sum_p a_p d_p v, a_p = tr(gt^{-1} M_p)/(n-1)
-            self.first_order = np.einsum(
-                "...ij,...pji->...p", self.gt_inv, spec.torsion_operator
-            ) / (n - 1)
-        self.operator = gr.SecondOrderOperator(spec.grid, self.coeff, self.first_order)
+        if factor is None:
+            factor = ha.cholesky(self.gt)
+            if factor is None:  # the eigenvalue margin only explains the failure
+                raise PositivityError(
+                    f"tilde metric not positive (min eig {positivity_margin(self.gt):.3e})"
+                )
+        gt_inv = ha.inverse(factor)
+        coeff = _second_order_coeff(spec, gt_inv)
+        self.coeff_mean = np.mean(coeff, axis=tuple(range(coeff.ndim - 2)))
+        self.operator = gr.SecondOrderOperator(
+            spec.grid, coeff, _first_order_coeff(spec, gt_inv))
+
+    @functools.cached_property
+    def gt_inv(self):
+        """gt^{-1}, rebuilt from gt on request."""
+        return ha.inverse(ha.cholesky(self.gt))
+
+    @functools.cached_property
+    def coeff(self):
+        """Second-order coefficients C: apply = trace(C @ Hess v) + first order."""
+        return _second_order_coeff(self.spec, self.gt_inv)
+
+    @functools.cached_property
+    def first_order(self):
+        """First-order coefficients a_p (PHI), or None."""
+        return _first_order_coeff(self.spec, self.gt_inv)
 
     def apply(self, v):
         """L v for a real field v; a complex v must be real to 1e-10, as F."""

@@ -75,12 +75,12 @@ def metric_ddbar_tensor(grid, g, dbar_g=None):
 def chern_connection(grid, omega):
     """Connection Gamma^k_{ij}, torsion T^k_{ij}, curvature R_{l mbar i}^p."""
     grid.check_field(omega, (grid.n, grid.n))
-    ha.require_positive(omega)
+    ginv = ha.inverse(ha.require_positive(omega))
     n = grid.n
     dbar_g = metric_dbar_tensor(grid, omega)
     d_g = metric_d_tensor(grid, omega, dbar_g)
     # g^{k qbar} realizes index raising via the transposed inverse
-    ginv_up = np.swapaxes(np.linalg.inv(omega), -1, -2)
+    ginv_up = np.swapaxes(ginv, -1, -2)
     gamma = np.einsum("...kq,...ijq->...kij", ginv_up, d_g)
     torsion = gamma - np.swapaxes(gamma, -1, -2)
     dbar_gamma = np.stack([gr.d_antiholo(grid, gamma, m) for m in range(n)], axis=-4)
@@ -193,7 +193,8 @@ def ddbar_scalar(grid, omega, sigma, dbar_g=None, ddbar_g=None):
         dbar_g = metric_dbar_tensor(grid, omega)
     if ddbar_g is None:
         ddbar_g = metric_ddbar_tensor(grid, omega, dbar_g)
-    return _ddbar_scalar(grid, omega, sigma, np.linalg.inv(omega), dbar_g, ddbar_g)
+    gi = ha.inverse(ha.require_positive(omega))
+    return _ddbar_scalar(grid, omega, sigma, gi, dbar_g, ddbar_g)
 
 
 def _ddbar_scalar(grid, g, sigma, gi, dbar_g, ddbar_g, k_g=None):
@@ -217,7 +218,6 @@ def gauduchon_defect(grid, omega):
     """sup |gauduchon_scalar| of a validated metric: the Gauduchon part of
     :func:`metric_defects` alone."""
     grid.check_field(omega, (grid.n, grid.n))
-    ha.require_positive(omega)
     return float(np.max(np.abs(gauduchon_scalar(grid, omega))))
 
 
@@ -239,7 +239,7 @@ def astheno_dual(grid, omega, dbar_g=None, ddbar_g=None):
     """
     if grid.n == 2:
         return None
-    gi = np.linalg.inv(omega)
+    gi = ha.inverse(ha.require_positive(omega))
     if dbar_g is None:
         dbar_g = metric_dbar_tensor(grid, omega)
     if ddbar_g is None:
@@ -279,13 +279,12 @@ class MetricDefects:
 def metric_defects(grid, omega):
     """Defects of ddbar(omega^{n-1}), ddbar(omega^{n-2}), and d(omega)."""
     grid.check_field(omega, (grid.n, grid.n))
-    ha.require_positive(omega)
+    gi = ha.inverse(ha.require_positive(omega))
     dbar_g = metric_dbar_tensor(grid, omega)
     ddbar_g = metric_ddbar_tensor(grid, omega, dbar_g)
     d_g = metric_d_tensor(grid, omega, dbar_g)
     kahler = float(np.max(np.abs(d_g - np.swapaxes(d_g, -3, -2))))
     # g^{-1} and the g-trace K of ddbar_g serve both ddbar defects
-    gi = np.linalg.inv(omega)
     k_g = _ddbar_trace(gi, ddbar_g)
     rho = _ddbar_scalar(grid, omega, omega, gi, dbar_g, ddbar_g, k_g)
     gauduchon = float(np.max(np.abs(rho)))

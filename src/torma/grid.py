@@ -31,6 +31,7 @@ from itertools import product as _iterproduct
 import numpy as np
 import scipy.fft
 
+from . import hermitian as ha
 from .errors import ValidationError
 
 _DERIVATIVE_METHOD = "spectral"
@@ -383,6 +384,11 @@ def hessian_complex(grid, u):
     return hess
 
 
+def _real_field(x):
+    """x as its own contiguous array, so that it pins no complex parent."""
+    return np.array(x, dtype=np.float64, order="C")
+
+
 class SecondOrderOperator:
     """L v = Re[sum_ij coeff_ij v_{j ibar} + sum_p a_p d_p v] on real fields, a = first_order.
 
@@ -406,16 +412,18 @@ class SecondOrderOperator:
         self.second = []
         for i, j in tab.pairs():
             if i == j:
-                self.second.append((i, j, np.ascontiguousarray(coeff[..., i, i].real), None))
+                self.second.append((i, j, _real_field(coeff[..., i, i].real), None))
                 continue
-            a = (coeff[..., i, j] + coeff[..., j, i]).real
-            b = (coeff[..., i, j] - coeff[..., j, i]).imag if tab.im[i][j] is not None else None
+            a = _real_field((coeff[..., i, j] + coeff[..., j, i]).real)
+            b = (_real_field((coeff[..., i, j] - coeff[..., j, i]).imag)
+                 if tab.im[i][j] is not None else None)
             self.second.append((i, j, a, b))
         self.first = []
         if first_order is not None:
             for p in tab.live:
                 a = 0.5 * first_order[..., p]
-                self.first.append((p, a.real, a.imag if p in tab.y_live else None))
+                self.first.append((p, _real_field(a.real),
+                                   _real_field(a.imag) if p in tab.y_live else None))
 
     def _terms(self):
         """(real coefficient field, half-spectrum multiplier) of each term of L."""
@@ -454,8 +462,9 @@ class SecondOrderOperator:
 
 
 def trace_with_inverse(g, a):
-    """Pointwise tr(g^{-1} a); equals the contraction g^{i jbar} a_{i jbar}."""
-    return np.einsum("...ij,...ji->...", np.linalg.inv(g), a)
+    """Pointwise tr(g^{-1} a) for a positive Hermitian field g; equals the
+    contraction g^{i jbar} a_{i jbar}."""
+    return np.einsum("...ij,...ji->...", ha.inverse(ha.require_positive(g)), a)
 
 
 def laplacian(grid, omega, u):
@@ -475,16 +484,17 @@ def sup_norm(f):
 def grad_norm_sq(grid, omega, f):
     """|grad f|^2_g = g^{i jbar} f_i conj(f_j), pointwise real field."""
     df = holo_gradient(grid, f)
-    ginv = np.linalg.inv(omega)
+    ginv = ha.inverse(ha.require_positive(omega))
     return np.einsum("...j,...ji,...i->...", np.conj(df), ginv, df).real
 
 
 def volume_weights(grid, g):
-    """Discrete weights so that sum(f * weights) approximates int f omega^n.
+    """Discrete weights so that sum(f * weights) approximates int f omega^n,
+    for a positive Hermitian field g.
 
     omega^n = n! det(g) (2 dx dy)^n on the unit torus, hence the 2^n n! factor.
     """
-    det = np.linalg.det(g).real
+    det = np.exp(ha.log_det(ha.require_positive(g)))
     return det * (2.0 ** grid.n) * float(math.factorial(grid.n)) * grid.cell_volume
 
 

@@ -35,61 +35,168 @@ from .errors import ValidationError
 
 
 def hermitize(a):
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+    """(a + a^*)/2 at every node, as one new C-ordered array."""
+    out = np.conj(np.swapaxes(a, -1, -2), order="C", dtype=np.result_type(a, 0.5))
+    out += a
+    out *= 0.5
+    return out
 
 
-def min_eigenvalue(a):
-    """Smallest eigenvalue over all nodes of a Hermitian field.
+# ---------------------------------------------------------------------------
+# the factor kernel: one Cholesky factorization per field, entry by entry
+#
+# Each kernel loops in Python over the n x n matrix entries only; every entry
+# is one vectorized operation over all nodes. Results live in one (n, n,
+# *nodes) buffer, so each entry is a contiguous node field, and are handed out
+# as (*nodes, n, n) views of it (_as_field).
 
-    Equal to np.min(np.linalg.eigvalsh(a)), which it computes on fewer nodes:
-    every node's minimum lies between its Gershgorin bound
-    min_i (d_i - sum_{j != i} |a_ij|) and its smallest diagonal entry, so a
-    node whose bound exceeds the field's smallest diagonal entry dmin (plus a
-    slack far above eigvalsh's roundoff) cannot hold the minimum. Like
-    eigvalsh, the screen reads the real diagonal and the lower triangle only.
-    Non-finite nodes are always kept.
+
+# eigvalsh's sample in min_eigenvalue: the nodes with the smallest diagonal
+_CANDIDATES = 8
+
+
+def _as_field(buf):
+    """The (*nodes, n, n) view of an entrywise (n, n, *nodes) buffer."""
+    return np.moveaxis(buf, (0, 1), (-2, -1))
+
+
+def _abs2(x):
+    return x.real * x.real + x.imag * x.imag
+
+
+def _factor(a, shift=0.0):
+    """Lower Cholesky factor L of a - shift I at every node, and the nodes
+    whose pivots are all positive and finite (those that factor).
+
+    Reads the real diagonal and the strict lower triangle of a only, as
+    eigvalsh and LAPACK do; shift is a scalar or a per-node field. A NaN or
+    infinite entry of the lower triangle reaches a later pivot, so a node
+    holding one never factors.
     """
     a = np.asarray(a)
     n = a.shape[-1]
-    flat = a.reshape(-1, n, n)
-    diag = np.arange(n)
-    rows, cols = np.tril_indices(n, -1)
-    # (n, nodes) layout: reductions over the n rows run along whole arrays
-    d = np.ascontiguousarray(flat[:, diag, diag].real.T)
-    touches = (diag[:, None] == rows) | (diag[:, None] == cols)
-    with np.errstate(invalid="ignore"):  # inf * 0 at non-finite nodes
-        radius = touches.astype(np.float64) @ np.abs(flat[:, rows, cols]).T
-        bound = np.min(d - radius, axis=0)
-        # a bound on each node's spectral radius, finite iff the entries read are
-        node_scale = np.max(np.abs(d) + radius, axis=0)
-    finite = np.isfinite(node_scale)
-    keep = ~finite
-    if finite.any():
-        slack = 1e-10 * float(np.max(node_scale[finite]))
-        keep |= bound <= float(np.min(d[:, finite])) + slack
-    return float(np.min(np.linalg.eigvalsh(flat[keep])))
+    buf = np.zeros((n, n) + a.shape[:-2], dtype=np.result_type(a.dtype, np.float64))
+    ok = np.ones(a.shape[:-2], dtype=bool)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for j in range(n):
+            pivot = a[..., j, j].real - shift
+            for k in range(j):
+                pivot = pivot - _abs2(buf[j, k, ...])
+            ok &= (pivot > 0.0) & (pivot < np.inf)
+            buf[j, j, ...] = np.sqrt(pivot)
+            scale = 1.0 / buf[j, j, ...].real
+            row = [np.conj(buf[j, k, ...]) for k in range(j)]
+            for i in range(j + 1, n):
+                entry = buf[i, j, ...]
+                entry[...] = a[..., i, j]
+                for k in range(j):
+                    entry -= buf[i, k, ...] * row[k]
+                entry *= scale
+    return _as_field(buf), ok
 
 
 def cholesky(a):
     """Lower Cholesky factors L (a = L L^*) of every node of a Hermitian
     field, or None when some node is not positive definite or not finite.
 
-    This is the positivity test; like eigvalsh it reads the lower triangle.
-    LAPACK's factorization lets NaN through, so the factor's diagonal is
-    checked as well: a non-finite entry of the lower triangle reaches it.
+    This is the positivity test; like eigvalsh it reads the real diagonal
+    and the lower triangle. The factor is a view of one entrywise buffer.
     """
-    try:
-        factor = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(np.diagonal(factor, axis1=-2, axis2=-1))):
-        return None
-    return factor
+    factor, ok = _factor(a)
+    return factor if np.all(ok) else None
 
 
 def log_det(factor):
     """log det a = 2 sum_i log Re L_ii from the Cholesky factor a = L L^*."""
-    return 2.0 * np.sum(np.log(np.diagonal(factor, axis1=-2, axis2=-1).real), axis=-1)
+    n = factor.shape[-1]
+    out = np.log(factor[..., 0, 0].real)
+    for j in range(1, n):
+        out = out + np.log(factor[..., j, j].real)
+    return 2.0 * out
+
+
+def _triangular_inverse(factor):
+    """The entrywise (n, n, *nodes) buffer of L^{-1} for a lower Cholesky
+    factor L: lower triangular, zero above the diagonal."""
+    n = factor.shape[-1]
+    buf = np.zeros((n, n) + factor.shape[:-2], dtype=factor.dtype)
+    for j in range(n):
+        buf[j, j, ...] = 1.0 / factor[..., j, j].real
+    for j in range(n):
+        for i in range(j + 1, n):
+            entry = buf[i, j, ...]
+            np.multiply(factor[..., i, j], buf[j, j, ...].real, out=entry)
+            for k in range(j + 1, i):
+                entry += factor[..., i, k] * buf[k, j, ...]
+            entry *= -buf[i, i, ...].real
+    return buf
+
+
+def _fill_upper(buf):
+    """Complete an entrywise Hermitian buffer from its lower triangle."""
+    n = buf.shape[0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            np.conj(buf[j, i, ...], out=buf[i, j, ...])
+
+
+def inverse(factor):
+    """a^{-1} = L^{-*} L^{-1} from the Cholesky factor a = L L^*, Hermitian
+    at every node."""
+    m = _triangular_inverse(factor)
+    n = m.shape[0]
+    # m^* m in place, row by row: entry (i, j <= i) reads only m_ij, m_ii and
+    # the rows below i, so each row's diagonal is written last
+    for i in range(n):
+        for j in range(i):
+            acc = m[i, i, ...].real * m[i, j, ...]
+            for k in range(i + 1, n):
+                acc += np.conj(m[k, i, ...]) * m[k, j, ...]
+            m[i, j, ...] = acc
+        acc = m[i, i, ...].real ** 2
+        for k in range(i + 1, n):
+            acc += _abs2(m[k, i, ...])
+        m[i, i, ...] = acc
+    _fill_upper(m)
+    return _as_field(m)
+
+
+def min_eigenvalue(a):
+    """Smallest eigenvalue over all nodes of a Hermitian field.
+
+    Equal to np.min(np.linalg.eigvalsh(a)), which it computes on few nodes:
+    eigvalsh of the nodes with the smallest diagonal entries gives a
+    candidate lam; a node where a - (lam + delta) I has a Cholesky factor
+    cannot hold a smaller eigenvalue, so eigvalsh runs only on the nodes that
+    do not factor. delta = 64 n^2 eps (scale + |lam|), scale = n max |a_ij|
+    per node, covers the factorization's backward error and eigvalsh's
+    roundoff (docs/conventions.md, "Pointwise kernels"). Like eigvalsh, the
+    screen reads the real diagonal and the lower triangle only; a non-finite
+    node never factors.
+    """
+    a = np.asarray(a)
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    # n max |entry read| bounds each node's spectral radius
+    scale = np.abs(flat[:, 0, 0].real)
+    smallest = flat[:, 0, 0].real
+    for i in range(1, n):
+        scale = np.maximum(scale, np.abs(flat[:, i, i].real))
+        smallest = np.minimum(smallest, flat[:, i, i].real)
+        for j in range(i):
+            scale = np.maximum(scale, np.abs(flat[:, i, j]))
+    scale *= n
+    nodes = flat.shape[0]
+    few = min(nodes, _CANDIDATES)
+    candidates = np.argpartition(smallest, few - 1)[:few] if few < nodes else np.arange(nodes)
+    lam = np.linalg.eigvalsh(flat[candidates])
+    lam_min = np.min(lam)
+    with np.errstate(invalid="ignore", over="ignore"):
+        delta = 64.0 * n * n * np.finfo(np.float64).eps * (scale + abs(lam_min))
+        _, ok = _factor(flat, lam_min + delta)
+    ok[candidates] = True
+    rest = np.linalg.eigvalsh(flat[~ok])
+    return float(np.min(np.concatenate([lam.ravel(), rest.ravel()])))
 
 
 def positive_log_det(a):
@@ -165,17 +272,41 @@ def b2(g, a, b, gi=None):
 # the metric-level bijection omega <-> omega^{n-1}
 
 
-def star_power(omega_ref, omega):
+def star_power(omega_ref, omega, ref_log_det=None, factor=None):
     """(1/(n-1)!) star(omega^{n-1}) as a Hermitian field; the adjugate relative
     to omega_ref: det(a)/det(g) * g a^{-1} g.
 
     With omega_ref = I and omega = diag(lambda), the result is
-    diag(prod_{j != i} lambda_j).
+    diag(prod_{j != i} lambda_j). ref_log_det and factor, when given, are
+    log det omega_ref and the Cholesky factor of omega (positivity checked).
     """
     require_same_dim(omega_ref, omega)
-    log_det_ref = log_det(require_positive(omega_ref, "reference metric"))
-    ratio = np.exp(log_det(require_positive(omega, "metric")) - log_det_ref)
-    return ratio[..., None, None] * (omega_ref @ np.linalg.solve(omega, omega_ref))
+    if ref_log_det is None:
+        ref_log_det = log_det(require_positive(omega_ref, "reference metric"))
+    if factor is None:
+        factor = require_positive(omega, "metric")
+    ratio = np.exp(log_det(factor) - ref_log_det)
+    # g a^{-1} g = w^* w with L w = g (forward substitution), a = L L^*
+    n = omega.shape[-1]
+    nodes = np.broadcast_shapes(factor.shape[:-2], np.shape(omega_ref)[:-2])
+    w = np.empty((n, n) + nodes, dtype=np.result_type(factor.dtype, omega_ref.dtype))
+    for k in range(n):
+        for j in range(n):
+            entry = w[k, j, ...]
+            entry[...] = omega_ref[..., k, j]
+            for l in range(k):
+                entry -= factor[..., k, l] * w[l, j, ...]
+            entry /= factor[..., k, k].real
+    del factor  # only the caller's reference may remain
+    out = np.zeros_like(w)
+    for k in range(n):
+        for i in range(n):
+            out[i, i, ...] += _abs2(w[k, i, ...])
+            for j in range(i):
+                out[i, j, ...] += np.conj(w[k, i, ...]) * w[k, j, ...]
+    _fill_upper(out)
+    out *= ratio
+    return _as_field(out)
 
 
 def nm1_root(omega_ref, s):
@@ -189,7 +320,7 @@ def nm1_root(omega_ref, s):
     chol = require_positive(omega_ref, "reference metric")
     require_positive(s, "(n-1,n-1) form dual")
     n = s.shape[-1]
-    chol_inv = np.linalg.inv(chol)
+    chol_inv = _as_field(_triangular_inverse(chol))
     s_flat = chol_inv @ s @ np.conj(np.swapaxes(chol_inv, -1, -2))
     vals, vecs = np.linalg.eigh(s_flat)
     det_lam = np.prod(vals, axis=-1) ** (1.0 / (n - 1))
@@ -213,6 +344,7 @@ def star_wedge(omega, alpha):
 
 
 def relative_eigenvalues(g, a):
-    """Eigenvalues of a relative to g (ascending), shape (..., n)."""
-    chol_inv = np.linalg.inv(np.linalg.cholesky(g))
+    """Eigenvalues of a relative to g (ascending), shape (..., n); raises
+    ValidationError unless g is positive definite."""
+    chol_inv = _as_field(_triangular_inverse(require_positive(g, "metric")))
     return np.linalg.eigvalsh(chol_inv @ a @ np.conj(np.swapaxes(chol_inv, -1, -2)))

@@ -41,10 +41,13 @@ def _assemble(grid, variant, omega_a, omega0_a, u_poly, b_star, rhs_volume,
     g0 = omega0_a.sample(grid)
 
     # analytic assembly of gt(u*): no grid transforms anywhere
-    ginv = np.linalg.inv(g)
     hess = u_poly.hessian(grid)
+    factor = ha.require_positive(g)
+    log_det_g = ha.log_det(factor)
+    ginv = ha.inverse(factor)
+    del factor
     lap = np.einsum("...ij,...ji->...", ginv, hess)
-    h = ha.star_power(g, g0)
+    h = ha.star_power(g, g0, ref_log_det=log_det_g)
     correction = (lap[..., None, None] * g - hess) / (n - 1)
     if variant is eq.Variant.PHI:
         du = u_poly.gradient(grid)
@@ -52,6 +55,7 @@ def _assemble(grid, variant, omega_a, omega0_a, u_poly, b_star, rhs_volume,
         z, _ = eq.e_term_from_parts(g, du, dbar_g, ginv)
         correction = correction + z
     correction = ha.hermitize(correction)
+    del hess, ginv, lap  # not held through the positivity screens below
 
     # gt is affine in u: shrink u deterministically until gt keeps a healthy
     # positivity margin (random draws can otherwise leave the cone)
@@ -74,8 +78,8 @@ def _assemble(grid, variant, omega_a, omega0_a, u_poly, b_star, rhs_volume,
     u_star = u_poly.sample(grid).real.copy()
     u_star -= np.mean(u_star)
 
-    ref = g if rhs_volume is eq.RhsVolume.OMEGA_N else h
-    f_star = np.log(np.linalg.det(gt).real) - np.log(np.linalg.det(ref).real) - b_star
+    ref = log_det_g if rhs_volume is eq.RhsVolume.OMEGA_N else ha.log_det(ha.require_positive(h))
+    f_star = ha.log_det(ha.require_positive(gt)) - ref - b_star
     spec = eq.ProblemSpec(
         grid=grid, variant=variant, omega0=g0, omega=g, F=f_star, rhs_volume=rhs_volume
     )

@@ -115,8 +115,9 @@ def calabi_yau_gauduchon(spec, f_prime, cfg=None, precondition_tol=1e-8,
     b_prime = report.state.b / (n - 1)
     dual = eq.tilde_metric(psi_spec, report.state.u)
     omega_u = ha.nm1_root(spec.omega, dual)
+    # psi_spec's volume reference is omega
     volume_residual = (
-        np.log(np.linalg.det(omega_u).real) - np.log(np.linalg.det(spec.omega).real)
+        ha.log_det(ha.require_positive(omega_u)) - psi_spec.log_det_ref
         - f_prime.real - b_prime
     )
     return PipelineResult(
@@ -178,8 +179,7 @@ def phi_pipeline(spec, f_datum, cfg=None, precondition_tol=1e-8,
     omega_tilde = ha.nm1_root(spec.omega, dual)
     # (n-1)-th root of det Phi_u = e^{F+b} det(omega^{n-1})
     volume_residual = (
-        np.log(np.linalg.det(omega_tilde).real)
-        - np.log(np.linalg.det(spec.omega).real)
+        ha.log_det(ha.require_positive(omega_tilde)) - phi_spec.log_det_ref
         - (f_datum.real + report.state.b) / (n - 1)
     )
     return PipelineResult(

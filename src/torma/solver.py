@@ -280,22 +280,24 @@ def _ma_evaluation(spec, state, carry=None):
     Newton convergence and step acceptance are measured on the resolved
     (Nyquist-free) part of the residual: the collocation system is solvable
     only there, the complement being pure aliasing of the nonlinearity. The
-    full-field residual is reported separately in SolveReport. One batched
-    Cholesky of gt is both the positivity test and log det
-    (ha.positive_log_det); a state whose gt has no factor has log det and
-    residual None and the sup inf. The positivity margin is left to _margin, for the
-    iterates that are reported.
+    full-field residual is reported separately in SolveReport. One Cholesky
+    factorization of gt (ha.cholesky) is both the positivity test and log
+    det, and is kept as "factor" for the linearization; a state whose gt has
+    no factor has factor, log det and residual None and the sup inf. The
+    positivity margin is left to _margin, for the iterates that are reported.
 
-    carry, an evaluation of the same u at another t or b, hands over its gt
-    and log det (they are removed from it, so carry pins no array while
-    Newton runs) and its margin; only the residual is recomputed.
+    carry, an evaluation of the same u at another t or b, hands over its gt,
+    factor and log det (they are removed from it, so carry pins no array
+    while Newton runs) and its margin; only the residual is recomputed.
     """
     carry = {} if carry is None else carry
     if "gt" in carry:
-        ev = {"gt": carry.pop("gt"), "log_det": carry.pop("log_det")}
+        ev = {k: carry.pop(k) for k in ("gt", "factor", "log_det")}
     else:
         gt = eq.tilde_metric(spec, state.u)
-        ev = {"gt": gt, "log_det": ha.positive_log_det(gt)}
+        factor = ha.cholesky(gt)
+        ev = {"gt": gt, "factor": factor,
+              "log_det": None if factor is None else ha.log_det(factor)}
     if "margin" in carry:
         ev["margin"] = carry["margin"]
     if ev["log_det"] is None:
@@ -320,12 +322,13 @@ def newton_step(spec, state, cfg=None, gt=None, residual=None):
     info["damping"] is the factor taken (0.0 when the state has already
     converged); "linear_iterations", "linear_rtol" and "linear_residual"
     describe the step's GMRES solve (NO_LINEAR_SOLVE when none was needed);
-    info also holds the new state's evaluation: "gt",
+    info also holds the new state's evaluation: "gt", "factor",
     "log_det", "residual" and "residual_sup" (the positivity margin is
     computed only by whoever reports the state). gt and residual, when
-    given, are the state's tilde metric and residual; residual may instead
-    be the state's evaluation (the info of the step that made it), and
-    nothing is recomputed.
+    given, are the state's tilde metric and residual (gt is then factored
+    for the linearization); residual may instead be the state's evaluation
+    (the info of the step that made it), and nothing is recomputed. The
+    evaluation's factor is released once the linearization is built.
     """
     cfg = cfg or SolverConfig()
     if isinstance(residual, dict):
@@ -333,15 +336,15 @@ def newton_step(spec, state, cfg=None, gt=None, residual=None):
     elif gt is None or residual is None:
         ev = _ma_evaluation(spec, state)
     else:
-        ev = {"gt": gt, "log_det": None, "residual": residual,
+        ev = {"gt": gt, "factor": None, "log_det": None, "residual": residual,
               "residual_sup": gr.sup_norm(gr.drop_nyquist(spec.grid, residual))}
     if ev["residual"] is None:
         raise PositivityError(f"tilde metric not positive (min eig {_margin(ev):.3e})")
     if ev["residual_sup"] < cfg.newton_tol:
         return state, {**ev, "damping": 0.0, **NO_LINEAR_SOLVE}
-    lin = eq.Linearization(spec, state, gt=ev["gt"], factored=ev["log_det"] is not None)
-    coeff_mean = np.mean(lin.coeff.reshape(-1, spec.n, spec.n), axis=0)
-    precond = SpectralPreconditioner(spec.grid, coeff_mean)
+    lin = eq.Linearization(spec, state, gt=ev["gt"], factor=ev["factor"])
+    ev["factor"] = None  # served; not held through GMRES and the line search
+    precond = SpectralPreconditioner(spec.grid, lin.coeff_mean)
     du, db, linear = _augmented_solve(spec.grid, lin.apply, -ev["residual"], precond,
                                       cfg, _forcing_term(cfg, ev["residual_sup"]))
 
@@ -357,7 +360,7 @@ def newton_step(spec, state, cfg=None, gt=None, residual=None):
 
 
 def _start(spec, u0=None, t=0.0):
-    """initial_state and the start's gt and log det gt."""
+    """initial_state and the start's evaluation: gt, its factor and log det gt."""
     if u0 is None:
         u0 = np.zeros(spec.grid.sizes)
     u0 = np.asarray(u0)
@@ -370,14 +373,15 @@ def _start(spec, u0=None, t=0.0):
     u0 -= np.mean(u0)
     state = eq.SolveState(u=u0, b=0.0, t=t)
     gt = eq.tilde_metric(spec, u0)
-    log_det = ha.positive_log_det(gt)
-    if log_det is None:
+    factor = ha.cholesky(gt)
+    if factor is None:
         raise ValidationError(
             f"initial potential is not admissible (min eig {eq.positivity_margin(gt):.3e})"
         )
+    log_det = ha.log_det(factor)
     r = eq.ma_residual(spec, state, log_det=log_det)
     state.b = float(np.mean(r.real))
-    return state, {"gt": gt, "log_det": log_det}
+    return state, {"gt": gt, "factor": factor, "log_det": log_det}
 
 
 def initial_state(spec, u0=None, t=0.0):
@@ -400,7 +404,7 @@ def _accept(report, state, ev, history):
     report.residual_sup_full = gr.sup_norm(ev["residual"])
     report.residual_history = history
     report.diagnostics["residual_gap"] = report.residual_sup_full - report.residual_sup
-    return state, {k: ev[k] for k in ("gt", "log_det", "margin")}
+    return state, {k: ev[k] for k in ("gt", "factor", "log_det", "margin")}
 
 
 def _member(spec, cfg, report, start, carry, min_first_damping):
@@ -596,8 +600,7 @@ def adjoint_kernel(spec, state, tol=1e-9, cfg=None):
     grid = spec.grid
     size = grid.num_nodes
     weights = gr.volume_weights(grid, lin.gt)
-    coeff_mean = np.mean(lin.coeff.reshape(-1, spec.n, spec.n), axis=0)
-    precond = SpectralPreconditioner(grid, coeff_mean)
+    precond = SpectralPreconditioner(grid, lin.coeff_mean)
 
     def matvec(x):
         f = x[:size].reshape(grid.sizes)
@@ -648,9 +651,8 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30, cfg=None):
     if not 0.0 < tol < np.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     cfg = cfg or SolverConfig()
-    ha.require_positive(omega)
     n = grid.n
-    ginv = np.linalg.inv(omega)
+    ginv = ha.inverse(ha.require_positive(omega))
     dbar_g = geo.metric_dbar_tensor(grid, omega)
     ddbar_g = geo.metric_ddbar_tensor(grid, omega, dbar_g)
     rho0 = geo.gauduchon_scalar(grid, omega, dbar_g, ddbar_g) / math.factorial(n - 1)

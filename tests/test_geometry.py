@@ -7,6 +7,7 @@ import pytest
 
 from torma import geometry as geo
 from torma import grid as gr
+from torma import hermitian as ha
 from torma import testfields as tf
 from torma.errors import ValidationError
 
@@ -134,7 +135,7 @@ class TestMetricDefects:
         astheno = geo.astheno_defect(grid, metric)
         assert astheno == float(np.max(np.abs(geo.astheno_dual(grid, metric))))
         calls = {"inv": 0, "trace": 0}
-        inv, trace = np.linalg.inv, geo._ddbar_trace
+        inv, trace = ha.inverse, geo._ddbar_trace
 
         def counted(name, fn):
             def wrapped(*args):
@@ -142,7 +143,7 @@ class TestMetricDefects:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(np.linalg, "inv", counted("inv", inv))
+        monkeypatch.setattr(ha, "inverse", counted("inv", inv))
         monkeypatch.setattr(geo, "_ddbar_trace", counted("trace", trace))
         d = geo.metric_defects(grid, metric)
         assert calls == {"inv": 1, "trace": 1}

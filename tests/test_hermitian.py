@@ -314,8 +314,17 @@ class TestPositivity:
         scale = float(np.max(np.abs(np.linalg.eigvalsh(a))))
         assume(abs(lam) > 1e-12 * scale)
         if lam > 0.0:
+            # a Cholesky factor to roundoff: lower triangular with a positive
+            # real diagonal, and L L^* = a + E on the triangle read with
+            # |E| <= gamma_{n+1} |L||L^*| <= 4 n eps max|a| (Higham, Thm 10.3)
             factor = ha.require_positive(a)
-            np.testing.assert_array_equal(factor, np.linalg.cholesky(a))
+            n = a.shape[-1]
+            diag = np.diagonal(factor, axis1=-2, axis2=-1)
+            assert np.all(np.triu(factor, 1) == 0)
+            assert np.all(diag.real > 0.0) and np.all(diag.imag == 0.0)
+            error = np.tril(factor @ np.conj(np.swapaxes(factor, -1, -2)) - a)
+            bound = 4 * n * np.finfo(np.float64).eps * np.max(np.abs(a), axis=(-2, -1))
+            assert np.all(np.abs(error) <= bound[..., None, None])
         else:
             assert ha.cholesky(a) is None
             with pytest.raises(ValidationError, match="not positive definite"):
@@ -328,3 +337,98 @@ class TestPositivity:
         got = ha.log_det(ha.cholesky(a))
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+# ---------------------------------------------------------------------------
+# the entrywise factor kernel: inverse from the factor, failures, exact margin
+
+
+@st.composite
+def adversarial_fields(draw):
+    """hermitian_fields plus the cases that stress the margin screen: exact
+    and permuted copies of the node with the smallest eigenvalue (tied minima
+    whose eigvalsh values may differ in the last bits), nodes whose minimum
+    hides behind a large diagonal, and an infinite entry."""
+    a = draw(hermitian_fields())
+    n = a.shape[-1]
+    r = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    finite = np.all(np.isfinite(a), axis=(-2, -1))
+    if draw(st.booleans()) and finite.any():
+        lam = np.where(finite, np.min(np.linalg.eigvalsh(np.where(
+            finite[:, None, None], a, 0.0)), axis=-1), np.inf)
+        low = a[np.argmin(lam)]
+        for k in r.integers(0, len(a), size=r.integers(1, 4)):
+            perm = r.permutation(n)
+            a[k] = low[np.ix_(perm, perm)] if r.random() < 0.5 else low
+    if draw(st.booleans()):
+        # diagonal d + c, off-diagonal coupling c: eigenvalues d and d + n c
+        k = r.integers(0, len(a))
+        c = np.max(np.abs(a), where=np.isfinite(a), initial=1.0) * r.uniform(1.0, 10.0)
+        a[k] = (np.full((n, n), -c / n) + (c + r.uniform(0.0, 1e-3 * c)) * np.eye(n))
+    if draw(st.booleans()):
+        i, j = sorted(r.integers(0, n, size=2))[::-1]
+        a[r.integers(0, len(a)), i, j] = draw(st.sampled_from([np.inf, -np.inf]))
+    return a
+
+
+def positive_fields():
+    return hermitian_fields(indefinite=False, nan_node=False)
+
+
+class TestFactorKernel:
+    @given(a=positive_fields())
+    @settings(max_examples=200, deadline=None)
+    def test_inverse_from_factor_matches_inv(self, a):
+        got = ha.inverse(ha.cholesky(a))
+        assert got.shape == a.shape
+        np.testing.assert_array_equal(got, np.conj(np.swapaxes(got, -1, -2)))
+        # forward error of an inverse: a few n eps times cond(a) |a^{-1}|
+        lam = np.linalg.eigvalsh(a)
+        cond = lam[..., -1] / lam[..., 0]
+        want = np.linalg.inv(a)
+        bound = 16 * a.shape[-1] * np.finfo(np.float64).eps * cond / lam[..., 0]
+        assert np.all(np.max(np.abs(got - want), axis=(-2, -1)) <= bound)
+
+    @given(a=positive_fields(), bad=st.sampled_from(["nan", "inf", "-inf", "indefinite"]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_cholesky_none_for_bad_node(self, a, bad, seed):
+        r = np.random.default_rng(seed)
+        n = a.shape[-1]
+        k = r.integers(0, len(a))
+        if bad == "indefinite":
+            a[k] -= 1.5 * np.max(np.linalg.eigvalsh(a[k])) * np.eye(n)
+        else:
+            i, j = sorted(r.integers(0, n, size=2))[::-1]  # read: the lower triangle
+            a[k, i, j] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[bad]
+        assert ha.cholesky(a) is None
+        assert ha.positive_log_det(a) is None
+        with pytest.raises(ValidationError):
+            ha.require_positive(a)
+
+    @given(a=adversarial_fields())
+    @settings(max_examples=300, deadline=None)
+    def test_min_eigenvalue_exact_on_adversarial_fields(self, a):
+        np.testing.assert_array_equal(
+            margin_outcome(ha.min_eigenvalue, a), margin_outcome(of.min_eigenvalue_full, a)
+        )
+
+    def test_min_eigenvalue_tied_minima(self, rng):
+        # many nodes share the minimum, most of them far from the smallest
+        # diagonal that the candidates come from
+        for n in (2, 3, 4):
+            a = random_positive(rng, n, shape=(200,))
+            low = np.diag(np.linspace(0.01, 1.0, n)).astype(complex)
+            unitary = np.linalg.qr(random_complex(rng, n, n))[0]
+            a[::3] = unitary @ low @ np.conj(unitary.T)
+            a[1::3] += 5.0 * np.eye(n)
+            assert ha.min_eigenvalue(a) == of.min_eigenvalue_full(a)
+
+    def test_relative_eigenvalues_rejects_non_positive_metric(self):
+        eye = np.eye(3, dtype=complex)
+        bad = np.diag([1.0, -1.0, 1.0]).astype(complex)
+        with pytest.raises(ValidationError, match="not positive definite"):
+            ha.relative_eigenvalues(bad, eye)
+        np.testing.assert_allclose(
+            ha.relative_eigenvalues(np.diag([1.0, 2.0, 4.0]).astype(complex), eye),
+            [0.25, 0.5, 1.0], rtol=1e-15)
