@@ -101,8 +101,7 @@ class ProblemSpec:
         log_det = ha.log_det(factor)
         omega_inv = ha.inverse(factor)
         del factor
-        omega_h = ha.star_power(self.omega, self.omega0, ref_log_det=log_det,
-                                factor=ha.require_positive(self.omega0, "omega_0"))
+        omega_h = ha.star_power(self.omega, self.omega0, ref_log_det=log_det)
         if self.rhs_volume is RhsVolume.OMEGA_H_N:
             log_det = ha.log_det(ha.require_positive(omega_h, "volume reference metric"))
         return {"omega_inv": omega_inv, "omega_h": omega_h, "log_det_ref": log_det}

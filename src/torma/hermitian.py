@@ -51,7 +51,9 @@ def hermitize(a):
 # as (*nodes, n, n) views of it (_as_field).
 
 
-# eigvalsh's sample in min_eigenvalue: the nodes with the smallest diagonal
+# eigvalsh's sample in min_eigenvalue: the nodes with the smallest diagonal.
+# On the solver's and manufacture's fields the screen's time is flat within
+# timing noise from 2 to 32 candidates (docs/conventions.md, "Pointwise kernels").
 _CANDIDATES = 8
 
 
@@ -272,19 +274,17 @@ def b2(g, a, b, gi=None):
 # the metric-level bijection omega <-> omega^{n-1}
 
 
-def star_power(omega_ref, omega, ref_log_det=None, factor=None):
+def star_power(omega_ref, omega, ref_log_det=None):
     """(1/(n-1)!) star(omega^{n-1}) as a Hermitian field; the adjugate relative
     to omega_ref: det(a)/det(g) * g a^{-1} g.
 
     With omega_ref = I and omega = diag(lambda), the result is
-    diag(prod_{j != i} lambda_j). ref_log_det and factor, when given, are
-    log det omega_ref and the Cholesky factor of omega (positivity checked).
+    diag(prod_{j != i} lambda_j). ref_log_det, when given, is log det omega_ref.
     """
     require_same_dim(omega_ref, omega)
     if ref_log_det is None:
         ref_log_det = log_det(require_positive(omega_ref, "reference metric"))
-    if factor is None:
-        factor = require_positive(omega, "metric")
+    factor = require_positive(omega, "metric")
     ratio = np.exp(log_det(factor) - ref_log_det)
     # g a^{-1} g = w^* w with L w = g (forward substitution), a = L L^*
     n = omega.shape[-1]
@@ -297,7 +297,7 @@ def star_power(omega_ref, omega, ref_log_det=None, factor=None):
             for l in range(k):
                 entry -= factor[..., k, l] * w[l, j, ...]
             entry /= factor[..., k, k].real
-    del factor  # only the caller's reference may remain
+    del factor  # freed before the product is allocated
     out = np.zeros_like(w)
     for k in range(n):
         for i in range(n):

@@ -655,7 +655,7 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30, cfg=None):
     ginv = ha.inverse(ha.require_positive(omega))
     dbar_g = geo.metric_dbar_tensor(grid, omega)
     ddbar_g = geo.metric_ddbar_tensor(grid, omega, dbar_g)
-    rho0 = geo.gauduchon_scalar(grid, omega, dbar_g, ddbar_g) / math.factorial(n - 1)
+    rho0 = geo._ddbar_scalar(grid, omega, omega, ginv, dbar_g, ddbar_g) / math.factorial(n - 1)
     cross_coeff = eq.torsion_coefficient(dbar_g, ginv)
     coeff_mean = np.mean(ginv.reshape(-1, n, n), axis=0)
     precond = SpectralPreconditioner(grid, coeff_mean)

@@ -189,8 +189,11 @@ class TestNewton:
     @settings(max_examples=12, deadline=None)
     def test_b_invariant_under_constant_shift_of_u0(self, seed, shift, variant):
         # u enters only through its derivatives: a constant shift of the start
-        # moves neither the start's b nor the solved (u, b) beyond the
-        # roundoff of adding the constant
+        # moves the start's b only by the roundoff of adding the constant. The
+        # two solves may stop on different iterates, each with residual below
+        # newton_tol; the linearization's inverse is at most about 0.1 in sup
+        # norm on these near-flat problems (1 on b), so the solved (u, b)
+        # agree within 2 newton_tol.
         grid = gr.TorusGrid.reduced(3, 16, active_coords=(0, 2))
         rng = np.random.default_rng(seed)
         prob = manufacture_problem(grid, variant, rng, amplitude=0.04, conformal_amplitude=0.2)
@@ -198,10 +201,11 @@ class TestNewton:
         tol = 1e-14 * (1.0 + abs(shift))
         start = sv.initial_state(prob.spec, u0)
         assert abs(sv.initial_state(prob.spec, u0 + shift).b - start.b) <= tol
+        solved_tol = tol + 2.0 * sv.SolverConfig().newton_tol
         base = sv.continuity_solve(prob.spec, u0=u0).state
         moved = sv.continuity_solve(prob.spec, u0=u0 + shift).state
-        assert abs(moved.b - base.b) <= tol
-        assert gr.sup_norm(moved.u - base.u) <= tol
+        assert abs(moved.b - base.b) <= solved_tol
+        assert gr.sup_norm(moved.u - base.u) <= solved_tol
 
     def test_adaptive_halving_recovers_stiff_step(self):
         # datum large enough that the direct jump to t = 1 loses positivity;
