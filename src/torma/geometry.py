@@ -8,7 +8,9 @@ Array layouts:
     torsion[..., k, i, j]    T^k_{ij}
     curvature[..., l, m, i, p]   R_{l mbar i}^p
     dbar_g[..., k, i, j]     d_kbar g_{i jbar}
-    ddbar_g[..., l, k, i, j] d_l d_kbar g_{i jbar}
+
+and ddbar_g[l, k, i, j] = d_l d_kbar g_{i jbar}, which no function holds
+whole: its (l, k) slices are taken one at a time.
 
 Every ddbar-type defect is a sum of polarized wedge contractions S_m/B_m
 whose (1,1)-slots are matrix units or rank-one matrices labelled by
@@ -21,8 +23,12 @@ A unit slot raised by g^{-1} is g^{-1}_{xl} delta_{kX}, so each sum over
 slots collapses to index contractions of g^{-1}, sigma and the derivative
 tensors: the second-order blocks through the g-trace K of a ddbar tensor,
 the first-order ones through one alternating sum over permutations
-(docs/conventions.md, "ddbar of wedge powers"). No exterior coefficients
-and no per-slot loops exist outside the test oracle.
+(docs/conventions.md, "ddbar of wedge powers"). These contractions are
+entrywise kernels in hermitian's layout (matrix axes first, every entry a
+contiguous node field; Python loops over matrix entries only), one
+implementation for every n. K is built slice by slice from one spectrum of
+the metric, so no n^4 array exists. No exterior coefficients and no per-slot
+loops exist outside the test oracle.
 """
 
 from __future__ import annotations
@@ -61,17 +67,6 @@ def metric_d_tensor(grid, g, dbar_g=None):
     return np.conj(np.swapaxes(dbar_g, -1, -2))
 
 
-def metric_ddbar_tensor(grid, g, dbar_g=None):
-    """ddbar_g[..., l, k, i, j] = d_l d_kbar g_{i jbar}."""
-    if dbar_g is None:
-        dbar_g = metric_dbar_tensor(grid, g)
-    # filled in place: a stack of the slices would hold the n^4 tensor twice
-    out = np.empty(dbar_g.shape[:-3] + (grid.n,) + dbar_g.shape[-3:], dtype=np.complex128)
-    for l in range(grid.n):
-        out[..., l, :, :, :] = gr.d_holo(grid, dbar_g, l)
-    return out
-
-
 def chern_connection(grid, omega):
     """Connection Gamma^k_{ij}, torsion T^k_{ij}, curvature R_{l mbar i}^p."""
     grid.check_field(omega, (grid.n, grid.n))
@@ -97,59 +92,171 @@ def chern_ricci(grid, omega):
 
 
 # ---------------------------------------------------------------------------
-# ddbar defect scalars and duals
+# entrywise kernels
+#
+# The ddbar contractions work in hermitian's entrywise layout: matrix axes
+# first, then the node axes, so every matrix entry is a contiguous node
+# field. Python loops run over matrix entries only; every operation inside
+# them is vectorized over all nodes.
 
 _ROWS, _COLS = "abcd", "ABCD"
 
 
-def _alternating(subscripts, *operands):
-    """S_m(a_1, .., a_m) = sum_{pi in S_m} sgn(pi) sum_x prod_t (R_t)_{x_t x_pi(t)}
-    for raised slots R_t = g^{-1} a_t given through `operands`.
+def _entries(x, axes=2):
+    """The entrywise (matrix axes, *nodes) array of a (*nodes, matrix axes)
+    field; no copy for a field view of an entrywise buffer (ha.inverse)."""
+    return np.ascontiguousarray(np.moveaxis(x, range(-axes, 0), range(axes)))
 
-    Slot t's row index is the t-th letter of "abcd" and its column index the
-    matching capital; the term of pi renames capital t to the row letter of
-    pi(t). A row letter kept in the output leaves its slot open, which gives
-    the matrix results of B_m type (see astheno_dual).
-    """
-    m = sum(c in subscripts for c in _COLS)
-    total = 0
-    for perm in itertools.permutations(range(m)):
-        inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
-        renamed = subscripts.translate({ord(_COLS[t]): _ROWS[perm[t]] for t in range(m)})
-        total = total + (-1) ** inversions * np.einsum(renamed, *operands)
-    return total
+
+def _field(x, axes=2):
+    """The (*nodes, matrix axes) view of an entrywise array."""
+    return np.moveaxis(x, range(axes), range(-axes, 0))
+
+
+def _apply(a, t, axis=0):
+    """sum_i a_xi t[.., i, ..]: the matrix field a applied to matrix axis
+    `axis` of the entrywise tensor t (a t for axis 0 of a matrix), entry by
+    entry."""
+    t = np.moveaxis(t, axis, 0)
+    out = np.empty((a.shape[0],) + t.shape[1:], dtype=np.result_type(a, t))
+    for x in range(a.shape[0]):
+        for rest in np.ndindex(t.shape[1:t.ndim - a.ndim + 2]):
+            entry = out[(x,) + rest]
+            np.multiply(a[x, 0], t[(0,) + rest], out=entry)
+            for i in range(1, a.shape[1]):
+                entry += a[x, i] * t[(i,) + rest]
+    return np.moveaxis(out, 0, axis)
 
 
 def _trace_product(a, b):
-    return np.einsum("...ij,...ji->...", a, b)
+    """tr(a b) = sum_ij a_ij b_ji of entrywise matrices."""
+    n = a.shape[0]
+    out = a[0, 0] * b[0, 0]
+    for i in range(n):
+        for j in range(n):
+            if i or j:
+                out += a[i, j] * b[j, i]
+    return out
 
 
-def _ddbar_trace(gi, h):
+def _alternating(subscripts, *operands):
+    """S_m(a_1, .., a_m) = sum_{pi in S_m} sgn(pi) sum_x prod_t (R_t)_{x_t x_pi(t)}
+    for raised slots R_t = g^{-1} a_t given through entrywise `operands`.
+
+    Slot t's row index is the t-th letter of "abcd" and its column index the
+    matching capital; the term of pi gives capital t the value of the row
+    letter of pi(t). Output letters after "->" are left open (a row letter
+    there leaves its slot open, the matrix results of B_m type). Rows that
+    repeat a value cancel between pi and pi composed with their transposition,
+    so only rows with distinct values are visited: n!/(n-m)! row tuples
+    times m! permutations, one product of operand entries each.
+    """
+    inputs, _, out = subscripts.partition("->")
+    terms = inputs.split(",")
+    m = sum(c in subscripts for c in _COLS)
+    n = operands[0].shape[0]
+    nodes = operands[0].shape[len(terms[0]):]
+    result = np.zeros((n,) * len(out) + nodes, dtype=np.complex128)
+    free = [c for c in out if c not in _ROWS[:m] + _COLS[:m]]
+    for rows in itertools.permutations(range(n), m):
+        for perm in itertools.permutations(range(m)):
+            inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+            value = dict(zip(_ROWS, rows))
+            value.update((_COLS[t], rows[perm[t]]) for t in range(m))
+            for extra in itertools.product(range(n), repeat=len(free)):
+                value.update(zip(free, extra))
+                term = operands[0][tuple(value[c] for c in terms[0])]
+                for op, letters in zip(operands[1:], terms[1:]):
+                    term = term * op[tuple(value[c] for c in letters)]
+                entry = result[tuple(value[c] for c in out)]
+                if inversions % 2:
+                    entry -= term
+                else:
+                    entry += term
+    return result
+
+
+def _node_axes(grid):
+    """The active axes of an entrywise array, counted from its end."""
+    return tuple(a - len(grid.sizes) for a in grid.active_axes)
+
+
+def _spectrum(grid, s):
+    """The entrywise spectrum of a matrix field: every derivative the ddbar
+    defects take of s is one inverse transform of it."""
+    return gr.fftn(grid, _entries(s), _node_axes(grid))
+
+
+def _dbar_entries(grid, spectrum):
+    """dbar[k, i, j] = d_kbar s_{i jbar} from s's entrywise spectrum; zero for
+    a coordinate the grid does not resolve."""
+    antih = gr.wirtinger_symbols(grid, anti=True)
+    out = np.zeros((grid.n,) + spectrum.shape, dtype=np.complex128)
+    for k in gr.spectral_table(grid).live:
+        out[k] = gr.ifftn(grid, spectrum * antih[k], _node_axes(grid))
+    return out
+
+
+def _ddbar_trace(grid, gi, spectrum):
     """K_ab = g^{ji} (h_abij + h_ijab - h_ajib - h_ibaj) for h[l, k, i, j] =
     d_l d_kbar s_{i jbar}: the g-trace of the (2,2)-form i ddbar(s) over one
-    (dz, dzbar) pair."""
-    return (np.einsum("...ji,...abij->...ab", gi, h) + np.einsum("...ji,...ijab->...ab", gi, h)
-            - np.einsum("...ji,...ajib->...ab", gi, h) - np.einsum("...ji,...ibaj->...ab", gi, h))
+    (dz, dzbar) pair, as an entrywise matrix, from s's entrywise spectrum.
+
+    For Hermitian s, h[k, l, j, i] = conj(h[l, k, i, j]): the first two terms
+    are Hermitian matrices and the last two adjoint to each other, so
+    K = N + N^* with N_ab = g^{ji} (h_abij + h_ijab) / 2 - g^{ji} h_ajib. The
+    (l, k) slice of h for l <= k is one inverse transform of the spectrum,
+    the (k, l) slice its adjoint. Each slice is added into N (tr(g^{-1} h_lk)/2
+    into N_lk, g^{kl} h_lk / 2 into N, row k of g^{-1} h_lk out of row l) and
+    dropped, so no n^4 array is held. Slices of a coordinate the grid does
+    not resolve vanish and are skipped. gi is entrywise.
+    """
+    hol, antih = gr.wirtinger_symbols(grid), gr.wirtinger_symbols(grid, anti=True)
+    live = gr.spectral_table(grid).live
+    half = np.zeros(gi.shape, dtype=np.complex128)
+
+    def add(l, k, h):
+        half[l, k] += _trace_product(gi, h)
+        half[...] += gi[k, l] * h
+        half[l] -= 2.0 * _apply(gi[k][None], h)[0]
+
+    for l, k in itertools.combinations_with_replacement(live, 2):
+        h = gr.ifftn(grid, spectrum * (0.5 * hol[l] * antih[k]), _node_axes(grid))
+        add(l, k, h)
+        if l < k:
+            add(k, l, np.conj(np.swapaxes(h, 0, 1)))
+    return half + np.conj(np.swapaxes(half, 0, 1))
 
 
 def _ddbar_dual(gi, g, k):
     """A2 = sum_{lk} B2(E_lk, d_l d_kbar g) = (tr_g K / 2) g - K from K of
-    ddbar_g: the star dual of i ddbar(omega) ^ omega^{n-3}/(n-3)!."""
-    return 0.5 * _trace_product(gi, k)[..., None, None] * g - k
+    ddbar_g: the star dual of i ddbar(omega) ^ omega^{n-3}/(n-3)!; entrywise."""
+    return 0.5 * _trace_product(gi, k) * g - k
 
 
-def _raised_d(gi, d_s):
+def _raised_d(gi, dbar_s):
     """P[x, y, Y] = g^{-1}_{xc} g^{-1}_{ya} d_c s_{a Ybar}: the raised rank-one
-    slots e_c x (d_c s)_{a.} together with the unit slot E_a. that follows them."""
-    return np.einsum("...ya,...xaY->...xyY", gi, np.einsum("...xc,...caY->...xaY", gi, d_s))
+    slots e_c x (d_c s)_{a.} together with the unit slot E_a. that follows them.
+
+    With d_c s_{a Ybar} = conj(d_cbar s_{Y abar}) and g^{-1} Hermitian, P is
+    the conjugate of g^{-T} applied to axes 0 and 2 of the entrywise dbar_s.
+    """
+    gi_t = np.swapaxes(gi, 0, 1)
+    p = _apply(gi_t, _apply(gi_t, dbar_s, 0), 2)
+    np.conj(p, out=p)
+    return np.swapaxes(p, 1, 2)
 
 
 def _raised_dbar(gi, dbar_g):
-    """R[k, x, X] = (g^{-1} d_kbar g)_{xX}."""
-    return np.einsum("...xi,...kiX->...kxX", gi, dbar_g)
+    """R[k, x, X] = (g^{-1} d_kbar g)_{xX} from the entrywise dbar_g."""
+    return _apply(gi, dbar_g, 1)
 
 
-def _ddbar_terms(grid, g, sigma, gi, dbar_g, ddbar_g, k_g=None):
+# ---------------------------------------------------------------------------
+# ddbar defect scalars and duals
+
+
+def _ddbar_terms(grid, g, sigma, gi, spectrum=None, k_g=None):
     """The four wedge-scalar blocks of i ddbar(sigma ^ omega^{n-2}):
 
         T_A  = sum_{lk} S2(E_lk, d_l d_kbar sigma) = tr(g^{-1} K_sigma)/2
@@ -157,50 +264,52 @@ def _ddbar_terms(grid, g, sigma, gi, dbar_g, ddbar_g, k_g=None):
         T_C  = sum_{lk} S3(sigma, E_lk, d_l d_kbar g) = tr(g^{-1} sigma g^{-1} A2)
         T_D  = sum_{kjc} S4(sigma, d_kbar g_{.j} x e_k, E_cj, d_c g)
 
-    k_g, when given, is _ddbar_trace(gi, ddbar_g).
+    spectrum and k_g, when given, are _spectrum(grid, g) and K of g,
+    _ddbar_trace(grid, gi, spectrum) with gi entrywise.
     """
     n = grid.n
+    gi = _entries(gi)
+    if spectrum is None:
+        spectrum = _spectrum(grid, g)
     if k_g is None:
-        k_g = _ddbar_trace(gi, ddbar_g)
+        k_g = _ddbar_trace(grid, gi, spectrum)
     if sigma is g:
-        dbar_sigma, k_sigma = dbar_g, k_g
+        spectrum_sigma, k_sigma = spectrum, k_g
     else:
-        # sigma's n^4 tensor lives only for this contraction
-        dbar_sigma = metric_dbar_tensor(grid, sigma)
-        k_sigma = _ddbar_trace(gi, metric_ddbar_tensor(grid, sigma, dbar_sigma))
+        spectrum_sigma = _spectrum(grid, sigma)
+        k_sigma = _ddbar_trace(grid, gi, spectrum_sigma)
     t_a = 0.5 * _trace_product(gi, k_sigma)
     t_b1 = t_c = t_d = 0.0
     if n >= 3:
-        raised_sigma = gi @ sigma
-        t_c = _trace_product(raised_sigma, gi @ _ddbar_dual(gi, g, k_g))
+        g_e = _entries(g)
+        raised_sigma = _apply(gi, g_e if sigma is g else _entries(sigma))
+        t_c = _trace_product(raised_sigma, _apply(gi, _ddbar_dual(gi, g_e, k_g)))
+        # sigma's first derivatives live only while they are raised
+        p_sigma = None if sigma is g else _raised_d(gi, _dbar_entries(grid, spectrum_sigma))
+        dbar_g = _dbar_entries(grid, spectrum)
         r_dbar = _raised_dbar(gi, dbar_g)
-        r_dsigma = _raised_d(gi, metric_d_tensor(grid, sigma, dbar_sigma))
-        t_b1 = -_alternating("...abA,...BcC->...", r_dsigma, r_dbar)
+        p_g = _raised_d(gi, dbar_g) if sigma is g or n >= 4 else None
+        t_b1 = -_alternating("abA,BcC", p_g if sigma is g else p_sigma, r_dbar)
     if n >= 4:
-        r_d = _raised_d(gi, metric_d_tensor(grid, g, dbar_g))
-        t_d = _alternating("...aA,...BbC,...cdD->...", raised_sigma, r_dbar, r_d)
+        t_d = _alternating("aA,BbC,cdD", raised_sigma, r_dbar, p_g)
     return t_a, t_b1, t_c, t_d
 
 
-def ddbar_scalar(grid, omega, sigma, dbar_g=None, ddbar_g=None):
+def ddbar_scalar(grid, omega, sigma):
     """[i ddbar(sigma ^ omega^{n-2})] / (omega^n / n!) as a real scalar field.
 
     sigma is any real (1,1)-form field. With sigma = omega this is the
     Gauduchon defect scalar of omega^{n-1}; with the sigma-representation of a
     dual (1,1)-form it evaluates ddbar of any (n-1,n-1)-form.
     """
-    if dbar_g is None:
-        dbar_g = metric_dbar_tensor(grid, omega)
-    if ddbar_g is None:
-        ddbar_g = metric_ddbar_tensor(grid, omega, dbar_g)
     gi = ha.inverse(ha.require_positive(omega))
-    return _ddbar_scalar(grid, omega, sigma, gi, dbar_g, ddbar_g)
+    return _ddbar_scalar(grid, omega, sigma, gi)
 
 
-def _ddbar_scalar(grid, g, sigma, gi, dbar_g, ddbar_g, k_g=None):
-    """ddbar_scalar from g^{-1} and the derivative tensors (and K of ddbar_g)."""
+def _ddbar_scalar(grid, g, sigma, gi, spectrum=None, k_g=None):
+    """ddbar_scalar from g^{-1} (and g's spectrum and K, see _ddbar_terms)."""
     n = grid.n
-    t_a, t_b1, t_c, t_d = _ddbar_terms(grid, g, sigma, gi, dbar_g, ddbar_g, k_g)
+    t_a, t_b1, t_c, t_d = _ddbar_terms(grid, g, sigma, gi, spectrum, k_g)
     rho = math.factorial(n - 2) * t_a
     if n >= 3:
         rho = rho + (n - 2) * math.factorial(n - 3) * (2.0 * t_b1.real + t_c)
@@ -209,9 +318,9 @@ def _ddbar_scalar(grid, g, sigma, gi, dbar_g, ddbar_g, k_g=None):
     return rho.real
 
 
-def gauduchon_scalar(grid, omega, dbar_g=None, ddbar_g=None):
+def gauduchon_scalar(grid, omega):
     """[i ddbar(omega^{n-1})] / (omega^n / n!); zero iff omega is Gauduchon."""
-    return ddbar_scalar(grid, omega, omega, dbar_g=dbar_g, ddbar_g=ddbar_g)
+    return ddbar_scalar(grid, omega, omega)
 
 
 def gauduchon_defect(grid, omega):
@@ -225,12 +334,13 @@ def astheno_defect(grid, omega):
     """sup |astheno_dual| of a validated metric (None for n = 2): the
     astheno-Kahler part of :func:`metric_defects` alone."""
     grid.check_field(omega, (grid.n, grid.n))
-    ha.require_positive(omega)
-    dual = astheno_dual(grid, omega)
-    return None if dual is None else float(np.max(np.abs(dual)))
+    factor = ha.require_positive(omega)
+    if grid.n == 2:
+        return None
+    return float(np.max(np.abs(_astheno_dual(grid, omega, ha.inverse(factor)))))
 
 
-def astheno_dual(grid, omega, dbar_g=None, ddbar_g=None):
+def astheno_dual(grid, omega):
     """Hodge dual (1,1)-field of i ddbar(omega^{n-2}); None for n = 2.
 
     i ddbar(omega^{n-2}) = (n-2) [i ddbar(omega) ^ omega^{n-3}
@@ -239,25 +349,27 @@ def astheno_dual(grid, omega, dbar_g=None, ddbar_g=None):
     """
     if grid.n == 2:
         return None
-    gi = ha.inverse(ha.require_positive(omega))
-    if dbar_g is None:
-        dbar_g = metric_dbar_tensor(grid, omega)
-    if ddbar_g is None:
-        ddbar_g = metric_ddbar_tensor(grid, omega, dbar_g)
-    return _astheno_dual(grid, omega, gi, dbar_g, _ddbar_trace(gi, ddbar_g))
+    return _astheno_dual(grid, omega, ha.inverse(ha.require_positive(omega)))
 
 
-def _astheno_dual(grid, g, gi, dbar_g, k_g):
-    """astheno_dual (n >= 3) from g^{-1}, dbar_g and K of ddbar_g."""
+def _astheno_dual(grid, g, gi, spectrum=None, k_g=None):
+    """astheno_dual (n >= 3) from g^{-1} (and g's spectrum and K, see
+    _ddbar_terms)."""
     n = grid.n
+    gi = _entries(gi)
+    if spectrum is None:
+        spectrum = _spectrum(grid, g)
+    if k_g is None:
+        k_g = _ddbar_trace(grid, gi, spectrum)
+    g = _entries(g)
     dual = _ddbar_dual(gi, g, k_g)
     if n >= 4:
-        r_dbar = _raised_dbar(gi, dbar_g)
-        r_d = _raised_d(gi, metric_d_tensor(grid, g, dbar_g))
-        # the output slot: B_ij = g_iq S4(.., c) with (g^{-1} c)_{xX} -> delta_xj delta_Xq
-        cross = _alternating("...AaB,...bcC,...iD->...id", r_dbar, r_d, g)
-        dual = dual - (n - 3) * cross
-    return ha.hermitize((n - 2) * dual)
+        dbar_g = _dbar_entries(grid, spectrum)
+        # the output slot: B_ij = g_iq S4(.., c) with (g^{-1} c)_{xX} -> delta_xj delta_Xq,
+        # so B = g X^T for the alternating sum X_jq with the slot's row and column open
+        open_slot = _alternating("AaB,bcC->dD", _raised_dbar(gi, dbar_g), _raised_d(gi, dbar_g))
+        dual -= (n - 3) * _apply(g, np.swapaxes(open_slot, 0, 1))
+    return ha.hermitize(_field((n - 2) * dual))
 
 
 @dataclass
@@ -280,15 +392,16 @@ def metric_defects(grid, omega):
     """Defects of ddbar(omega^{n-1}), ddbar(omega^{n-2}), and d(omega)."""
     grid.check_field(omega, (grid.n, grid.n))
     gi = ha.inverse(ha.require_positive(omega))
-    dbar_g = metric_dbar_tensor(grid, omega)
-    ddbar_g = metric_ddbar_tensor(grid, omega, dbar_g)
-    d_g = metric_d_tensor(grid, omega, dbar_g)
-    kahler = float(np.max(np.abs(d_g - np.swapaxes(d_g, -3, -2))))
-    # g^{-1} and the g-trace K of ddbar_g serve both ddbar defects
-    k_g = _ddbar_trace(gi, ddbar_g)
-    rho = _ddbar_scalar(grid, omega, omega, gi, dbar_g, ddbar_g, k_g)
+    # g^{-1}, the spectrum of g and the g-trace K of ddbar_g serve all three
+    spectrum = _spectrum(grid, omega)
+    dbar_g = _dbar_entries(grid, spectrum)
+    # d_c g_{a bbar} - d_a g_{c bbar} = conj(d_cbar g_{b abar} - d_abar g_{b cbar})
+    kahler = float(np.max(np.abs(dbar_g - np.swapaxes(dbar_g, 0, 2))))
+    del dbar_g
+    k_g = _ddbar_trace(grid, _entries(gi), spectrum)
+    rho = _ddbar_scalar(grid, omega, omega, gi, spectrum, k_g)
     gauduchon = float(np.max(np.abs(rho)))
     astheno = None
     if grid.n >= 3:
-        astheno = float(np.max(np.abs(_astheno_dual(grid, omega, gi, dbar_g, k_g))))
+        astheno = float(np.max(np.abs(_astheno_dual(grid, omega, gi, spectrum, k_g))))
     return MetricDefects(gauduchon=gauduchon, astheno=astheno, kahler=kahler)

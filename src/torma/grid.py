@@ -362,6 +362,15 @@ def holo_gradient(grid, f):
     return np.stack(_first_order(grid, f, [_holo_combo(j) for j in range(grid.n)]), axis=-1)
 
 
+def wirtinger_symbols(grid, anti=False):
+    """Full-spectrum multipliers of d/dz^j (d/dzbar^j with anti) for j < n,
+    as used by d_holo/d_antiholo: they broadcast against the trailing node
+    axes of :func:`fftn` output, and vanish for a coordinate the grid does
+    not resolve."""
+    tab = spectral_table(grid)
+    return [sum(c * 1j * tab.axis[a] for a, c in _holo_combo(j, anti)) for j in range(grid.n)]
+
+
 def hessian_complex(grid, u):
     """Mixed complex Hessian u_{i jbar} = d_i d_jbar u, shape grid.shape + (n, n).
 

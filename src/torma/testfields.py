@@ -123,16 +123,25 @@ class WarpedTrigScalar:
         db = self.warp.gradient(grid)
         da_bar = np.conj(da)  # A real
         db_bar = np.conj(db)
-        ha_ = self.amp.hessian(grid)
-        hb = self.warp.hessian(grid)
-        out = (
-            ha_
-            + da[..., :, None] * db_bar[..., None, :]
-            + db[..., :, None] * da_bar[..., None, :]
-            + a[..., None, None] * hb
-            + a[..., None, None] * db[..., :, None] * db_bar[..., None, :]
-        )
-        return out * e[..., None, None]
+        # ha + da db* + db da* + a hb + (a db) db*, summed left to right in
+        # place; the outer products are taken entry by entry, so the two
+        # Hessians are the only matrix fields held
+        out = self.amp.hessian(grid)
+        a_hb = self.warp.hessian(grid)
+        np.multiply(a[..., None, None], a_hb, out=a_hb)
+        a_db = a[..., None] * db
+        for i in range(self.n):
+            for j in range(self.n):
+                entry = out[..., i, j]
+                entry += da[..., i] * db_bar[..., j]
+                entry += db[..., i] * da_bar[..., j]
+        out += a_hb
+        del a_hb
+        for i in range(self.n):
+            for j in range(self.n):
+                out[..., i, j] += a_db[..., i] * db_bar[..., j]
+        out *= e[..., None, None]
+        return out
 
 
 def random_warped_scalar(n, rng, amplitude=1.0, max_mode=2, warp_amplitude=1.0,

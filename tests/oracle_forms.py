@@ -18,8 +18,9 @@ relation Psi ^ omega = tr(star Psi) dV.
 
 The slot-loop references evaluate the torsion contractions of
 torma.equations and the ddbar blocks of torma.geometry with one S/B call
-per slot (S3, S4 and B3 live here, since production no longer calls them);
-the closed forms used in production are checked against them, and the
+per slot on the whole ddbar tensor of the metric (S3, S4, B3 and that
+tensor live here, since production no longer builds them); the closed
+forms used in production are checked against them, and the
 Leibniz-route Gauduchon scalar checks the factorized one of torma.geometry.
 The per-axis derivative references at the end compose first derivatives one
 real axis at a time (a 1-D FFT or the fd4 np.roll stencil); the fused
@@ -363,6 +364,24 @@ def inverse_star_sigma(g, s, gi=None):
 # per unit or rank-one slot
 
 
+def metric_ddbar_tensor(grid, g, dbar_g=None):
+    """ddbar_g[..., l, k, i, j] = d_l d_kbar g_{i jbar}: the whole n^4 tensor,
+    one d_holo of dbar_g per l."""
+    if dbar_g is None:
+        dbar_g = geo.metric_dbar_tensor(grid, g)
+    out = np.empty(dbar_g.shape[:-3] + (grid.n,) + dbar_g.shape[-3:], dtype=np.complex128)
+    for l in range(grid.n):
+        out[..., l, :, :, :] = gr.d_holo(grid, dbar_g, l)
+    return out
+
+
+def ddbar_trace_einsum(gi, h):
+    """K_ab = g^{ji} (h_abij + h_ijab - h_ajib - h_ibaj) of the whole ddbar
+    tensor h, one einsum per term: the reference for geometry._ddbar_trace."""
+    return (np.einsum("...ji,...abij->...ab", gi, h) + np.einsum("...ji,...ijab->...ab", gi, h)
+            - np.einsum("...ji,...ajib->...ab", gi, h) - np.einsum("...ji,...ibaj->...ab", gi, h))
+
+
 def _unit(n, r, s):
     u = np.zeros((n, n), dtype=np.complex128)
     u[r, s] = 1.0
@@ -374,7 +393,7 @@ def ddbar_terms_slots(grid, g, sigma, gi, dbar_g, ddbar_g):
     n = grid.n
     dbar_sigma = geo.metric_dbar_tensor(grid, sigma)
     d_sigma = geo.metric_d_tensor(grid, sigma, dbar_sigma)
-    ddbar_sigma = geo.metric_ddbar_tensor(grid, sigma, dbar_sigma)
+    ddbar_sigma = metric_ddbar_tensor(grid, sigma, dbar_sigma)
     d_g = geo.metric_d_tensor(grid, g, dbar_g)
 
     # T_A = sum_{l,k} S2(U_lk, d_l d_kbar sigma)
@@ -419,7 +438,7 @@ def ddbar_scalar_slots(grid, omega, sigma):
     n = grid.n
     gi = np.linalg.inv(omega)
     dbar_g = geo.metric_dbar_tensor(grid, omega)
-    ddbar_g = geo.metric_ddbar_tensor(grid, omega, dbar_g)
+    ddbar_g = metric_ddbar_tensor(grid, omega, dbar_g)
     t_a, t_b1, t_c, t_d = ddbar_terms_slots(grid, omega, sigma, gi, dbar_g, ddbar_g)
     rho = math.factorial(n - 2) * t_a
     if n >= 3:
@@ -435,7 +454,7 @@ def astheno_dual_slots(grid, omega):
     g = omega
     gi = np.linalg.inv(g)
     dbar_g = geo.metric_dbar_tensor(grid, g)
-    ddbar_g = geo.metric_ddbar_tensor(grid, g, dbar_g)
+    ddbar_g = metric_ddbar_tensor(grid, g, dbar_g)
     dual = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
     for l in range(n):
         for k in range(n):
@@ -470,7 +489,7 @@ def gauduchon_scalar_direct(grid, omega):
     gi = np.linalg.inv(g)
     dbar_g = geo.metric_dbar_tensor(grid, g)
     d_g = geo.metric_d_tensor(grid, g, dbar_g)
-    ddbar_g = geo.metric_ddbar_tensor(grid, g, dbar_g)
+    ddbar_g = metric_ddbar_tensor(grid, g, dbar_g)
     s2_sum = np.zeros(grid.sizes, dtype=np.complex128)
     for l in range(n):
         for k in range(n):

@@ -204,9 +204,9 @@ class TestMetricDefects:
         grid = gr.TorusGrid.reduced(n, 8, active_coords=(0, 2))
         metric = tf.random_hermitian_metric(grid, rng, amplitude=0.15)
         dbar_g = geo.metric_dbar_tensor(grid, metric)
-        ddbar_g = geo.metric_ddbar_tensor(grid, metric, dbar_g)
-        dual = geo.astheno_dual(grid, metric, dbar_g, ddbar_g)
-        rho = geo.gauduchon_scalar(grid, metric, dbar_g, ddbar_g)
+        ddbar_g = of.metric_ddbar_tensor(grid, metric, dbar_g)
+        dual = geo.astheno_dual(grid, metric)
+        rho = geo.gauduchon_scalar(grid, metric)
         d_g = geo.metric_d_tensor(grid, metric, dbar_g)
         for node in [(0, 0, 3, 0) + (0,) * (2 * n - 4), (5, 0, 1, 0) + (0,) * (2 * n - 4)]:
             g = metric[node]
@@ -280,9 +280,9 @@ class TestClosedFormsAgainstSlotLoops:
         grid, metric, sigma = oracle_case(key, sigma_kind, rng)
         gi = np.linalg.inv(metric)
         dbar_g = geo.metric_dbar_tensor(grid, metric)
-        ddbar_g = geo.metric_ddbar_tensor(grid, metric, dbar_g)
-        got = geo._ddbar_terms(grid, metric, sigma, gi, dbar_g, ddbar_g)
-        want = of.ddbar_terms_slots(grid, metric, sigma, gi, dbar_g, ddbar_g)
+        got = geo._ddbar_terms(grid, metric, sigma, gi)
+        want = of.ddbar_terms_slots(grid, metric, sigma, gi, dbar_g,
+                                    of.metric_ddbar_tensor(grid, metric, dbar_g))
         for block, a, b in zip(("T_A", "T_B1", "T_C", "T_D"), got, want):
             assert_oracle_close(a, b, block)
 
@@ -301,22 +301,62 @@ class TestClosedFormsAgainstSlotLoops:
             assert_oracle_close(dual, of.astheno_dual_slots(grid, metric))
 
 
+@pytest.mark.parametrize("key", list(ORACLE_GRIDS))
+@pytest.mark.parametrize("sigma_kind", ["omega", "other"])
+def test_ddbar_trace_against_einsum(key, sigma_kind, rng):
+    # K built slice by slice from one spectrum against the four einsums of
+    # the whole ddbar tensor
+    grid, metric, sigma = oracle_case(key, sigma_kind, rng)
+    gi = ha.inverse(ha.require_positive(metric))
+    got = geo._field(geo._ddbar_trace(grid, geo._entries(gi), geo._spectrum(grid, sigma)))
+    want = of.ddbar_trace_einsum(gi, of.metric_ddbar_tensor(grid, sigma))
+    assert float(np.max(np.abs(got - want))) <= 1e-13 * float(np.max(np.abs(want)))
+
+
+class _EinsumOperands:
+    """numpy as geometry sees it, recording the operand shapes of np.einsum."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def einsum(self, subscripts, *operands, **kwargs):
+        self.shapes += [np.shape(op) for op in operands]
+        return np.einsum(subscripts, *operands, **kwargs)
+
+
+@pytest.mark.parametrize("n,size", [(3, 16), (4, 8)])
+def test_defects_pass_no_einsum_more_than_two_matrix_axes(rng, monkeypatch, n, size):
+    # the ddbar defects contract entrywise; an einsum over stacked (n, n, n)
+    # or (n, n, n, n) tensors per node is what they replaced
+    grid = gr.TorusGrid.reduced(n, size, active_coords=(0, 2))
+    metric = tf.random_hermitian_metric(grid, rng, amplitude=0.2)
+    seen = _EinsumOperands()
+    monkeypatch.setattr(geo, "np", seen)
+    geo.gauduchon_defect(grid, metric)
+    geo.astheno_defect(grid, metric)
+    assert all(len(shape) - 2 * n <= 2 for shape in seen.shapes), seen.shapes
+    # the recorder sees geometry's einsums: the connection contracts d_g
+    geo.chern_connection(grid, metric)
+    assert max(len(shape) - 2 * n for shape in seen.shapes) == 3
+
+
 def test_ddbar_scalar_allocation_bound():
     # one ddbar_scalar with sigma != omega at the pipeline benchmark's grid
-    # (64^2, n = 3), derivative tensors of omega given: 11.8 MB peak measured.
-    # An n^4 complex temporary per node is 5.3 MB here; taking K from a
-    # stacked g^{-1} h_lk peaks at 14.2 MB, an n^4 product of two g^{-1} in
-    # the first-order blocks at 14.9 MB.
+    # (64^2, n = 3), every derivative of both fields taken inside: 9.7 MB
+    # peak measured (the einsum contractions, handed omega's derivative
+    # tensors, peaked at 11.8 MB). An n^4 complex field is 5.3 MB here, so
+    # holding any whole ddbar tensor crosses the bound; an n^3 one is 1.7 MB.
     grid = gr.TorusGrid.reduced(3, 64, active_coords=(0, 2))
     rng = np.random.default_rng(5)
     metric = tf.random_hermitian_metric(grid, rng, amplitude=0.15, max_mode=1)
     sigma = tf.random_hermitian_metric(grid, rng, amplitude=0.3, max_mode=1) - 0.5 * np.eye(3)
-    dbar_g = geo.metric_dbar_tensor(grid, metric)
-    ddbar_g = geo.metric_ddbar_tensor(grid, metric, dbar_g)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        geo.ddbar_scalar(grid, metric, sigma, dbar_g, ddbar_g)
+        geo.ddbar_scalar(grid, metric, sigma)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
