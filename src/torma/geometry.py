@@ -56,8 +56,10 @@ class ConnectionData:
 
 
 def metric_dbar_tensor(grid, g):
-    """dbar_g[..., k, i, j] = d_kbar g_{i jbar}."""
-    return np.stack([gr.d_antiholo(grid, g, k) for k in range(grid.n)], axis=-3)
+    """dbar_g[..., k, i, j] = d_kbar g_{i jbar}, a view of the entrywise
+    :func:`_dbar_entries` (every entry a contiguous node field, which also
+    suits the ``...``-broadcast einsums of its callers)."""
+    return _field(_dbar_entries(grid, _entries(g)), 3)
 
 
 def metric_d_tensor(grid, g, dbar_g=None):
@@ -182,18 +184,24 @@ def _node_axes(grid):
 
 
 def _spectrum(grid, s):
-    """The entrywise spectrum of a matrix field: every derivative the ddbar
-    defects take of s is one inverse transform of it."""
+    """The entrywise spectrum of a matrix field: every second derivative
+    d_l d_kbar s that K takes is one inverse transform of it."""
     return gr.fftn(grid, _entries(s), _node_axes(grid))
 
 
-def _dbar_entries(grid, spectrum):
-    """dbar[k, i, j] = d_kbar s_{i jbar} from s's entrywise spectrum; zero for
-    a coordinate the grid does not resolve."""
+def _dbar_entries(grid, s):
+    """dbar[k, i, j] = d_kbar s_{i jbar} of the entrywise field s; zero for a
+    coordinate the grid does not resolve. Each derivative transforms over its
+    own coordinate's axes only, which for n >= 2 costs less than inverse
+    transforms of the whole spectrum."""
     antih = gr.wirtinger_symbols(grid, anti=True)
-    out = np.zeros((grid.n,) + spectrum.shape, dtype=np.complex128)
+    out = np.zeros((grid.n,) + s.shape, dtype=np.complex128)
+    nodes = len(grid.sizes)
     for k in gr.spectral_table(grid).live:
-        out[k] = gr.ifftn(grid, spectrum * antih[k], _node_axes(grid))
+        axes = tuple(a - nodes for a in (2 * k, 2 * k + 1) if grid.sizes[a] > 1)
+        spectrum = gr.fftn(grid, s, axes)
+        spectrum *= antih[k]
+        out[k] = gr.ifftn(grid, spectrum, axes)
     return out
 
 
@@ -256,7 +264,7 @@ def _raised_dbar(gi, dbar_g):
 # ddbar defect scalars and duals
 
 
-def _ddbar_terms(grid, g, sigma, gi, spectrum=None, k_g=None):
+def _ddbar_terms(grid, g, sigma, gi, spectrum=None, k_g=None, dbar_g=None):
     """The four wedge-scalar blocks of i ddbar(sigma ^ omega^{n-2}):
 
         T_A  = sum_{lk} S2(E_lk, d_l d_kbar sigma) = tr(g^{-1} K_sigma)/2
@@ -264,8 +272,9 @@ def _ddbar_terms(grid, g, sigma, gi, spectrum=None, k_g=None):
         T_C  = sum_{lk} S3(sigma, E_lk, d_l d_kbar g) = tr(g^{-1} sigma g^{-1} A2)
         T_D  = sum_{kjc} S4(sigma, d_kbar g_{.j} x e_k, E_cj, d_c g)
 
-    spectrum and k_g, when given, are _spectrum(grid, g) and K of g,
-    _ddbar_trace(grid, gi, spectrum) with gi entrywise.
+    spectrum, k_g and dbar_g, when given, are _spectrum(grid, g), K of g,
+    _ddbar_trace(grid, gi, spectrum) with gi entrywise, and the entrywise
+    _dbar_entries(grid, _entries(g)).
     """
     n = grid.n
     gi = _entries(gi)
@@ -273,20 +282,18 @@ def _ddbar_terms(grid, g, sigma, gi, spectrum=None, k_g=None):
         spectrum = _spectrum(grid, g)
     if k_g is None:
         k_g = _ddbar_trace(grid, gi, spectrum)
-    if sigma is g:
-        spectrum_sigma, k_sigma = spectrum, k_g
-    else:
-        spectrum_sigma = _spectrum(grid, sigma)
-        k_sigma = _ddbar_trace(grid, gi, spectrum_sigma)
+    k_sigma = k_g if sigma is g else _ddbar_trace(grid, gi, _spectrum(grid, sigma))
     t_a = 0.5 * _trace_product(gi, k_sigma)
     t_b1 = t_c = t_d = 0.0
     if n >= 3:
         g_e = _entries(g)
-        raised_sigma = _apply(gi, g_e if sigma is g else _entries(sigma))
+        sigma_e = g_e if sigma is g else _entries(sigma)
+        raised_sigma = _apply(gi, sigma_e)
         t_c = _trace_product(raised_sigma, _apply(gi, _ddbar_dual(gi, g_e, k_g)))
         # sigma's first derivatives live only while they are raised
-        p_sigma = None if sigma is g else _raised_d(gi, _dbar_entries(grid, spectrum_sigma))
-        dbar_g = _dbar_entries(grid, spectrum)
+        p_sigma = None if sigma is g else _raised_d(gi, _dbar_entries(grid, sigma_e))
+        if dbar_g is None:
+            dbar_g = _dbar_entries(grid, g_e)
         r_dbar = _raised_dbar(gi, dbar_g)
         p_g = _raised_d(gi, dbar_g) if sigma is g or n >= 4 else None
         t_b1 = -_alternating("abA,BcC", p_g if sigma is g else p_sigma, r_dbar)
@@ -306,10 +313,10 @@ def ddbar_scalar(grid, omega, sigma):
     return _ddbar_scalar(grid, omega, sigma, gi)
 
 
-def _ddbar_scalar(grid, g, sigma, gi, spectrum=None, k_g=None):
-    """ddbar_scalar from g^{-1} (and g's spectrum and K, see _ddbar_terms)."""
+def _ddbar_scalar(grid, g, sigma, gi, spectrum=None, k_g=None, dbar_g=None):
+    """ddbar_scalar from g^{-1} (and g's spectrum, K and dbar_g, see _ddbar_terms)."""
     n = grid.n
-    t_a, t_b1, t_c, t_d = _ddbar_terms(grid, g, sigma, gi, spectrum, k_g)
+    t_a, t_b1, t_c, t_d = _ddbar_terms(grid, g, sigma, gi, spectrum, k_g, dbar_g)
     rho = math.factorial(n - 2) * t_a
     if n >= 3:
         rho = rho + (n - 2) * math.factorial(n - 3) * (2.0 * t_b1.real + t_c)
@@ -352,8 +359,8 @@ def astheno_dual(grid, omega):
     return _astheno_dual(grid, omega, ha.inverse(ha.require_positive(omega)))
 
 
-def _astheno_dual(grid, g, gi, spectrum=None, k_g=None):
-    """astheno_dual (n >= 3) from g^{-1} (and g's spectrum and K, see
+def _astheno_dual(grid, g, gi, spectrum=None, k_g=None, dbar_g=None):
+    """astheno_dual (n >= 3) from g^{-1} (and g's spectrum, K and dbar_g, see
     _ddbar_terms)."""
     n = grid.n
     gi = _entries(gi)
@@ -364,7 +371,8 @@ def _astheno_dual(grid, g, gi, spectrum=None, k_g=None):
     g = _entries(g)
     dual = _ddbar_dual(gi, g, k_g)
     if n >= 4:
-        dbar_g = _dbar_entries(grid, spectrum)
+        if dbar_g is None:
+            dbar_g = _dbar_entries(grid, g)
         # the output slot: B_ij = g_iq S4(.., c) with (g^{-1} c)_{xX} -> delta_xj delta_Xq,
         # so B = g X^T for the alternating sum X_jq with the slot's row and column open
         open_slot = _alternating("AaB,bcC->dD", _raised_dbar(gi, dbar_g), _raised_d(gi, dbar_g))
@@ -392,16 +400,15 @@ def metric_defects(grid, omega):
     """Defects of ddbar(omega^{n-1}), ddbar(omega^{n-2}), and d(omega)."""
     grid.check_field(omega, (grid.n, grid.n))
     gi = ha.inverse(ha.require_positive(omega))
-    # g^{-1}, the spectrum of g and the g-trace K of ddbar_g serve all three
+    # g^{-1}, the spectrum of g, dbar_g and the g-trace K of ddbar_g serve all three
     spectrum = _spectrum(grid, omega)
-    dbar_g = _dbar_entries(grid, spectrum)
+    dbar_g = _dbar_entries(grid, _entries(omega))
     # d_c g_{a bbar} - d_a g_{c bbar} = conj(d_cbar g_{b abar} - d_abar g_{b cbar})
     kahler = float(np.max(np.abs(dbar_g - np.swapaxes(dbar_g, 0, 2))))
-    del dbar_g
     k_g = _ddbar_trace(grid, _entries(gi), spectrum)
-    rho = _ddbar_scalar(grid, omega, omega, gi, spectrum, k_g)
+    rho = _ddbar_scalar(grid, omega, omega, gi, spectrum, k_g, dbar_g)
     gauduchon = float(np.max(np.abs(rho)))
     astheno = None
     if grid.n >= 3:
-        astheno = float(np.max(np.abs(_astheno_dual(grid, omega, gi, spectrum, k_g))))
+        astheno = float(np.max(np.abs(_astheno_dual(grid, omega, gi, spectrum, k_g, dbar_g))))
     return MetricDefects(gauduchon=gauduchon, astheno=astheno, kahler=kahler)

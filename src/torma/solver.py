@@ -625,9 +625,10 @@ def adjoint_kernel(spec, state, tol=1e-9, cfg=None):
     x, info, linear = _gmres(matvec, psolve, b, cfg, rtol, atol=0.0)
     iterations = linear["linear_iterations"]
     f, residual = kernel_of(x)
-    if not residual < tol:
-        # GMRES stops on the preconditioned 2-norm, success is the sup norm
-        # of f: one continuation from x at a tenth of the target
+    if not residual < tol and info == 0:
+        # GMRES met its preconditioned 2-norm target but f missed the sup
+        # norm: one continuation from x at a tenth of the target. A solve
+        # that ran out of its budget (info > 0) raises at once.
         rtol = 0.1 * rtol
         x, info, linear = _gmres(matvec, psolve, b, cfg, rtol, atol=0.0, x0=x)
         iterations += linear["linear_iterations"]
@@ -664,8 +665,12 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30, cfg=None):
     cfg = cfg or SolverConfig()
     n = grid.n
     ginv = ha.inverse(ha.require_positive(omega))
-    rho0 = geo._ddbar_scalar(grid, omega, omega, ginv) / math.factorial(n - 1)
-    cross_coeff = eq.torsion_coefficient(geo.metric_dbar_tensor(grid, omega), ginv)
+    # one dbar_g serves rho_0 and the cross coefficient
+    dbar_g = geo.metric_dbar_tensor(grid, omega)
+    rho0 = geo._ddbar_scalar(grid, omega, omega, ginv, dbar_g=geo._entries(dbar_g, 3))
+    rho0 = rho0 / math.factorial(n - 1)
+    cross_coeff = eq.torsion_coefficient(dbar_g, ginv)
+    del dbar_g
     coeff_mean = np.mean(ginv.reshape(-1, n, n), axis=0)
     precond = SpectralPreconditioner(grid, coeff_mean)
     what = "Gauduchon factor Newton"
