@@ -22,14 +22,15 @@ Example::
     u = out/u.hmf1
 
     [run]
-    seed = 7
     threads = 1                   ; FFT threads, 0 = all cores; TORMA_THREADS overrides
 
 ``linear_tol`` is the floor of the inexact-Newton forcing term: each GMRES
 solve aims at min(0.01, max(linear_tol, 0.1 r)) for the step's resolved
 residual sup r, so the floor binds only near convergence; ``newton_tol``
-still decides the accuracy of the solve. Every [solver] value goes through
-the checks of SolverConfig.
+still decides the accuracy of the solve. A [solver] or [run] value that does
+not parse is a ValidationError naming its key, and every [solver] value goes
+through the checks of SolverConfig. Other [run] keys, such as the ``seed``
+that ``torma manufacture`` records, are ignored.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class RunConfig:
     spec: eq.ProblemSpec
     solver: SolverConfig
     outputs: dict
-    seed: int
     threads: int
     dealias_check: bool = False
     base_dir: Path = field(default_factory=Path)
@@ -65,6 +65,24 @@ def _parse_floats(text):
 
 def _parse_ints(text):
     return tuple(int(x) for x in text.replace(";", ",").split(",") if x.strip())
+
+
+# the [solver] keys, each with the parser of its SolverConfig field
+_SOLVER_KEYS = {
+    **dict.fromkeys(("newton_tol", "min_t_step", "min_damping", "linear_tol",
+                     "stagnation_factor"), float),
+    **dict.fromkeys(("max_newton", "linear_restart", "linear_maxiter",
+                     "stagnation_window"), int),
+    "continuity_steps": _parse_floats,
+}
+
+
+def _parse_value(name, text, parse):
+    """parse(text), or a ValidationError naming the setting when text is malformed."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValidationError(f"{name}: cannot read {text!r} ({exc})") from exc
 
 
 def _load_field(base, grid, path_text, what, extra_shape):
@@ -133,24 +151,19 @@ def load_config(path):
     solver_kwargs = {}
     if "solver" in parser:
         sol = parser["solver"]
-        for key in ("newton_tol", "min_t_step", "min_damping", "linear_tol",
-                    "stagnation_factor"):
+        for key, parse in _SOLVER_KEYS.items():
             if sol.get(key) is not None:
-                solver_kwargs[key] = sol.getfloat(key)
-        for key in ("max_newton", "linear_restart", "linear_maxiter",
-                    "stagnation_window"):
-            if sol.get(key) is not None:
-                solver_kwargs[key] = sol.getint(key)
-        if sol.get("continuity_steps") is not None:
-            solver_kwargs["continuity_steps"] = _parse_floats(sol.get("continuity_steps"))
+                solver_kwargs[key] = _parse_value(f"[solver] {key}", sol.get(key), parse)
     solver = SolverConfig(**solver_kwargs)
 
     outputs = dict(parser["outputs"]) if "outputs" in parser else {}
     run = parser["run"] if "run" in parser else {}
-    seed = int(run.get("seed", 0))
-    threads = int(os.environ.get("TORMA_THREADS", run.get("threads", 1)))
+    if "TORMA_THREADS" in os.environ:
+        threads = _parse_value("TORMA_THREADS", os.environ["TORMA_THREADS"], int)
+    else:
+        threads = _parse_value("[run] threads", run.get("threads", "1"), int)
     dealias = str(run.get("dealias", "false")).strip().lower() in ("1", "true", "yes")
     return RunConfig(
-        spec=spec, solver=solver, outputs=outputs, seed=seed, threads=threads,
+        spec=spec, solver=solver, outputs=outputs, threads=threads,
         dealias_check=dealias, base_dir=base,
     )

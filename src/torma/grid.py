@@ -12,13 +12,12 @@ Wirtinger derivatives:
     d_antiholo = (d/dx_j + i d/dy_j) / 2
 
 Derivatives are Fourier multipliers (exact for band-limited fields), read
-from one cached table per (grid, derivative method) (``spectral_table``);
-every operator transforms once over the active axes, multiplies and
-transforms back, on half spectra for real fields. A field constant along a
-coordinate may be stored with size 1 on that axis (reduced ansatz);
-derivatives along such axes are exactly zero. Fourth-order central finite
-differences are the table's other symbol, a cross-check mode
-(``set_derivative_method("fd4")``).
+from one cached table per grid (``spectral_table``); every operator
+transforms once over the active axes, multiplies and transforms back, on
+half spectra for real fields. A field constant along a coordinate may be
+stored with size 1 on that axis (reduced ansatz); derivatives along such
+axes are exactly zero. The FFT thread count (``set_fft_workers``) is the one
+process-wide setting; it changes no result.
 """
 
 from __future__ import annotations
@@ -34,23 +33,10 @@ import scipy.fft
 from . import hermitian as ha
 from .errors import ValidationError
 
-_DERIVATIVE_METHOD = "spectral"
+# cap on the total node count accepted by TorusGrid (memory guard: ~2.4 GiB
+# for one complex 3x3 matrix field)
+MAX_NODES = 2 ** 24
 _FFT_WORKERS = 1  # scipy.fft workers; -1 means all available cores
-_MAX_NODES = 2 ** 24  # memory guard: ~2.4 GiB for one complex 3x3 matrix field
-
-
-def set_node_budget(max_nodes):
-    """Cap on the total node count accepted by TorusGrid."""
-    global _MAX_NODES
-    _MAX_NODES = int(max_nodes)
-
-
-def set_derivative_method(method):
-    """Select 'spectral' (default) or 'fd4' for all derivative operators."""
-    global _DERIVATIVE_METHOD
-    if method not in ("spectral", "fd4"):
-        raise ValidationError(f"unknown derivative method {method!r}")
-    _DERIVATIVE_METHOD = method
 
 
 def set_fft_workers(workers):
@@ -83,11 +69,8 @@ class TorusGrid:
             if s != 1 and (s < 4 or s & (s - 1)):
                 raise ValidationError(f"active axis sizes must be powers of two >= 4, got {s}")
         total = math.prod(sizes)
-        if total > _MAX_NODES:
-            raise ValidationError(
-                f"grid holds {total} nodes, above the budget {_MAX_NODES} "
-                "(raise it with set_node_budget)"
-            )
+        if total > MAX_NODES:
+            raise ValidationError(f"grid holds {total} nodes, above the budget {MAX_NODES}")
         object.__setattr__(self, "sizes", sizes)
 
     @classmethod
@@ -192,24 +175,11 @@ def irfftn(grid, fh, axes=None):
     return scipy.fft.irfftn(fh, s=shape, axes=axes, workers=_FFT_WORKERS)
 
 
-def _axis_symbol(size, method):
-    """Real odd s(k) with d/dx = i s(k) along one axis, zero at Nyquist."""
-    k = np.fft.fftfreq(size, d=1.0 / size)
-    if method == "fd4":
-        h = 1.0 / size
-        kh = 2.0 * np.pi * k * h
-        s = (8.0 * np.sin(kh) - np.sin(2.0 * kh)) / (6.0 * h)
-    else:
-        s = 2.0 * np.pi * k
-    s[size // 2] = 0.0  # the Nyquist mode has no well-defined odd derivative
-    return s
-
-
 class SpectralTable:
-    """Fourier multipliers of one grid under one derivative method.
+    """Fourier multipliers of one grid.
 
     Along real axis a, d/dx_a is the multiplier i s_a(k) with s_a real, odd
-    and zero at Nyquist (``_axis_symbol``); an inactive axis has s_a = 0. For
+    and zero at Nyquist (``axis_symbol``); an inactive axis has s_a = 0. For
     coordinate j with sx = s_{2j}, sy = s_{2j+1}:
 
         d_holo     = (i sx + sy)/2        d_antiholo = (i sx - sy)/2
@@ -224,14 +194,22 @@ class SpectralTable:
     :func:`rfftn` output over all active axes.
     """
 
-    def __init__(self, grid, method):
+    @staticmethod
+    def axis_symbol(size):
+        """s(k) = 2 pi k along one axis of the given size, zero at Nyquist
+        (that mode has no well-defined odd derivative)."""
+        s = 2.0 * np.pi * np.fft.fftfreq(size, d=1.0 / size)
+        s[size // 2] = 0.0
+        return s
+
+    def __init__(self, grid):
         n = grid.n
         self.axis = []
         for a, size in enumerate(grid.sizes):
             shape = [1] * (2 * n)
             if size > 1:
                 shape[a] = size
-                self.axis.append(_axis_symbol(size, method).reshape(shape))
+                self.axis.append(self.axis_symbol(size).reshape(shape))
             else:
                 self.axis.append(np.zeros(shape))
             # the cache hands the same arrays to every caller
@@ -269,13 +247,9 @@ class SpectralTable:
 
 
 @functools.lru_cache(maxsize=16)  # bounded: a few grids are live in any one process
-def _table(grid, method):
-    return SpectralTable(grid, method)
-
-
 def spectral_table(grid):
-    """Cached multiplier table of the grid under the current derivative method."""
-    return _table(grid, _DERIVATIVE_METHOD)
+    """The grid's cached multiplier table."""
+    return SpectralTable(grid)
 
 
 def _real_parts(f):

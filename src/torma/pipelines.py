@@ -35,9 +35,7 @@ def potential_from_form(grid, beta, tol=1e-8):
     n = grid.n
     grid.check_field(beta, (n, n))
     # symbol of d_i d_jbar in the full spectrum: hol_i antih_j
-    sym = gr.spectral_table(grid).axis
-    hol = [0.5 * (1j * sym[2 * i] + sym[2 * i + 1]) for i in range(n)]
-    antih = [0.5 * (1j * sym[2 * i] - sym[2 * i + 1]) for i in range(n)]
+    hol, antih = gr.wirtinger_symbols(grid), gr.wirtinger_symbols(grid, anti=True)
     pattern = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
     for i in range(n):
         for j in range(n):

@@ -275,6 +275,15 @@ def _newton(x, ev, step, tol, max_iter, cfg, what, observe=None):
         x, ev = step(it, x, ev)
 
 
+def _factored(spec, u):
+    """gt(u), its Cholesky factor and log det gt; factor and log det are None
+    where gt is not positive."""
+    gt = eq.tilde_metric(spec, u)
+    factor = ha.cholesky(gt)
+    return {"gt": gt, "factor": factor,
+            "log_det": None if factor is None else ha.log_det(factor)}
+
+
 def _ma_evaluation(spec, state, carry=None):
     """The state's gt, log det gt, residual and resolved residual sup.
 
@@ -295,10 +304,7 @@ def _ma_evaluation(spec, state, carry=None):
     if "gt" in carry:
         ev = {k: carry.pop(k) for k in ("gt", "factor", "log_det")}
     else:
-        gt = eq.tilde_metric(spec, state.u)
-        factor = ha.cholesky(gt)
-        ev = {"gt": gt, "factor": factor,
-              "log_det": None if factor is None else ha.log_det(factor)}
+        ev = _factored(spec, state.u)
     if "margin" in carry:
         ev["margin"] = carry["margin"]
     if ev["log_det"] is None:
@@ -315,7 +321,7 @@ def _margin(ev):
     return ev["margin"]
 
 
-def newton_step(spec, state, cfg=None, gt=None, residual=None):
+def newton_step(spec, state, cfg=None, evaluation=None):
     """One damped Newton update of (u, b); returns the new state and step info.
 
     The largest damping factor in {1, 1/2, 1/4, ...} that keeps gt positive and
@@ -325,20 +331,12 @@ def newton_step(spec, state, cfg=None, gt=None, residual=None):
     describe the step's GMRES solve (NO_LINEAR_SOLVE when none was needed);
     info also holds the new state's evaluation: "gt", "factor",
     "log_det", "residual" and "residual_sup" (the positivity margin is
-    computed only by whoever reports the state). gt and residual, when
-    given, are the state's tilde metric and residual (gt is then factored
-    for the linearization); residual may instead be the state's evaluation
-    (the info of the step that made it), and nothing is recomputed. The
-    evaluation's factor is released once the linearization is built.
+    computed only by whoever reports the state). evaluation, when given, is
+    the state's own (the info of the step that made it) and nothing is
+    recomputed; its factor is released once the linearization is built.
     """
     cfg = cfg or SolverConfig()
-    if isinstance(residual, dict):
-        ev = residual
-    elif gt is None or residual is None:
-        ev = _ma_evaluation(spec, state)
-    else:
-        ev = {"gt": gt, "factor": None, "log_det": None, "residual": residual,
-              "residual_sup": gr.sup_norm(gr.drop_nyquist(spec.grid, residual))}
+    ev = _ma_evaluation(spec, state) if evaluation is None else evaluation
     if ev["residual"] is None:
         raise PositivityError(f"tilde metric not positive (min eig {_margin(ev):.3e})")
     if ev["residual_sup"] < cfg.newton_tol:
@@ -373,16 +371,12 @@ def _start(spec, u0=None, t=0.0):
     u0 = np.real(u0).astype(np.float64)
     u0 -= np.mean(u0)
     state = eq.SolveState(u=u0, b=0.0, t=t)
-    gt = eq.tilde_metric(spec, u0)
-    factor = ha.cholesky(gt)
-    if factor is None:
-        raise ValidationError(
-            f"initial potential is not admissible (min eig {eq.positivity_margin(gt):.3e})"
-        )
-    log_det = ha.log_det(factor)
-    r = eq.ma_residual(spec, state, log_det=log_det)
-    state.b = float(np.mean(r.real))
-    return state, {"gt": gt, "factor": factor, "log_det": log_det}
+    ev = _factored(spec, u0)
+    if ev["factor"] is None:
+        raise ValidationError("initial potential is not admissible "
+                              f"(min eig {eq.positivity_margin(ev['gt']):.3e})")
+    state.b = float(np.mean(eq.ma_residual(spec, state, log_det=ev["log_det"]).real))
+    return state, ev
 
 
 def initial_state(spec, u0=None, t=0.0):
@@ -425,7 +419,7 @@ def _member(spec, cfg, report, start, carry, min_first_damping):
         })
 
     def step(it, s, e):
-        new_state, info = newton_step(spec, s, cfg, residual=e)
+        new_state, info = newton_step(spec, s, cfg, evaluation=e)
         report.records[-1].update(
             {k: info[k] for k in ("damping", *NO_LINEAR_SOLVE)})
         if it == 0 and info["damping"] < min_first_damping:

@@ -24,11 +24,15 @@ forms used in production are checked against them, and the
 Leibniz-route Gauduchon scalar checks the factorized one of torma.geometry.
 The per-axis derivative references at the end compose first derivatives one
 real axis at a time (a 1-D FFT or the fd4 np.roll stencil); the fused
-spectral operators of torma.grid are checked against them.
+spectral operators of torma.grid are checked against them. ``derivatives``
+swaps the symbol of that fd4 stencil in for torma.grid's table, so that the
+same fused operators run as fourth-order finite differences.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 
 import numpy as np
@@ -512,6 +516,37 @@ def gauduchon_scalar_direct(grid, omega):
 # per-axis derivative references for the fused spectral operators of
 # torma.grid: one 1-D transform (or np.roll stencil) per real axis, composed
 # one derivative at a time
+
+
+class Fd4Table(gr.SpectralTable):
+    """torma.grid's multiplier table with the symbol of the fourth-order
+    central difference (the stencil of ``deriv_real_axis``):
+    s(k) = (8 sin(2 pi k h) - sin(4 pi k h)) / (6h), h = 1/size, zero at Nyquist."""
+
+    @staticmethod
+    def axis_symbol(size):
+        k = np.fft.fftfreq(size, d=1.0 / size)
+        h = 1.0 / size
+        kh = 2.0 * np.pi * k * h
+        s = (8.0 * np.sin(kh) - np.sin(2.0 * kh)) / (6.0 * h)
+        s[size // 2] = 0.0
+        return s
+
+
+_fd4_table = functools.lru_cache(maxsize=16)(Fd4Table)
+
+
+@contextlib.contextmanager
+def derivatives(method):
+    """Run torma's derivative operators under the named table: "spectral"
+    (torma.grid's own) or "fd4" (Fd4Table); the grid's table is restored on
+    exit."""
+    original = gr.spectral_table
+    gr.spectral_table = {"spectral": original, "fd4": _fd4_table}[method]
+    try:
+        yield
+    finally:
+        gr.spectral_table = original
 
 
 def deriv_real(grid, f, axis):

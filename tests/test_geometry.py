@@ -93,11 +93,8 @@ class TestChernConnection:
     def test_gamma_definition_against_finite_differences(self, g3, rng):
         metric = tf.random_hermitian_metric(g3, rng, amplitude=0.15)
         conn = geo.chern_connection(g3, metric)
-        gr.set_derivative_method("fd4")
-        try:
+        with of.derivatives("fd4"):
             conn_fd = geo.chern_connection(g3, metric)
-        finally:
-            gr.set_derivative_method("spectral")
         assert np.max(np.abs(conn.gamma - conn_fd.gamma)) < 5e-3
 
 

@@ -58,15 +58,12 @@ class TestGridConstruction:
         with pytest.raises(ValidationError):
             gr.TorusGrid.reduced(2, 4).coarsened(2)  # active axes stay >= 4
 
-    def test_node_budget(self):
+    def test_node_budget(self, monkeypatch):
         with pytest.raises(ValidationError):
             gr.TorusGrid(4, (1024,) * 8)
-        gr.set_node_budget(100)
-        try:
-            with pytest.raises(ValidationError):
-                gr.TorusGrid.reduced(2, 16)
-        finally:
-            gr.set_node_budget(2 ** 24)
+        monkeypatch.setattr(gr, "MAX_NODES", 100)
+        with pytest.raises(ValidationError):
+            gr.TorusGrid.reduced(2, 16)
 
 
 class TestDerivatives:
@@ -105,11 +102,8 @@ class TestDerivatives:
         grid = gr.TorusGrid.reduced(2, 64)
         f = np.exp(np.cos(2 * np.pi * grid.coordinate(0))).astype(complex)
         spectral = gr.d_holo(grid, f, 0)
-        gr.set_derivative_method("fd4")
-        try:
+        with of.derivatives("fd4"):
             fd = gr.d_holo(grid, f, 0)
-        finally:
-            gr.set_derivative_method("spectral")
         assert gr.sup_norm(fd - spectral) < 1e-3
 
 

@@ -120,6 +120,41 @@ class TestConfig:
         assert load_config(cfg).threads == 3
 
 
+    @pytest.mark.parametrize("section, line, key", [
+        ("run", "threads = two", "threads"),
+        ("solver", "newton_tol = abc", "newton_tol"),
+        ("solver", "continuity_steps = 0,a,1", "continuity_steps"),
+        ("solver", "max_newton = 2.5", "max_newton"),
+        (None, "abc", "TORMA_THREADS"),
+    ])
+    def test_malformed_number_is_validation_error(self, tmp_path, capsys, monkeypatch,
+                                                  section, line, key):
+        # a value that does not parse fails validation (exit 2) naming its
+        # key, instead of escaping as a bare ValueError; section None puts
+        # the value in the TORMA_THREADS environment variable
+        monkeypatch.delenv("TORMA_THREADS", raising=False)
+        monkeypatch.setattr(gr, "_FFT_WORKERS", gr._FFT_WORKERS)
+        text = "[problem]\nn = 2\nsizes = 16,1,16,1\n"
+        if section is None:
+            monkeypatch.setenv("TORMA_THREADS", line)
+        else:
+            text += f"\n[{section}]\n{line}\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match=key):
+            load_config(cfg)
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_run_seed_is_not_read(self, tmp_path, monkeypatch):
+        # torma manufacture records its seed under [run]; loading ignores it
+        monkeypatch.delenv("TORMA_THREADS", raising=False)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[problem]\nn = 2\nsizes = 16,1,16,1\n\n[run]\nseed = x\n",
+                       encoding="utf-8")
+        assert load_config(cfg).threads == 1
+
+
 class TestCli:
     def test_solve_flat_exit_zero(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -250,6 +285,29 @@ class TestCli:
                 (out / "records.jsonl").read_bytes(),
                 (out / "u.hmf1").read_bytes(),
             ))
+        assert outs[0] == outs[1]
+
+    def test_fft_threads_leave_outputs_bit_identical(self, tmp_path, capsys, monkeypatch):
+        # the FFT thread count is the one process setting; a nested 16^3
+        # solve writes the same bytes on one thread and on all cores
+        monkeypatch.delenv("TORMA_THREADS", raising=False)
+        monkeypatch.setattr(gr, "_FFT_WORKERS", gr._FFT_WORKERS)
+        prob = tmp_path / "prob"
+        assert cli.main([
+            "manufacture", "--n", "3", "--size", "16", "--active", "0,2,4",
+            "--seed", "7", "--out", str(prob),
+        ]) == 0
+        base = (prob / "solve.cfg").read_text(encoding="utf-8")
+        outs = []
+        for threads in (1, 0):
+            cfg = prob / f"solve_{threads}.cfg"
+            cfg.write_text(base.replace("report.json", f"report_{threads}.json")
+                           .replace("records.jsonl", f"records_{threads}.jsonl")
+                           .replace("u = u.hmf1", f"u = u_{threads}.hmf1")
+                           + f"threads = {threads}\n", encoding="utf-8")
+            assert cli.main(["solve", "--config", str(cfg)]) == 0
+            outs.append(tuple((prob / name).read_bytes() for name in (
+                f"report_{threads}.json", f"records_{threads}.jsonl", f"u_{threads}.hmf1")))
         assert outs[0] == outs[1]
 
     def test_gauduchon_factor_command(self, tmp_path, capsys):

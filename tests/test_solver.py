@@ -104,7 +104,7 @@ class TestNewton:
         monkeypatch.setattr(eq, "tilde_metric", counted)
         fresh, fresh_info = sv.newton_step(prob.spec, state)
         fresh_calls = len(calls)
-        reused, reused_info = sv.newton_step(prob.spec, state, residual=info)
+        reused, reused_info = sv.newton_step(prob.spec, state, evaluation=info)
         assert len(calls) - fresh_calls == fresh_calls - 1
         np.testing.assert_array_equal(reused.u, fresh.u)
         assert reused.b == fresh.b

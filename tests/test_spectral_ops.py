@@ -38,11 +38,8 @@ METHODS = ["spectral", "fd4"]
 
 @pytest.fixture(params=METHODS)
 def method(request):
-    gr.set_derivative_method(request.param)
-    try:
+    with of.derivatives(request.param):
         yield request.param
-    finally:
-        gr.set_derivative_method("spectral")
 
 
 def noise(grid, rng, dtype):
@@ -111,13 +108,10 @@ def test_linearization_matches_composition(key, rng):
     weights = gr.volume_weights(grid, lin.gt)
     f = rng.standard_normal(grid.sizes)
     for method in METHODS:
-        gr.set_derivative_method(method)
-        try:
+        with of.derivatives(method):
             assert_rel_close(lin.apply(f), of.apply_composed(lin, f, method))
             assert_rel_close(lin.apply_transpose(f, weights),
                              of.apply_transpose_pairs(lin, f, weights, method))
-        finally:
-            gr.set_derivative_method("spectral")
 
 
 def test_linearization_rejects_complex_argument(rng):
@@ -134,12 +128,9 @@ def test_method_switch_never_reuses_spectral_table(rng):
     u = noise(grid, rng, "real")
     spectral = gr.hessian_complex(grid, u)
     spectral_table = gr.spectral_table(grid)
-    gr.set_derivative_method("fd4")
-    try:
+    with of.derivatives("fd4"):
         assert gr.spectral_table(grid) is not spectral_table
         fd4 = gr.hessian_complex(grid, u)
-    finally:
-        gr.set_derivative_method("spectral")
     assert_rel_close(fd4, of.hessian_composed(grid, u, "fd4"))
     assert gr.sup_norm(fd4 - spectral) > 1e-3 * gr.sup_norm(spectral)
     assert gr.spectral_table(grid) is spectral_table
