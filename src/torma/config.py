@@ -13,7 +13,9 @@ Example::
 
     [solver]
     newton_tol = 1e-11
+    max_newton = 40               ; Newton steps per solve
     continuity_steps = 0,0.5,1
+    min_t_step = 0.00390625       ; shortest continuity step after halving
     linear_tol = 1e-10            ; optional, in (0, 0.01]
 
     [outputs]
@@ -27,17 +29,17 @@ Example::
 ``linear_tol`` is the floor of the inexact-Newton forcing term: each GMRES
 solve aims at min(0.01, max(linear_tol, 0.1 r)) for the step's resolved
 residual sup r, so the floor binds only near convergence; ``newton_tol``
-still decides the accuracy of the solve. A [solver] or [run] value that does
-not parse is a ValidationError naming its key, and every [solver] value goes
-through the checks of SolverConfig. Other [run] keys, such as the ``seed``
-that ``torma manufacture`` records, are ignored.
+decides the accuracy. The [solver] keys are the fields of SolverConfig, each
+checked by it. An unknown [solver] key, or a [solver] or [run] value that does
+not parse (``dealias`` takes configparser's booleans), is a ValidationError
+naming its key. Other [run] keys, such as manufacture's ``seed``, are ignored.
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,14 +69,16 @@ def _parse_ints(text):
     return tuple(int(x) for x in text.replace(";", ",").split(",") if x.strip())
 
 
-# the [solver] keys, each with the parser of its SolverConfig field
-_SOLVER_KEYS = {
-    **dict.fromkeys(("newton_tol", "min_t_step", "min_damping", "linear_tol",
-                     "stagnation_factor"), float),
-    **dict.fromkeys(("max_newton", "linear_restart", "linear_maxiter",
-                     "stagnation_window"), int),
-    "continuity_steps": _parse_floats,
-}
+def _parse_bool(text):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError("not a boolean") from None
+
+
+# the [solver] keys: each SolverConfig field, parsed as the type of its default
+_SOLVER_KEYS = {f.name: _parse_floats if isinstance(f.default, tuple) else type(f.default)
+                for f in fields(SolverConfig)}
 
 
 def _parse_value(name, text, parse):
@@ -148,13 +152,12 @@ def load_config(path):
         rhs_volume=rhs_volume,
     )
 
-    solver_kwargs = {}
-    if "solver" in parser:
-        sol = parser["solver"]
-        for key, parse in _SOLVER_KEYS.items():
-            if sol.get(key) is not None:
-                solver_kwargs[key] = _parse_value(f"[solver] {key}", sol.get(key), parse)
-    solver = SolverConfig(**solver_kwargs)
+    sol = parser["solver"] if "solver" in parser else {}
+    unknown = ", ".join(sorted(set(sol) - set(_SOLVER_KEYS)))
+    if unknown:
+        raise ValidationError(f"[solver] unknown key {unknown}; known: {', '.join(_SOLVER_KEYS)}")
+    solver = SolverConfig(**{key: _parse_value(f"[solver] {key}", text, _SOLVER_KEYS[key])
+                             for key, text in sol.items()})
 
     outputs = dict(parser["outputs"]) if "outputs" in parser else {}
     run = parser["run"] if "run" in parser else {}
@@ -162,7 +165,7 @@ def load_config(path):
         threads = _parse_value("TORMA_THREADS", os.environ["TORMA_THREADS"], int)
     else:
         threads = _parse_value("[run] threads", run.get("threads", "1"), int)
-    dealias = str(run.get("dealias", "false")).strip().lower() in ("1", "true", "yes")
+    dealias = _parse_value("[run] dealias", run.get("dealias", "false"), _parse_bool)
     return RunConfig(
         spec=spec, solver=solver, outputs=outputs, threads=threads,
         dealias_check=dealias, base_dir=base,

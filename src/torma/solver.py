@@ -11,7 +11,7 @@ answer (nested iteration, the outer loop of full multigrid; Brandt 1977).
 When a level fails, the grid asked for marches instead. The
 continuity solve and Gauduchon's conformal factor share one driver: _newton
 (tolerance, stagnation and budget tests) and _line_search (the largest
-damping 2^-k >= min_damping whose trial is admissible and lowers the
+damping 2^-k >= MIN_DAMPING whose trial is admissible and lowers the
 resolved residual sup). Each equation supplies an
 evaluation, carried forward from the accepted trial, and a Newton direction
 solving the augmented linear system
@@ -53,6 +53,14 @@ MIN_COARSE_NODES = 256
 # to the relative tolerance min(FORCING_CAP, max(cfg.linear_tol, FORCING_RATIO r))
 FORCING_CAP = 0.01
 FORCING_RATIO = 0.1
+# smallest damping: 17 trials 1, 1/2, ..., 2^-16 bound what a failing line search costs
+MIN_DAMPING = 2.0 ** -16
+# stagnation: 5 steps that do not halve the residual sup; converging Newton cuts far more
+STAGNATION_WINDOW = 5
+STAGNATION_FACTOR = 0.5
+# GMRES: 60 Krylov vectors per restart bound its memory; after 20 restarts it has failed
+LINEAR_RESTART = 60
+LINEAR_MAXITER = 1200
 # the linear-solve fields of an iterate no Newton step was taken from
 NO_LINEAR_SOLVE = {"linear_iterations": 0, "linear_rtol": None, "linear_residual": None}
 
@@ -66,26 +74,16 @@ class SolverConfig:
     max_newton: int = 40
     continuity_steps: tuple = (0.0, 0.5, 1.0)
     min_t_step: float = 1.0 / 256.0
-    min_damping: float = 2.0 ** -16
     linear_tol: float = 1e-10
-    linear_restart: int = 60
-    linear_maxiter: int = 1200
-    stagnation_window: int = 5
-    stagnation_factor: float = 0.5
 
     def __post_init__(self):
-        if not self.newton_tol > 0:
-            raise ValidationError("newton_tol must be positive")
-        for name in ("max_newton", "linear_restart", "linear_maxiter",
-                     "stagnation_window"):
-            if not getattr(self, name) >= 1:
-                raise ValidationError(f"{name} must be at least 1")
-        if not 0.0 < self.min_damping <= 1.0:
-            raise ValidationError("min_damping must lie in (0, 1]")
+        for name in ("newton_tol", "min_t_step"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"{name} must be positive")
+        if not self.max_newton >= 1:
+            raise ValidationError("max_newton must be at least 1")
         if not 0.0 < self.linear_tol <= FORCING_CAP:
             raise ValidationError(f"linear_tol must lie in (0, {FORCING_CAP:g}]")
-        if not self.min_t_step > 0:
-            raise ValidationError("min_t_step must be positive")
         steps = tuple(float(t) for t in self.continuity_steps)
         if steps[0] != 0.0 or steps[-1] != 1.0 or any(
             b <= a for a, b in zip(steps, steps[1:])
@@ -172,9 +170,9 @@ def _forcing_term(cfg, r):
     return min(FORCING_CAP, max(cfg.linear_tol, FORCING_RATIO * r))
 
 
-def _gmres(matvec, psolve, b, cfg, rtol, atol, x0=None):
-    """Preconditioned restarted GMRES on matvec(x) = b within cfg's budget,
-    started from x0 (default zero).
+def _gmres(matvec, psolve, b, rtol, atol, x0=None):
+    """Preconditioned restarted GMRES on matvec(x) = b within LINEAR_MAXITER
+    iterations, started from x0 (default zero).
 
     Returns (x, info, linear); linear holds the iterations, rtol and GMRES's
     last (preconditioned, relative) residual estimate.
@@ -185,7 +183,7 @@ def _gmres(matvec, psolve, b, cfg, rtol, atol, x0=None):
     m_op = spla.LinearOperator((size, size), matvec=psolve, dtype=np.float64)
     x, info = spla.gmres(
         op, b, x0=x0, rtol=rtol, atol=atol,
-        restart=cfg.linear_restart, maxiter=max(1, cfg.linear_maxiter // cfg.linear_restart),
+        restart=LINEAR_RESTART, maxiter=max(1, LINEAR_MAXITER // LINEAR_RESTART),
         M=m_op, callback=estimates.append, callback_type="pr_norm",
     )
     linear = {"linear_iterations": len(estimates), "linear_rtol": rtol,
@@ -216,7 +214,7 @@ def _augmented_solve(grid, apply_fn, rhs, precond, cfg, rtol):
     # absolute floor: once the linear residual is far below the Newton
     # tolerance, further digits cannot matter
     x, info, linear = _gmres(matvec, psolve, np.concatenate([rhs.ravel(), [0.0]]),
-                             cfg, rtol, atol=1e-3 * cfg.newton_tol)
+                             rtol, atol=1e-3 * cfg.newton_tol)
     if info != 0:
         raise SolverError(
             f"inner GMRES did not reach rtol {rtol:.3e} in {linear['linear_iterations']} "
@@ -231,12 +229,12 @@ def _augmented_solve(grid, apply_fn, rhs, precond, cfg, rtol):
 # damped Newton: the shared driver, the Monge-Ampere step, continuity
 
 
-def _line_search(trial_at, evaluate, sup, cfg, what):
-    """Largest damping in {1, 1/2, 1/4, ...} >= cfg.min_damping whose trial
+def _line_search(trial_at, evaluate, sup, what):
+    """Largest damping in {1, 1/2, 1/4, ...} >= MIN_DAMPING whose trial
     lowers the resolved residual sup (an inadmissible trial, gt not positive,
     evaluates to the sup inf); returns (damping, trial, evaluation)."""
     damping, admissible = 1.0, False
-    while damping >= cfg.min_damping:
+    while damping >= MIN_DAMPING:
         trial = trial_at(damping)
         ev = evaluate(trial)
         if ev["residual_sup"] < sup:
@@ -248,7 +246,7 @@ def _line_search(trial_at, evaluate, sup, cfg, what):
     raise SolverError(f"{what}: no damping lowers the residual")
 
 
-def _newton(x, ev, step, tol, max_iter, cfg, what, observe=None):
+def _newton(x, ev, step, tol, max_iter, what, observe=None):
     """Damped Newton from x, evaluated as ev, until its resolved sup is below tol.
 
     step(it, x, ev) -> (x, ev) is one update, the equation's Newton direction
@@ -257,7 +255,7 @@ def _newton(x, ev, step, tol, max_iter, cfg, what, observe=None):
     SolverError on stagnation and when the budget is spent.
     """
     history = []
-    window = cfg.stagnation_window
+    window = STAGNATION_WINDOW
     for it in range(max_iter + 1):
         history.append(ev["residual_sup"])
         if observe is not None:
@@ -267,7 +265,7 @@ def _newton(x, ev, step, tol, max_iter, cfg, what, observe=None):
         if it == max_iter:
             raise SolverError(f"{what}: budget of {max_iter} steps exhausted "
                               f"(residual {history[-1]:.3e})")
-        if len(history) > window and history[-1] > cfg.stagnation_factor * history[-1 - window]:
+        if len(history) > window and history[-1] > STAGNATION_FACTOR * history[-1 - window]:
             raise SolverError(
                 f"{what}: stagnation, residual {history[-1 - window]:.3e} -> "
                 f"{history[-1]:.3e} over {window} steps"
@@ -352,7 +350,7 @@ def newton_step(spec, state, cfg=None, evaluation=None):
         return eq.SolveState(u=u - np.mean(u), b=state.b + damping * db, t=state.t)
 
     damping, trial, ev = _line_search(
-        trial_at, lambda s: _ma_evaluation(spec, s), ev["residual_sup"], cfg,
+        trial_at, lambda s: _ma_evaluation(spec, s), ev["residual_sup"],
         f"Newton at t={state.t:.4f}",
     )
     return trial, {**ev, "damping": damping, **linear}
@@ -429,7 +427,7 @@ def _member(spec, cfg, report, start, carry, min_first_damping):
 
     state, carry = _accept(report, *_newton(
         start, _ma_evaluation(spec, start, carry), step, cfg.newton_tol,
-        cfg.max_newton, cfg, f"Newton at t={start.t:.4f}", record,
+        cfg.max_newton, f"Newton at t={start.t:.4f}", record,
     ))
     report.t_history.append(state.t)
     report.b_history.append(state.b)
@@ -578,7 +576,7 @@ class AdjointKernel:
     iterations: int
 
 
-def adjoint_kernel(spec, state, tol=1e-9, cfg=None):
+def adjoint_kernel(spec, state, tol=1e-9):
     """Kernel of the adjoint linearization from one bordered GMRES solve.
 
     L* = W^{-1} L^T W is the adjoint in the L^2 pairing weighted by the
@@ -590,7 +588,6 @@ def adjoint_kernel(spec, state, tol=1e-9, cfg=None):
     """
     if not 0.0 < tol < np.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
-    cfg = cfg or SolverConfig()
     lin = eq.Linearization(spec, state)
     grid = spec.grid
     size = grid.num_nodes
@@ -616,7 +613,7 @@ def adjoint_kernel(spec, state, tol=1e-9, cfg=None):
     # tied to tol: a fixed target far below it can stall near roundoff
     rtol = 0.1 * tol
     b = np.append(np.zeros(size), 1.0)
-    x, info, linear = _gmres(matvec, psolve, b, cfg, rtol, atol=0.0)
+    x, info, linear = _gmres(matvec, psolve, b, rtol, atol=0.0)
     iterations = linear["linear_iterations"]
     f, residual = kernel_of(x)
     if not residual < tol and info == 0:
@@ -624,7 +621,7 @@ def adjoint_kernel(spec, state, tol=1e-9, cfg=None):
         # norm: one continuation from x at a tenth of the target. A solve
         # that ran out of its budget (info > 0) raises at once.
         rtol = 0.1 * rtol
-        x, info, linear = _gmres(matvec, psolve, b, cfg, rtol, atol=0.0, x0=x)
+        x, info, linear = _gmres(matvec, psolve, b, rtol, atol=0.0, x0=x)
         iterations += linear["linear_iterations"]
         f, residual = kernel_of(x)
     if not residual < tol:
@@ -642,7 +639,7 @@ def adjoint_kernel(spec, state, tol=1e-9, cfg=None):
 # Gauduchon conformal factor
 
 
-def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30, cfg=None):
+def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30):
     """Mean-zero sigma with e^sigma omega Gauduchon, by Newton on the defect.
 
     Works on tau = (n-1) sigma: the defect scalar of e^tau omega^{n-1} is
@@ -656,7 +653,7 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30, cfg=None):
     """
     if not 0.0 < tol < np.inf:
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
-    cfg = cfg or SolverConfig()
+    cfg = SolverConfig()
     n = grid.n
     ginv = ha.inverse(ha.require_positive(omega))
     # one dbar_g serves rho_0 and the cross coefficient
@@ -695,11 +692,11 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30, cfg=None):
             trial = tau + damping * dtau
             return trial - np.mean(trial)
 
-        _, tau, ev = _line_search(trial_at, evaluate, ev["residual_sup"], cfg, what)
+        _, tau, ev = _line_search(trial_at, evaluate, ev["residual_sup"], what)
         return tau, ev
 
     tau = np.zeros(grid.sizes)
-    tau, _, _ = _newton(tau, evaluate(tau), step, tol, max_newton, cfg, what)
+    tau, _, _ = _newton(tau, evaluate(tau), step, tol, max_newton, what)
     sigma = (tau / (n - 1)).real
     sigma = sigma - np.mean(sigma)
     conformal = np.exp(sigma)[..., None, None] * omega

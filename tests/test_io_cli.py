@@ -146,6 +146,28 @@ class TestConfig:
         assert cli.main(["solve", "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, key", [
+        ("stagnaton_window = 3", "stagnaton_window"),
+        ("linear_maxiter = 1", "linear_maxiter"),  # a key that was removed
+    ])
+    def test_unknown_solver_key_is_validation_error(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[problem]\nn = 2\nsizes = 16,1,16,1\n\n[solver]\n{line}\n",
+                       encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"unknown key {key}"):
+            load_config(cfg)
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, dealias", [
+        ("", False), ("dealias = On", True), ("dealias = 1", True), ("dealias = no", False),
+    ])
+    def test_dealias_takes_configparser_booleans(self, tmp_path, line, dealias):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[problem]\nn = 2\nsizes = 16,1,16,1\n\n[run]\n{line}\n",
+                       encoding="utf-8")
+        assert load_config(cfg).dealias_check is dealias
+
     def test_run_seed_is_not_read(self, tmp_path, monkeypatch):
         # torma manufacture records its seed under [run]; loading ignores it
         monkeypatch.delenv("TORMA_THREADS", raising=False)
@@ -196,6 +218,23 @@ class TestCli:
         assert report["residual_gap"] == report["residual_sup_full"] - report["residual_sup"]
         assert "coarse_gap" not in report
         assert all(r["sizes"] == [16, 1, 16, 1, 1, 1] for r in records)
+
+    def test_solve_dealias_writes_dealiased_residual(self, tmp_path, capsys):
+        out = tmp_path / "prob"
+        assert cli.main([
+            "manufacture", "--n", "3", "--size", "16", "--active", "0,2",
+            "--amplitude", "0.05", "--seed", "7", "--out", str(out),
+        ]) == 0
+        cfg = out / "solve.cfg"
+        cfg.write_text(cfg.read_text() + "dealias = true\n", encoding="utf-8")
+        assert cli.main(["solve", "--config", str(cfg)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        # the refined grid sees the aliasing that the resolved residual drops
+        assert report["residual_sup_dealiased"] > report["residual_sup"]
+        cfg.write_text(cfg.read_text().replace("dealias = true", "dealias = ture"),
+                       encoding="utf-8")
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        assert "[run] dealias" in capsys.readouterr().err
 
     def test_nested_solve_writes_coarse_gap(self, tmp_path, capsys):
         out = tmp_path / "prob"

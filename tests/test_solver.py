@@ -53,11 +53,6 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("max_newton", 0),
-        ("linear_restart", 0),
-        ("linear_maxiter", 0),
-        ("stagnation_window", 0),
-        ("min_damping", 0.0),
-        ("min_damping", 1.5),
         ("min_t_step", 0.0),
         ("linear_tol", 0.0),
         ("linear_tol", -1e-12),
@@ -580,6 +575,66 @@ class TestNestedIteration:
         assert resid_warped > 100.0 * abs(resid_low)
 
 
+class TestDampedNewtonDriver:
+    """_newton and _line_search on stub steps and evaluations."""
+
+    def test_stagnation_after_window_without_factor_drop(self):
+        # a drop of exactly STAGNATION_FACTOR over the window passes; a flat
+        # window after it stagnates
+        window = sv.STAGNATION_WINDOW
+        sups = [1.0] * window + [sv.STAGNATION_FACTOR] * (window + 1)
+        taken = []
+
+        def step(it, x, ev):
+            taken.append(it)
+            return x + 1, {"residual_sup": sups[x + 1]}
+
+        message = f"stub: stagnation, residual 5.000e-01 -> 5.000e-01 over {window} steps"
+        with pytest.raises(SolverError, match=message):
+            sv._newton(0, {"residual_sup": sups[0]}, step, 1e-12, 40, "stub")
+        assert len(taken) == 2 * window
+
+    @staticmethod
+    def line_search(sup_at):
+        """_line_search from sup 1 whose trial at damping d evaluates to
+        sup_at(d); returns the dampings tried and the result or error."""
+        tried = []
+
+        def evaluate(damping):
+            tried.append(damping)
+            return {"residual_sup": sup_at(damping)}
+
+        try:
+            return tried, sv._line_search(lambda d: d, evaluate, 1.0, "stub")
+        except SolverError as exc:
+            return tried, exc
+
+    def test_all_inadmissible_is_positivity_error(self):
+        tried, exc = self.line_search(lambda d: np.inf)
+        assert isinstance(exc, PositivityError)
+        assert str(exc) == "stub: no damping keeps the metric positive"
+        assert tried == [2.0 ** -k for k in range(17)]
+        assert len(tried) == math.log2(1.0 / sv.MIN_DAMPING) + 1
+
+    @pytest.mark.parametrize("sup_at", [
+        lambda d: 1.0,                            # admissible, never lower
+        lambda d: np.inf if d > 1e-3 else 2.0,    # admissible only when small
+    ])
+    def test_no_lower_residual_is_solver_error(self, sup_at):
+        tried, exc = self.line_search(sup_at)
+        assert type(exc) is SolverError
+        assert str(exc) == "stub: no damping lowers the residual"
+        assert tried[-1] == sv.MIN_DAMPING and len(tried) == 17
+
+    @pytest.mark.parametrize("lowers_at", [1.0, 0.25, sv.MIN_DAMPING])
+    def test_takes_largest_damping_that_lowers(self, lowers_at):
+        tried, (damping, trial, ev) = self.line_search(
+            lambda d: 0.5 if d <= lowers_at else 1.0)
+        assert damping == trial == lowers_at == tried[-1]
+        assert len(tried) == math.log2(1.0 / lowers_at) + 1
+        assert ev == {"residual_sup": 0.5}
+
+
 class TestInexactNewton:
     def test_forcing_term_regimes(self):
         cfg = sv.SolverConfig(linear_tol=1e-10)
@@ -634,16 +689,17 @@ class TestInexactNewton:
         assert all(r["linear_rtol"] == cfg.linear_tol for r in exact.records
                    if r["damping"] is not None)
 
-    def test_gmres_failure_names_target_and_progress(self, g3, rng):
+    def test_gmres_failure_names_target_and_progress(self, g3, rng, monkeypatch):
         # one Krylov vector per solve cannot reach the first step's rtol
         prob = manufacture_problem(g3, eq.Variant.PSI, rng, conformal_amplitude=0.25)
         state = sv.initial_state(prob.spec)
         state.t = 1.0
-        cfg = sv.SolverConfig(linear_restart=1, linear_maxiter=1)
+        monkeypatch.setattr(sv, "LINEAR_RESTART", 1)
+        monkeypatch.setattr(sv, "LINEAR_MAXITER", 1)
         message = (r"inner GMRES did not reach rtol 1\.000e-02 in 1 iterations "
                    r"\(last residual estimate \d\.\d{3}e[-+]\d+, info=1\)")
         with pytest.raises(SolverError, match=message):
-            sv.newton_step(prob.spec, state, cfg)
+            sv.newton_step(prob.spec, state)
 
 
 class TestAdjointKernel:
@@ -683,19 +739,20 @@ class TestAdjointKernel:
         result = sv.adjoint_kernel(prob.spec, report.state)
         assert result.f.min() > 0.0
         assert result.residual_sup < 1e-8
-        assert 0 < result.iterations <= sv.SolverConfig().linear_restart
+        assert 0 < result.iterations <= sv.LINEAR_RESTART
 
     def test_missed_residual_names_solve(self, g3, rng, monkeypatch):
         # one Krylov vector cannot resolve the kernel of a perturbed metric
         prob = manufacture_problem(g3, eq.Variant.PSI, rng, amplitude=0.04,
                                    conformal_amplitude=0.2)
         report = sv.continuity_solve(prob.spec)
-        cfg = sv.SolverConfig(linear_restart=1, linear_maxiter=1)
+        monkeypatch.setattr(sv, "LINEAR_RESTART", 1)
+        monkeypatch.setattr(sv, "LINEAR_MAXITER", 1)
         message = (r"adjoint kernel: \|L\*f\| = \d\.\d{3}e[-+]\d+ not below tol "
                    r"1\.000e-09 after GMRES to rtol 1\.000e-10 in 1 iterations \(info=1\)")
         calls = self.counted_gmres(monkeypatch)
         with pytest.raises(SolverError, match=message):
-            sv.adjoint_kernel(prob.spec, report.state, cfg=cfg)
+            sv.adjoint_kernel(prob.spec, report.state)
         # GMRES used its whole budget unconverged: no continuation
         assert calls == [False]
 
