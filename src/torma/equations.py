@@ -20,7 +20,6 @@ move that leaves b untouched.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -292,7 +291,7 @@ class Linearization:
     factored here and PositivityError raised when it is not positive
     definite. The operator holds only real coefficient fields and coeff_mean,
     the node mean of the second-order coefficients C (the preconditioner's
-    constant-coefficient model); gt_inv and C itself are rebuilt on request.
+    constant-coefficient model).
     """
 
     def __init__(self, spec, state, gt=None, factor=None):
@@ -310,21 +309,6 @@ class Linearization:
         self.coeff_mean = np.mean(coeff, axis=tuple(range(coeff.ndim - 2)))
         self.operator = gr.SecondOrderOperator(
             spec.grid, coeff, _first_order_coeff(spec, gt_inv))
-
-    @functools.cached_property
-    def gt_inv(self):
-        """gt^{-1}, rebuilt from gt on request."""
-        return ha.inverse(ha.cholesky(self.gt))
-
-    @functools.cached_property
-    def coeff(self):
-        """Second-order coefficients C: apply = trace(C @ Hess v) + first order."""
-        return _second_order_coeff(self.spec, self.gt_inv)
-
-    @functools.cached_property
-    def first_order(self):
-        """First-order coefficients a_p (PHI), or None."""
-        return _first_order_coeff(self.spec, self.gt_inv)
 
     def apply(self, v):
         """L v for a real field v; a complex v must be real to 1e-10, as F."""

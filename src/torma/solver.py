@@ -5,16 +5,16 @@ The continuity family raises t from 0 to 1 in
     det gt(u_t) = e^{t F + b_t} det(ref),
 
 warm-starting damped Newton at each step. continuity_solve runs that march
-on the coarsest of a sequence of grids, each with every active axis halved,
-and then one Newton solve at t = 1 on each finer grid from the prolonged
-answer (nested iteration, the outer loop of full multigrid; Brandt 1977).
-When a level fails, the grid asked for marches instead. The
-continuity solve and Gauduchon's conformal factor share one driver: _newton
-(tolerance, stagnation and budget tests) and _line_search (the largest
-damping 2^-k >= MIN_DAMPING whose trial is admissible and lowers the
-resolved residual sup). Each equation supplies an
-evaluation, carried forward from the accepted trial, and a Newton direction
-solving the augmented linear system
+on the coarsest of the grids _levels lists, each with every active axis
+halved, and then, in one loop, one Newton solve at t = 1 on each finer grid
+from the prolonged answer (nested iteration, the outer loop of full
+multigrid; Brandt 1977). When a level fails, the grid asked for marches
+instead. The continuity solve and Gauduchon's conformal factor share one
+driver: _newton (tolerance, stagnation and budget tests) and _line_search
+(the largest damping 2^-k >= MIN_DAMPING whose trial is admissible and
+lowers the resolved residual sup). Each equation supplies an evaluation,
+carried forward from the accepted trial, and a Newton direction solving the
+augmented linear system
 
     [ L(du) - db = -r ;  mean(du) = 0 ]
 
@@ -436,8 +436,8 @@ def _member(spec, cfg, report, start, carry, min_first_damping):
 
 def _march(spec, cfg, u0=None, report=None):
     """March t through the schedule on spec's grid with warm starts and
-    adaptive halving; appends to report when given (the levels of a nested
-    solve share one) and returns it.
+    adaptive halving; appends to report when given (all of
+    continuity_solve's levels share one) and returns it.
 
     A continuity step is halved when its Newton iteration fails or when its
     first Newton step has to be damped below MIN_FIRST_DAMPING; positivity
@@ -494,71 +494,57 @@ def _coarse_grid(grid):
     return grid.coarsened(2)
 
 
-def _coarse_start(spec, cfg, report):
-    """Start of the t = 1 Newton solve on spec's grid from the coarse answer.
-
-    Solves the problem resampled to _coarse_grid (by _nested, so
-    recursively), prolongs its u spectrally (real part, mean removed) and
-    keeps its b. Returns None when spec's grid is the coarsest level: there
-    is no coarse grid or the coarse spec is not admissible. A failed coarse
-    solve raises; its records stay in report.
-    """
-    coarse_grid = _coarse_grid(spec.grid)
-    if coarse_grid is None:
-        return None
-    try:
-        coarse_spec = spec.resampled(coarse_grid)
-    except ValidationError:
-        return None
-    coarse = _nested(coarse_spec, cfg, report).state
-    # returning frees coarse_spec before the fine solve
-    u = gr.resample(coarse_grid, coarse.u, spec.grid).real
-    return eq.SolveState(u=u - np.mean(u), b=coarse.b, t=1.0)
-
-
-def _nested(spec, cfg, report, fallback=False):
-    """Nested iteration: Newton at t = 1 on spec's grid from the coarse answer
-    (_coarse_start), _march on the coarsest level.
-
-    A failed coarse solve or t = 1 solve raises SolverError (PositivityError),
-    unless fallback is set: then spec's grid marches instead. Only the grid
-    the caller asked for sets it, so a problem that cannot be solved costs
-    its coarse attempts and one march. diagnostics["coarse_gap"] is
-    sup|u - P u_coarse| of the solve at t = 1, P the prolongation; a level
-    that marches has none.
-    """
-    try:
-        start = _coarse_start(spec, cfg, report)
-        if start is not None:
-            _member(spec, cfg, report, start, None, MIN_FIRST_DAMPING)
-            report.diagnostics["coarse_gap"] = gr.sup_norm(report.state.u - start.u)
-            return report
-    except SolverError:  # and PositivityError
-        if not fallback:
-            raise
-    # march outside the handler, which pins the failed solve's arrays
-    report.diagnostics.pop("coarse_gap", None)
-    return _march(spec, cfg, report=report)
+def _levels(spec):
+    """[spec, coarse spec, ...], finest first: each level is the one before it
+    resampled to _coarse_grid, down to a grid that coarsens no further or
+    whose coarse spec is not admissible (ValidationError)."""
+    levels = [spec]
+    while (coarse_grid := _coarse_grid(levels[-1].grid)) is not None:
+        try:
+            levels.append(levels[-1].resampled(coarse_grid))
+        except ValidationError:
+            break
+    return levels
 
 
 def continuity_solve(spec, cfg=None, u0=None):
     """Solve at t = 1 by nested iteration, or by one march from a given u0.
 
-    Without u0 the problem is solved on coarsened grids first, the continuity
-    march on the coarsest, then one Newton solve at t = 1 on each finer grid
-    from the prolonged answer (_nested); when any of these fails, the grid
-    asked for marches instead. The report's records hold every level's
-    iterates, coarsest first, each with its grid's "sizes"; t_history and
-    b_history one entry per converged member per level; the residual numbers
-    are the finest level's. With u0 the caller has chosen the start: one march.
+    Without u0 the problem is solved on the coarser grids of _levels first,
+    the continuity march on the coarsest, then one Newton solve at t = 1 on
+    each finer grid from the prolonged answer (u resampled up, its real part
+    with the mean removed, b kept). When any of these raises SolverError
+    (PositivityError), the grid asked for marches instead; no level between
+    marches. The report's records hold every level's iterates, coarsest
+    first, each with its grid's "sizes"; t_history and b_history one entry
+    per converged member per level; the residual numbers are the finest
+    level's. diagnostics["coarse_gap"] is sup|u - P u_coarse| of the finest
+    level's t = 1 solve, P the prolongation; a solve that marched on the grid
+    asked for has none. With u0 the caller has chosen the start: one march.
 
     Returns a SolveReport at t = 1; on unrecoverable failure raises SolverError
     with the report of the last good state attached as exc.report.
     """
     cfg = cfg or SolverConfig()
-    if u0 is not None:
-        return _march(spec, cfg, u0)
-    return _nested(spec, cfg, SolveReport(), fallback=True)
+    levels = [spec] if u0 is not None else _levels(spec)
+    report = SolveReport()
+    if len(levels) > 1:
+        try:
+            level = levels.pop()
+            _march(level, cfg, report=report)
+            while levels:
+                # rebinding level frees the coarse spec before the fine solve
+                coarse_grid, level = level.grid, levels.pop()
+                u = gr.resample(coarse_grid, report.state.u, level.grid).real
+                u = u - np.mean(u)
+                start = eq.SolveState(u=u, b=report.state.b, t=1.0)
+                _member(level, cfg, report, start, None, MIN_FIRST_DAMPING)
+            report.diagnostics["coarse_gap"] = gr.sup_norm(report.state.u - start.u)
+            return report
+        except SolverError:  # and PositivityError
+            levels = level = None  # frees the coarse specs
+    # march outside the handler, which pins the failed solve's arrays
+    return _march(spec, cfg, u0, report)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ import math
 
 import numpy as np
 
+from torma import equations as eq
 from torma import geometry as geo
 from torma import grid as gr
 from torma import hermitian as ha
@@ -605,12 +606,20 @@ def drop_nyquist_full(grid, f):
     return np.fft.ifftn(fh, axes=grid.active_axes)
 
 
+def linearization_coefficients(lin):
+    """Linearization's second-order coefficients C and first-order a_p (None
+    for PSI), rebuilt from lin.gt."""
+    gt_inv = ha.inverse(ha.cholesky(lin.gt))
+    return eq._second_order_coeff(lin.spec, gt_inv), eq._first_order_coeff(lin.spec, gt_inv)
+
+
 def apply_composed(lin, v, method="spectral"):
     """Linearization.apply as the contraction of the composed Hessian."""
-    out = np.einsum("...ij,...ji->...", lin.coeff, hessian_composed(lin.spec.grid, v, method))
-    if lin.first_order is not None:
+    coeff, first_order = linearization_coefficients(lin)
+    out = np.einsum("...ij,...ji->...", coeff, hessian_composed(lin.spec.grid, v, method))
+    if first_order is not None:
         for p in range(lin.spec.n):
-            out = out + lin.first_order[..., p] * d_holo_axes(lin.spec.grid, v, p, method)
+            out = out + first_order[..., p] * d_holo_axes(lin.spec.grid, v, p, method)
     return out.real
 
 
@@ -618,17 +627,18 @@ def apply_transpose_pairs(lin, f, weights, method="spectral"):
     """Linearization.apply_transpose as the per-pair loop of derivatives."""
     grid = lin.spec.grid
     n = grid.n
+    coeff, first_order = linearization_coefficients(lin)
     t = weights * f
     out = np.zeros(grid.sizes, dtype=np.complex128)
     for p in range(n):
         for q in range(n):
             out += d_antiholo_axes(
-                grid, d_holo_axes(grid, lin.coeff[..., q, p] * t, p, method), q, method
+                grid, d_holo_axes(grid, coeff[..., q, p] * t, p, method), q, method
             )
-    if lin.first_order is not None:
+    if first_order is not None:
         fo = np.zeros(grid.sizes, dtype=np.complex128)
         for p in range(n):
-            fo += d_holo_axes(grid, lin.first_order[..., p] * t, p, method)
+            fo += d_holo_axes(grid, first_order[..., p] * t, p, method)
         out -= fo.real
     return out.real / weights
 

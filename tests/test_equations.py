@@ -223,15 +223,17 @@ class TestTorsionClosedForms:
         spec = random_spec(grid, rng, eq.Variant.PHI)
         u = tf.random_band_limited_real(grid, rng, amplitude=0.03)
         lin = eq.Linearization(spec, eq.SolveState(u=u, b=0.0))
+        gt_inv = ha.inverse(ha.cholesky(lin.gt))
         want = np.stack([
             np.einsum(
-                "...ij,...ji->...", lin.gt_inv,
+                "...ij,...ji->...", gt_inv,
                 of.e_raw_slots(spec.omega, np.broadcast_to(unit, grid.sizes + (n,)),
                                spec.dbar_omega, spec.omega_inv),
             ) / (n - 1)
             for unit in np.eye(n, dtype=complex)
         ], axis=-1)
-        np.testing.assert_allclose(lin.first_order, want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(of.linearization_coefficients(lin)[1], want,
+                                   rtol=0, atol=1e-13)
 
 
 class TestResidual:
@@ -270,7 +272,8 @@ class TestResidual:
 def theta_coefficients(spec, state, gt=None):
     """Theta^{i jbar} = ((tr_gt g) g^{i jbar} - gt^{i jbar})/(n-1), the
     transpose of the linearization's second-order coefficients."""
-    return np.swapaxes(eq.Linearization(spec, state, gt=gt).coeff, -1, -2)
+    lin = eq.Linearization(spec, state, gt=gt)
+    return np.swapaxes(of.linearization_coefficients(lin)[0], -1, -2)
 
 
 class TestTheta:

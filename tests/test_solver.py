@@ -1,6 +1,8 @@
 """Newton-continuity solver, adjoint kernel, Gauduchon conformal factor."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -535,6 +537,58 @@ class TestNestedIteration:
         assert marches == [grid.coarsened(4).sizes, grid.sizes]
         assert {tuple(r["sizes"]) for r in report.records} == {
             grid.sizes, middle.sizes, grid.coarsened(4).sizes}
+
+    def test_inadmissible_inner_coarse_spec_marches_there(self, monkeypatch):
+        # 64 x 64 -> 32 x 32, whose 16 x 16 spec is not admissible: 32 x 32
+        # is the coarsest level and marches, 64 x 64 runs its t = 1 solve
+        grid = gr.TorusGrid.reduced(3, 64, active_coords=(0, 2))
+        prob = manufacture_problem(grid, eq.Variant.PSI, np.random.default_rng(4),
+                                   conformal_amplitude=0.25)
+        middle, bottom = grid.coarsened(2), grid.coarsened(4)
+        resampled = eq.ProblemSpec.resampled
+
+        def inadmissible_at_bottom(spec, to):
+            if to == bottom:
+                raise ValidationError("omega is not positive definite")
+            return resampled(spec, to)
+
+        monkeypatch.setattr(eq.ProblemSpec, "resampled", inadmissible_at_bottom)
+        marches = count_marches(monkeypatch)
+        report = sv.continuity_solve(prob.spec)
+        assert report.converged
+        assert marches == [middle.sizes]
+        assert {tuple(r["sizes"]) for r in report.records} == {grid.sizes, middle.sizes}
+        assert "coarse_gap" in report.diagnostics
+
+    def test_coarse_specs_freed_before_finest_solve(self, monkeypatch):
+        # the peak memory is the finest level's: no coarse spec outlives its
+        # level once the grid asked for starts its t = 1 solve
+        grid = gr.TorusGrid.reduced(3, 64, active_coords=(0, 2))
+        prob = manufacture_problem(grid, eq.Variant.PSI, np.random.default_rng(4),
+                                   conformal_amplitude=0.25)
+        march, member = sv._march, sv._member
+        coarse, alive = [], []
+
+        def watch(spec):
+            if spec.grid != grid and not any(ref() is spec for ref in coarse):
+                coarse.append(weakref.ref(spec))
+
+        def watched_march(spec, *args, **kwargs):
+            watch(spec)
+            return march(spec, *args, **kwargs)
+
+        def watched_member(spec, cfg, report, start, *args):
+            watch(spec)
+            if spec.grid == grid and start.t == 1.0:
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in coarse))
+            return member(spec, cfg, report, start, *args)
+
+        monkeypatch.setattr(sv, "_march", watched_march)
+        monkeypatch.setattr(sv, "_member", watched_member)
+        assert sv.continuity_solve(prob.spec).converged
+        assert len(coarse) == 2
+        assert alive == [0]
 
     def test_unsolvable_problem_marches_once_per_attempted_grid(self, monkeypatch):
         # the coarsest march fails; no level between it and the grid asked
