@@ -103,12 +103,12 @@ def cmd_validate_metric(args):
     if values.ndim != len(grid.sizes) + 2:
         raise ValidationError(f"{args.field} holds a scalar field, not a metric")
     defects = geo.metric_defects(grid, values)
-    conn = geo.chern_connection(grid, values)
+    _, torsion = geo.christoffel(geo.MetricFields(grid, values))
     payload = {
         "n": grid.n,
         "sizes": list(grid.sizes),
         "defects": defects.as_dict(),
-        "torsion_sup": conn.torsion_sup(),
+        "torsion_sup": float(np.max(np.abs(torsion))),
         "min_eigenvalue": ha.min_eigenvalue(values),
     }
     if args.out:

@@ -11,9 +11,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import equations as eq
-from . import geometry as geo
 from . import grid as gr
 from . import hermitian as ha
+
+# dealiased_residual refines every grid axis by this factor
+DEALIAS_FACTOR = 2
 
 
 def b_bound_check(spec, state):
@@ -89,48 +91,7 @@ def cherrier_table(spec, state, p_list=(4, 8, 16, 32)):
     return rows
 
 
-def commutation_check(grid, omega, u):
-    """Discrepancy of the first two third-derivative commutation identities.
-
-    (1) u_{i jbar l} = u_{i l jbar} - u_p R_{l jbar i}^p
-    (2) u_{p jbar mbar} = u_{p mbar jbar} - conj(T^q_{mj}) u_{p qbar}
-
-    built from covariant derivatives of the Chern connection.
-    """
-    n = grid.n
-    conn = geo.chern_connection(grid, omega)
-    du = gr.holo_gradient(grid, u)           # u_i
-    hess = gr.hessian_complex(grid, u)       # u_{i jbar}
-    # u_{i l} = d_l d_i u - Gamma^p_{li} u_p
-    ddu = np.stack([gr.d_holo(grid, du, l) for l in range(n)], axis=-2)
-    u_il = np.swapaxes(ddu, -1, -2) - np.einsum("...pli,...p->...il", conn.gamma, du)
-
-    # u_{i jbar l} = d_l u_{i jbar} - Gamma^p_{li} u_{p jbar}
-    d_hess = np.stack([gr.d_holo(grid, hess, l) for l in range(n)], axis=-3)
-    u_ijl = np.einsum("...lij->...ijl", d_hess) - np.einsum(
-        "...pli,...pj->...ijl", conn.gamma, hess
-    )
-    # u_{i l jbar} = d_jbar u_{i l}
-    u_ilj = np.stack([gr.d_antiholo(grid, u_il, j) for j in range(n)], axis=-1)
-    curv_term = np.einsum("...p,...ljip->...ijl", du, conn.curvature)
-    first = u_ijl - (np.einsum("...ilj->...ijl", u_ilj) - curv_term)
-
-    # u_{p jbar mbar} = d_mbar u_{p jbar} - conj(Gamma^q_{mj}) u_{p qbar}
-    dbar_hess = np.stack([gr.d_antiholo(grid, hess, m) for m in range(n)], axis=-3)
-    u_pjm = np.einsum("...mpj->...pjm", dbar_hess) - np.einsum(
-        "...qmj,...pq->...pjm", np.conj(conn.gamma), hess
-    )
-    # u_{p mbar jbar} is the same tensor with the antiholomorphic slots swapped
-    u_pmj = np.swapaxes(u_pjm, -1, -2)
-    torsion_term = np.einsum("...qmj,...pq->...pjm", np.conj(conn.torsion), hess)
-    second = u_pjm - (u_pmj - torsion_term)
-    return {
-        "first_identity_sup": float(np.max(np.abs(first))),
-        "second_identity_sup": float(np.max(np.abs(second))),
-    }
-
-
-def dealiased_residual(spec, state, factor=2):
+def dealiased_residual(spec, state):
     """Residual of the same state evaluated on a spectrally refined grid.
 
     Cross-check for aliasing in the nonlinear assembly (the padded-grid analog
@@ -138,7 +99,7 @@ def dealiased_residual(spec, state, factor=2):
     zero-pad resampled, so a genuinely converged smooth solve shows a residual
     at the truncation level of the data.
     """
-    fine = spec.grid.refined(factor)
+    fine = spec.grid.refined(DEALIAS_FACTOR)
     spec_fine = spec.resampled(fine)
     state_fine = eq.SolveState(
         u=gr.resample(spec.grid, state.u, fine), b=state.b, t=state.t
@@ -175,7 +136,7 @@ class EstimateReport:
         }
 
 
-def estimate_report(spec, state, p_list=(4, 8, 16, 32)):
+def estimate_report(spec, state):
     """Full diagnostics bundle on a (solved or in-progress) state."""
     _, _, eta_mismatch = eq.eta_tensor(spec, state)
     phi_defect = None
@@ -184,7 +145,7 @@ def estimate_report(spec, state, p_list=(4, 8, 16, 32)):
     return EstimateReport(
         b_bound=b_bound_check(spec, state),
         c2=c2_monitor(spec, state),
-        cherrier=cherrier_table(spec, state, p_list),
+        cherrier=cherrier_table(spec, state),
         eta_mismatch=eta_mismatch,
         phi_closedness=phi_defect,
         trace_identity=eq.trace_identity_residual(spec, state.u),

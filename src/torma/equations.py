@@ -20,6 +20,7 @@ move that leaves b untouched.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,7 +68,6 @@ class ProblemSpec:
         if gr.sup_norm(np.imag(self.F)) > 1e-10:
             raise ValidationError("datum F must be real")
         self.F = np.ascontiguousarray(self.F.real)
-        self._cache = {}
 
     @property
     def n(self):
@@ -87,53 +87,40 @@ class ProblemSpec:
             rhs_volume=self.rhs_volume,
         )
 
-    def _cached(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    def _metric_fields(self):
-        """omega^{-1}, omega_h and the volume reference's log det, built
-        together from one Cholesky factorization of each metric. The factors
-        are dropped: a spec that is built but never solved holds none of this."""
-        factor = ha.require_positive(self.omega, "omega")
-        log_det = ha.log_det(factor)
-        omega_inv = ha.inverse(factor)
-        del factor
-        omega_h = ha.star_power(self.omega, self.omega0, ref_log_det=log_det)
-        if self.rhs_volume is RhsVolume.OMEGA_H_N:
-            log_det = ha.log_det(ha.require_positive(omega_h, "volume reference metric"))
-        return {"omega_inv": omega_inv, "omega_h": omega_h, "log_det_ref": log_det}
+    @functools.cached_property
+    def metric(self):
+        """The geometry.MetricFields of omega, built on first use: a spec
+        that is built but never solved holds none of its derived fields."""
+        return geo.MetricFields(self.grid, self.omega)
 
     @property
     def omega_inv(self):
-        return self._cached("metric_fields", self._metric_fields)["omega_inv"]
+        return self.metric.gi
 
-    @property
+    @functools.cached_property
     def omega_h(self):
         """omega_h = (1/(n-1)!) star(omega_0^{n-1}), a positive Hermitian field."""
-        return self._cached("metric_fields", self._metric_fields)["omega_h"]
+        return ha.star_power(self.omega, self.omega0, ref_log_det=self.metric.log_det)
 
     @property
     def dbar_omega(self):
-        return self._cached("dbar_omega", lambda: geo.metric_dbar_tensor(self.grid, self.omega))
+        return self.metric.dbar_field
 
-    @property
+    @functools.cached_property
     def torsion_operator(self):
         """M[..., p, :, :] = M(e_p) of the torsion term, built on first use.
 
         Only the PHI assembly and beta_closedness_scalar ask for it, so a PSI
         solve never holds this grid.sizes + (n, n, n) array.
         """
-        return self._cached(
-            "torsion_operator",
-            lambda: torsion_operator_from_parts(self.omega, self.dbar_omega, self.omega_inv),
-        )
+        return torsion_operator_from_parts(self.omega, self.dbar_omega, self.omega_inv)
 
-    @property
+    @functools.cached_property
     def log_det_ref(self):
         """log det of the volume reference: omega, or omega_h for OMEGA_H_N."""
-        return self._cached("metric_fields", self._metric_fields)["log_det_ref"]
+        if self.rhs_volume is RhsVolume.OMEGA_H_N:
+            return ha.log_det(ha.require_positive(self.omega_h, "volume reference metric"))
+        return self.metric.log_det
 
 
 @dataclass
@@ -214,6 +201,8 @@ def tilde_metric(spec, u, hess=None):
     Not guaranteed positive; callers query positivity themselves.
     """
     n = spec.n
+    # a first use builds omega_h here, before the field-sized temporaries below
+    omega_h = spec.omega_h
     if hess is None:
         hess = gr.hessian_complex(spec.grid, u)
     lap = np.einsum("...ij,...ji->...", spec.omega_inv, hess)
@@ -221,7 +210,7 @@ def tilde_metric(spec, u, hess=None):
     gt = lap[..., None, None] * spec.omega
     gt -= hess
     gt /= n - 1
-    gt += spec.omega_h
+    gt += omega_h
     if spec.variant is Variant.PHI:
         gt += e_term(spec, u)[0]
     return ha.hermitize(gt)
@@ -393,4 +382,4 @@ def beta_closedness_scalar(spec, u):
     du = gr.holo_gradient(spec.grid, u)
     z, h_tr = _torsion_from_operator(spec.torsion_operator, du, spec.omega_inv)
     sigma = hess + h_tr[..., None, None] * spec.omega - (spec.n - 1) * z
-    return geo.ddbar_scalar(spec.grid, spec.omega, ha.hermitize(sigma))
+    return spec.metric.ddbar_scalar(ha.hermitize(sigma))

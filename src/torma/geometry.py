@@ -28,11 +28,13 @@ entrywise kernels in hermitian's layout (matrix axes first, every entry a
 contiguous node field; Python loops over matrix entries only), one
 implementation for every n. K is built slice by slice from one spectrum of
 the metric, so no n^4 array exists. No exterior coefficients and no per-slot
-loops exist outside the test oracle.
+loops exist outside the test oracle. What depends on the metric alone
+(g^{-1}, log det g, dbar_g, K) is built at most once per MetricFields.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -69,18 +71,19 @@ def metric_d_tensor(grid, g, dbar_g=None):
     return np.conj(np.swapaxes(dbar_g, -1, -2))
 
 
+def christoffel(metric):
+    """(Gamma^k_{ij}, T^k_{ij}) of a :class:`MetricFields`: the Chern
+    connection and its torsion, without the curvature."""
+    d_g = metric_d_tensor(metric.grid, metric.g, metric.dbar_field)
+    # g^{k qbar} realizes index raising via the transposed inverse
+    gamma = np.einsum("...kq,...ijq->...kij", np.swapaxes(metric.gi, -1, -2), d_g)
+    return gamma, gamma - np.swapaxes(gamma, -1, -2)
+
+
 def chern_connection(grid, omega):
     """Connection Gamma^k_{ij}, torsion T^k_{ij}, curvature R_{l mbar i}^p."""
-    grid.check_field(omega, (grid.n, grid.n))
-    ginv = ha.inverse(ha.require_positive(omega))
-    n = grid.n
-    dbar_g = metric_dbar_tensor(grid, omega)
-    d_g = metric_d_tensor(grid, omega, dbar_g)
-    # g^{k qbar} realizes index raising via the transposed inverse
-    ginv_up = np.swapaxes(ginv, -1, -2)
-    gamma = np.einsum("...kq,...ijq->...kij", ginv_up, d_g)
-    torsion = gamma - np.swapaxes(gamma, -1, -2)
-    dbar_gamma = np.stack([gr.d_antiholo(grid, gamma, m) for m in range(n)], axis=-4)
+    gamma, torsion = christoffel(MetricFields(grid, omega))
+    dbar_gamma = np.stack([gr.d_antiholo(grid, gamma, m) for m in range(grid.n)], axis=-4)
     # dbar_gamma[..., m, p, l, i] = d_mbar Gamma^p_{li}; reorder to R[..., l, m, i, p]
     curvature = -np.transpose(dbar_gamma, axes=(*range(dbar_gamma.ndim - 4), -2, -4, -1, -3))
     return ConnectionData(gamma=gamma, torsion=torsion, curvature=curvature)
@@ -261,42 +264,91 @@ def _raised_dbar(gi, dbar_g):
 
 
 # ---------------------------------------------------------------------------
+# the derived fields of one metric
+
+
+class MetricFields:
+    """The fields of one Hermitian metric g that its ddbar defects, its
+    connection and a ProblemSpec share.
+
+    Construction checks the shape and factors g once: the factor validates
+    g (ValidationError otherwise) and gives log_det and gi = g^{-1}, then is
+    dropped. gi_entries is gi's entrywise buffer (no copy). The entrywise g,
+    its dbar and the g-trace k of ddbar_g are built on first use and kept; k
+    comes from one spectrum of g, which is not kept.
+    """
+
+    def __init__(self, grid, g):
+        grid.check_field(g, (grid.n, grid.n))
+        factor = ha.require_positive(g)
+        self.grid = grid
+        self.g = g
+        self.log_det = ha.log_det(factor)
+        self.gi = ha.inverse(factor)
+        self.gi_entries = _entries(self.gi)
+
+    @functools.cached_property
+    def entries(self):
+        return _entries(self.g)
+
+    @functools.cached_property
+    def dbar(self):
+        """dbar[k, i, j] = d_kbar g_{i jbar}, entrywise."""
+        # not from self.entries: a ProblemSpec needs dbar alone and keeps no
+        # entrywise copy of g
+        return _dbar_entries(self.grid, _entries(self.g))
+
+    @property
+    def dbar_field(self):
+        """The (..., k, i, j) view of dbar: :func:`metric_dbar_tensor` of g."""
+        return _field(self.dbar, 3)
+
+    @functools.cached_property
+    def k(self):
+        """The g-trace K of ddbar_g (:func:`_ddbar_trace`), entrywise."""
+        return _ddbar_trace(self.grid, self.gi_entries, _spectrum(self.grid, self.g))
+
+    def ddbar_scalar(self, sigma):
+        """:func:`ddbar_scalar` of g and sigma."""
+        n = self.grid.n
+        t_a, t_b1, t_c, t_d = _ddbar_terms(self, sigma)
+        rho = math.factorial(n - 2) * t_a
+        if n >= 3:
+            rho = rho + (n - 2) * math.factorial(n - 3) * (2.0 * t_b1.real + t_c)
+        if n >= 4:
+            rho = rho - (n - 2) * (n - 3) * math.factorial(n - 4) * t_d
+        return rho.real
+
+
+# ---------------------------------------------------------------------------
 # ddbar defect scalars and duals
 
 
-def _ddbar_terms(grid, g, sigma, gi, spectrum=None, k_g=None, dbar_g=None):
-    """The four wedge-scalar blocks of i ddbar(sigma ^ omega^{n-2}):
+def _ddbar_terms(metric, sigma):
+    """The four wedge-scalar blocks of i ddbar(sigma ^ omega^{n-2}) for the
+    MetricFields `metric` of omega = g:
 
         T_A  = sum_{lk} S2(E_lk, d_l d_kbar sigma) = tr(g^{-1} K_sigma)/2
         T_B1 = -sum_{ack} S3(e_c x d_c sigma_{a.}, E_ak, d_kbar g)
         T_C  = sum_{lk} S3(sigma, E_lk, d_l d_kbar g) = tr(g^{-1} sigma g^{-1} A2)
         T_D  = sum_{kjc} S4(sigma, d_kbar g_{.j} x e_k, E_cj, d_c g)
-
-    spectrum, k_g and dbar_g, when given, are _spectrum(grid, g), K of g,
-    _ddbar_trace(grid, gi, spectrum) with gi entrywise, and the entrywise
-    _dbar_entries(grid, _entries(g)).
     """
-    n = grid.n
-    gi = _entries(gi)
-    if spectrum is None:
-        spectrum = _spectrum(grid, g)
-    if k_g is None:
-        k_g = _ddbar_trace(grid, gi, spectrum)
-    k_sigma = k_g if sigma is g else _ddbar_trace(grid, gi, _spectrum(grid, sigma))
+    grid, n = metric.grid, metric.grid.n
+    gi = metric.gi_entries
+    own = sigma is metric.g
+    k_sigma = metric.k if own else _ddbar_trace(grid, gi, _spectrum(grid, sigma))
     t_a = 0.5 * _trace_product(gi, k_sigma)
     t_b1 = t_c = t_d = 0.0
     if n >= 3:
-        g_e = _entries(g)
-        sigma_e = g_e if sigma is g else _entries(sigma)
+        g_e = metric.entries
+        sigma_e = g_e if own else _entries(sigma)
         raised_sigma = _apply(gi, sigma_e)
-        t_c = _trace_product(raised_sigma, _apply(gi, _ddbar_dual(gi, g_e, k_g)))
+        t_c = _trace_product(raised_sigma, _apply(gi, _ddbar_dual(gi, g_e, metric.k)))
         # sigma's first derivatives live only while they are raised
-        p_sigma = None if sigma is g else _raised_d(gi, _dbar_entries(grid, sigma_e))
-        if dbar_g is None:
-            dbar_g = _dbar_entries(grid, g_e)
-        r_dbar = _raised_dbar(gi, dbar_g)
-        p_g = _raised_d(gi, dbar_g) if sigma is g or n >= 4 else None
-        t_b1 = -_alternating("abA,BcC", p_g if sigma is g else p_sigma, r_dbar)
+        p_sigma = None if own else _raised_d(gi, _dbar_entries(grid, sigma_e))
+        r_dbar = _raised_dbar(gi, metric.dbar)
+        p_g = _raised_d(gi, metric.dbar) if own or n >= 4 else None
+        t_b1 = -_alternating("abA,BcC", p_g if own else p_sigma, r_dbar)
     if n >= 4:
         t_d = _alternating("aA,BbC,cdD", raised_sigma, r_dbar, p_g)
     return t_a, t_b1, t_c, t_d
@@ -309,20 +361,7 @@ def ddbar_scalar(grid, omega, sigma):
     Gauduchon defect scalar of omega^{n-1}; with the sigma-representation of a
     dual (1,1)-form it evaluates ddbar of any (n-1,n-1)-form.
     """
-    gi = ha.inverse(ha.require_positive(omega))
-    return _ddbar_scalar(grid, omega, sigma, gi)
-
-
-def _ddbar_scalar(grid, g, sigma, gi, spectrum=None, k_g=None, dbar_g=None):
-    """ddbar_scalar from g^{-1} (and g's spectrum, K and dbar_g, see _ddbar_terms)."""
-    n = grid.n
-    t_a, t_b1, t_c, t_d = _ddbar_terms(grid, g, sigma, gi, spectrum, k_g, dbar_g)
-    rho = math.factorial(n - 2) * t_a
-    if n >= 3:
-        rho = rho + (n - 2) * math.factorial(n - 3) * (2.0 * t_b1.real + t_c)
-    if n >= 4:
-        rho = rho - (n - 2) * (n - 3) * math.factorial(n - 4) * t_d
-    return rho.real
+    return MetricFields(grid, omega).ddbar_scalar(sigma)
 
 
 def gauduchon_scalar(grid, omega):
@@ -333,18 +372,16 @@ def gauduchon_scalar(grid, omega):
 def gauduchon_defect(grid, omega):
     """sup |gauduchon_scalar| of a validated metric: the Gauduchon part of
     :func:`metric_defects` alone."""
-    grid.check_field(omega, (grid.n, grid.n))
     return float(np.max(np.abs(gauduchon_scalar(grid, omega))))
 
 
 def astheno_defect(grid, omega):
     """sup |astheno_dual| of a validated metric (None for n = 2): the
     astheno-Kahler part of :func:`metric_defects` alone."""
-    grid.check_field(omega, (grid.n, grid.n))
-    factor = ha.require_positive(omega)
+    metric = MetricFields(grid, omega)
     if grid.n == 2:
         return None
-    return float(np.max(np.abs(_astheno_dual(grid, omega, ha.inverse(factor)))))
+    return float(np.max(np.abs(_astheno_dual(metric))))
 
 
 def astheno_dual(grid, omega):
@@ -356,26 +393,19 @@ def astheno_dual(grid, omega):
     """
     if grid.n == 2:
         return None
-    return _astheno_dual(grid, omega, ha.inverse(ha.require_positive(omega)))
+    return _astheno_dual(MetricFields(grid, omega))
 
 
-def _astheno_dual(grid, g, gi, spectrum=None, k_g=None, dbar_g=None):
-    """astheno_dual (n >= 3) from g^{-1} (and g's spectrum, K and dbar_g, see
-    _ddbar_terms)."""
-    n = grid.n
-    gi = _entries(gi)
-    if spectrum is None:
-        spectrum = _spectrum(grid, g)
-    if k_g is None:
-        k_g = _ddbar_trace(grid, gi, spectrum)
-    g = _entries(g)
-    dual = _ddbar_dual(gi, g, k_g)
+def _astheno_dual(metric):
+    """astheno_dual (n >= 3) of the MetricFields `metric`."""
+    n = metric.grid.n
+    gi, g = metric.gi_entries, metric.entries
+    dual = _ddbar_dual(gi, g, metric.k)
     if n >= 4:
-        if dbar_g is None:
-            dbar_g = _dbar_entries(grid, g)
         # the output slot: B_ij = g_iq S4(.., c) with (g^{-1} c)_{xX} -> delta_xj delta_Xq,
         # so B = g X^T for the alternating sum X_jq with the slot's row and column open
-        open_slot = _alternating("AaB,bcC->dD", _raised_dbar(gi, dbar_g), _raised_d(gi, dbar_g))
+        open_slot = _alternating("AaB,bcC->dD", _raised_dbar(gi, metric.dbar),
+                                 _raised_d(gi, metric.dbar))
         dual -= (n - 3) * _apply(g, np.swapaxes(open_slot, 0, 1))
     return ha.hermitize(_field((n - 2) * dual))
 
@@ -397,18 +427,14 @@ class MetricDefects:
 
 
 def metric_defects(grid, omega):
-    """Defects of ddbar(omega^{n-1}), ddbar(omega^{n-2}), and d(omega)."""
-    grid.check_field(omega, (grid.n, grid.n))
-    gi = ha.inverse(ha.require_positive(omega))
-    # g^{-1}, the spectrum of g, dbar_g and the g-trace K of ddbar_g serve all three
-    spectrum = _spectrum(grid, omega)
-    dbar_g = _dbar_entries(grid, _entries(omega))
+    """Defects of ddbar(omega^{n-1}), ddbar(omega^{n-2}), and d(omega); one
+    MetricFields serves all three."""
+    metric = MetricFields(grid, omega)
+    dbar_g = metric.dbar
     # d_c g_{a bbar} - d_a g_{c bbar} = conj(d_cbar g_{b abar} - d_abar g_{b cbar})
     kahler = float(np.max(np.abs(dbar_g - np.swapaxes(dbar_g, 0, 2))))
-    k_g = _ddbar_trace(grid, _entries(gi), spectrum)
-    rho = _ddbar_scalar(grid, omega, omega, gi, spectrum, k_g, dbar_g)
-    gauduchon = float(np.max(np.abs(rho)))
+    gauduchon = float(np.max(np.abs(metric.ddbar_scalar(omega))))
     astheno = None
     if grid.n >= 3:
-        astheno = float(np.max(np.abs(_astheno_dual(grid, omega, gi, spectrum, k_g, dbar_g))))
+        astheno = float(np.max(np.abs(_astheno_dual(metric))))
     return MetricDefects(gauduchon=gauduchon, astheno=astheno, kahler=kahler)

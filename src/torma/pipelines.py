@@ -1,9 +1,11 @@
 """End-to-end pipelines: Calabi-Yau volume prescription for Gauduchon metrics,
 prescribed Chern-Ricci curvature, and the torsion-augmented (PHI) route.
 
-Exponent bookkeeping: solving the (n-1,n-1)-level equation with datum
-F = (n-1) F' and extracting the (n-1)-th root gives the metric-level
-Calabi-Yau equation omega_u^n = e^{F' + b'} omega^n with b' = b/(n-1).
+Exponent bookkeeping: solving the (n-1,n-1)-level equation with datum F
+and extracting the (n-1)-th root gives the metric-level equation
+omega_u^n = e^{F/(n-1) + b'} omega^n with b' = b/(n-1), in both routes:
+the Calabi-Yau route solves with F = (n-1) F', so omega_u^n =
+e^{F' + b'} omega^n, and the PHI route with the datum F itself.
 
 On the torus, Bott-Chern classes reduce to the zero Fourier mode: a real
 (1,1)-form is ddbar-exact iff its mode-0 matrix vanishes and the complex
@@ -24,13 +26,19 @@ from . import hermitian as ha
 from . import solver as sv
 from .errors import CohomologyError, ValidationError
 
+# sup of the closedness defects the pipelines require of their input metrics
+PRECONDITION_TOL = 1e-8
+# sup of the Bott-Chern obstruction and of the ddbar fit residual accepted
+# by potential_from_form
+POTENTIAL_TOL = 1e-8
 
-def potential_from_form(grid, beta, tol=1e-8):
+
+def potential_from_form(grid, beta):
     """Real F with i ddbar F = beta for a Hermitian (1,1)-field beta.
 
     Least-squares per Fourier mode against the Hessian symbol; raises
-    CohomologyError when the zero mode (the Bott-Chern obstruction) is nonzero
-    or the mode-wise fit leaves a residual above tol (beta not exact).
+    CohomologyError when the zero mode (the Bott-Chern obstruction) or the
+    mode-wise fit's residual (beta not exact) exceeds POTENTIAL_TOL.
     """
     n = grid.n
     grid.check_field(beta, (n, n))
@@ -43,7 +51,7 @@ def potential_from_form(grid, beta, tol=1e-8):
     beta_hat = gr.fftn(grid, beta)
     zero = tuple(0 for _ in grid.sizes)
     obstruction = float(np.max(np.abs(beta_hat[zero]))) / grid.num_nodes
-    if obstruction > tol:
+    if obstruction > POTENTIAL_TOL:
         raise CohomologyError(
             f"zero Fourier mode of the prescribed form is {obstruction:.3e}; "
             "the class does not match the reference (Bott-Chern obstruction)"
@@ -60,7 +68,7 @@ def potential_from_form(grid, beta, tol=1e-8):
         raise CohomologyError("recovered potential is not real; form is not Hermitian")
     potential = potential.real
     residual = gr.sup_norm(gr.hessian_complex(grid, potential) - beta)
-    if residual > tol:
+    if residual > POTENTIAL_TOL:
         raise CohomologyError(
             f"prescribed form is not ddbar-exact (fit residual {residual:.3e})"
         )
@@ -79,44 +87,31 @@ class PipelineResult:
     diagnostics: dict
 
 
-def calabi_yau_gauduchon(spec, f_prime, cfg=None, precondition_tol=1e-8,
-                         check_preconditions=True):
-    """Solve omega_u^n = e^{F' + b'} omega^n with omega_u^{n-1} in the
-    omega_0^{n-1} + ddbar-wedge family.
+def _require_closed(defect, what):
+    """Raise ValidationError unless a closedness defect is within PRECONDITION_TOL."""
+    if defect is None or defect > PRECONDITION_TOL:
+        raise ValidationError(f"{what} within {PRECONDITION_TOL:.1e} (defect {defect})")
 
-    Requires omega astheno-Kahler and omega_0 Gauduchon (within tolerance), so
-    the root metric stays Gauduchon. spec supplies the metrics; its F is
-    ignored in favor of (n-1) f_prime.
+
+def _root(spec, variant, F, cfg, diagnostics):
+    """Solve `variant` with datum F on spec's metrics and take the (n-1)-th root.
+
+    The root omega_u satisfies omega_u^n = e^{F/(n-1) + b'} omega^n with
+    b' = b/(n-1); the result carries the sup of that identity's residual,
+    the root's Gauduchon defect and `diagnostics` with b added.
     """
-    grid = spec.grid
-    n = spec.n
-    if check_preconditions:
-        astheno = geo.astheno_defect(grid, spec.omega)
-        if astheno is None or astheno > precondition_tol:
-            raise ValidationError(
-                f"omega is not astheno-Kahler within {precondition_tol:.1e} "
-                f"(defect {astheno})"
-            )
-    # one evaluation serves the precondition and the diagnostics
-    omega0_defect = geo.gauduchon_defect(grid, spec.omega0)
-    if check_preconditions and omega0_defect > precondition_tol:
-        raise ValidationError(
-            f"omega_0 is not Gauduchon within {precondition_tol:.1e} "
-            f"(defect {omega0_defect:.3e})"
-        )
-    f_prime = np.asarray(f_prime)
-    psi_spec = eq.ProblemSpec(
-        grid=grid, variant=eq.Variant.PSI, omega0=spec.omega0, omega=spec.omega,
-        F=(n - 1) * f_prime.real, rhs_volume=eq.RhsVolume.OMEGA_N,
+    grid, n = spec.grid, spec.n
+    level = eq.ProblemSpec(
+        grid=grid, variant=variant, omega0=spec.omega0, omega=spec.omega,
+        F=F, rhs_volume=eq.RhsVolume.OMEGA_N,
     )
-    report = sv.continuity_solve(psi_spec, cfg)
+    report = sv.continuity_solve(level, cfg)
     b_prime = report.state.b / (n - 1)
-    dual = eq.tilde_metric(psi_spec, report.state.u)
-    omega_u = ha.nm1_root(spec.omega, dual)
-    # psi_spec's volume reference is omega
+    omega_u = ha.nm1_root(spec.omega, eq.tilde_metric(level, report.state.u))
+    # level's volume reference is omega
     volume_residual = (
-        ha.log_det(ha.require_positive(omega_u)) - psi_spec.log_det_ref
-        - f_prime.real - b_prime
+        ha.log_det(ha.require_positive(omega_u)) - level.log_det_ref
+        - level.F / (n - 1) - b_prime
     )
     return PipelineResult(
         metric=omega_u,
@@ -124,12 +119,27 @@ def calabi_yau_gauduchon(spec, f_prime, cfg=None, precondition_tol=1e-8,
         report=report,
         volume_identity_sup=gr.sup_norm(volume_residual),
         gauduchon_defect=geo.gauduchon_defect(grid, omega_u),
-        diagnostics={"b": report.state.b, "omega0_gauduchon_defect": omega0_defect},
+        diagnostics={"b": report.state.b, **diagnostics},
     )
 
 
-def prescribed_ricci(spec, psi, cfg=None, tol=1e-8, precondition_tol=1e-8,
-                     check_preconditions=True):
+def calabi_yau_gauduchon(spec, f_prime, cfg=None):
+    """Solve omega_u^n = e^{F' + b'} omega^n with omega_u^{n-1} in the
+    omega_0^{n-1} + ddbar-wedge family.
+
+    Requires omega astheno-Kahler and omega_0 Gauduchon (within
+    PRECONDITION_TOL), so the root metric stays Gauduchon. spec supplies the
+    metrics; its F is ignored in favor of (n-1) f_prime.
+    """
+    _require_closed(geo.astheno_defect(spec.grid, spec.omega), "omega is not astheno-Kahler")
+    # one evaluation serves the precondition and the diagnostics
+    omega0_defect = geo.gauduchon_defect(spec.grid, spec.omega0)
+    _require_closed(omega0_defect, "omega_0 is not Gauduchon")
+    F = (spec.n - 1) * np.asarray(f_prime).real
+    return _root(spec, eq.Variant.PSI, F, cfg, {"omega0_gauduchon_defect": omega0_defect})
+
+
+def prescribed_ricci(spec, psi, cfg=None):
     """Gauduchon metric omega_u with Ric(omega_u) = psi.
 
     psi must represent the class of Ric(omega): the difference is resolved to a
@@ -138,53 +148,23 @@ def prescribed_ricci(spec, psi, cfg=None, tol=1e-8, precondition_tol=1e-8,
     """
     grid = spec.grid
     ric = geo.chern_ricci(grid, spec.omega)
-    f_prime = potential_from_form(grid, ha.hermitize(ric - psi), tol=tol)
-    result = calabi_yau_gauduchon(
-        spec, f_prime, cfg, precondition_tol=precondition_tol,
-        check_preconditions=check_preconditions,
-    )
+    f_prime = potential_from_form(grid, ha.hermitize(ric - psi))
+    result = calabi_yau_gauduchon(spec, f_prime, cfg)
     ric_defect = gr.sup_norm(geo.chern_ricci(grid, result.metric) - psi)
     result.diagnostics["ricci_defect"] = ric_defect
     result.diagnostics["potential_sup"] = gr.sup_norm(f_prime)
     return result
 
 
-def phi_pipeline(spec, f_datum, cfg=None, precondition_tol=1e-8,
-                 check_preconditions=True):
+def phi_pipeline(spec, f_datum, cfg=None):
     """Solve the torsion-augmented equation and return the Gauduchon root.
 
-    omega must be Gauduchon (the root inherits its ddbar-closedness from
-    omega_0 since beta_u is ddbar-closed); n >= 3.
+    omega must be Gauduchon (within PRECONDITION_TOL; the root inherits its
+    ddbar-closedness from omega_0 since beta_u is ddbar-closed); n >= 3.
     """
-    grid = spec.grid
-    n = spec.n
-    if n < 3:
+    if spec.n < 3:
         raise ValidationError("the PHI pipeline needs n >= 3")
-    if check_preconditions:
-        omega_defect = geo.gauduchon_defect(grid, spec.omega)
-        if omega_defect > precondition_tol:
-            raise ValidationError(
-                f"omega is not Gauduchon within {precondition_tol:.1e} "
-                f"(defect {omega_defect:.3e})"
-            )
-    f_datum = np.asarray(f_datum)
-    phi_spec = eq.ProblemSpec(
-        grid=grid, variant=eq.Variant.PHI, omega0=spec.omega0, omega=spec.omega,
-        F=f_datum.real, rhs_volume=eq.RhsVolume.OMEGA_N,
-    )
-    report = sv.continuity_solve(phi_spec, cfg)
-    dual = eq.tilde_metric(phi_spec, report.state.u)
-    omega_tilde = ha.nm1_root(spec.omega, dual)
-    # (n-1)-th root of det Phi_u = e^{F+b} det(omega^{n-1})
-    volume_residual = (
-        ha.log_det(ha.require_positive(omega_tilde)) - phi_spec.log_det_ref
-        - (f_datum.real + report.state.b) / (n - 1)
-    )
-    return PipelineResult(
-        metric=omega_tilde,
-        b_prime=report.state.b,
-        report=report,
-        volume_identity_sup=gr.sup_norm(volume_residual),
-        gauduchon_defect=geo.gauduchon_defect(grid, omega_tilde),
-        diagnostics={"omega0_gauduchon_defect": geo.gauduchon_defect(grid, spec.omega0)},
-    )
+    _require_closed(geo.gauduchon_defect(spec.grid, spec.omega), "omega is not Gauduchon")
+    omega0_defect = geo.gauduchon_defect(spec.grid, spec.omega0)
+    F = np.asarray(f_datum).real
+    return _root(spec, eq.Variant.PHI, F, cfg, {"omega0_gauduchon_defect": omega0_defect})

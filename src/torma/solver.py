@@ -641,13 +641,12 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30):
         raise ValidationError(f"tol must be positive and finite, got {tol!r}")
     cfg = SolverConfig()
     n = grid.n
-    ginv = ha.inverse(ha.require_positive(omega))
-    # one dbar_g serves rho_0 and the cross coefficient
-    dbar_g = geo.metric_dbar_tensor(grid, omega)
-    rho0 = geo._ddbar_scalar(grid, omega, omega, ginv, dbar_g=geo._entries(dbar_g, 3))
-    rho0 = rho0 / math.factorial(n - 1)
-    cross_coeff = eq.torsion_coefficient(dbar_g, ginv)
-    del dbar_g
+    # one factor and one dbar_g serve rho_0 and the cross coefficient
+    metric = geo.MetricFields(grid, omega)
+    ginv = metric.gi
+    rho0 = metric.ddbar_scalar(omega) / math.factorial(n - 1)
+    cross_coeff = eq.torsion_coefficient(metric.dbar_field, ginv)
+    del metric
     coeff_mean = np.mean(ginv.reshape(-1, n, n), axis=0)
     precond = SpectralPreconditioner(grid, coeff_mean)
     what = "Gauduchon factor Newton"

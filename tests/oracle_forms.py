@@ -22,6 +22,8 @@ per slot on the whole ddbar tensor of the metric (S3, S4, B3 and that
 tensor live here, since production no longer builds them); the closed
 forms used in production are checked against them, and the
 Leibniz-route Gauduchon scalar checks the factorized one of torma.geometry.
+``commutation_check`` measures two third-derivative commutation identities
+with torma.geometry's Chern connection, curvature and torsion.
 The per-axis derivative references at the end compose first derivatives one
 real axis at a time (a 1-D FFT or the fd4 np.roll stencil); the fused
 spectral operators of torma.grid are checked against them. ``derivatives``
@@ -511,6 +513,51 @@ def gauduchon_scalar_direct(grid, omega):
                     s3_sum += s3(g, slot1, _unit(n, c, j), d_g[..., c, :, :], gi)
         rho = rho - (n - 2) * math.factorial(n - 3) * s3_sum
     return ((n - 1) * rho).real
+
+
+# ---------------------------------------------------------------------------
+# third-derivative commutation identities of the Chern connection
+
+
+def commutation_check(grid, omega, u):
+    """Discrepancy of the first two third-derivative commutation identities.
+
+    (1) u_{i jbar l} = u_{i l jbar} - u_p R_{l jbar i}^p
+    (2) u_{p jbar mbar} = u_{p mbar jbar} - conj(T^q_{mj}) u_{p qbar}
+
+    built from covariant derivatives of the Chern connection.
+    """
+    n = grid.n
+    conn = geo.chern_connection(grid, omega)
+    du = gr.holo_gradient(grid, u)           # u_i
+    hess = gr.hessian_complex(grid, u)       # u_{i jbar}
+    # u_{i l} = d_l d_i u - Gamma^p_{li} u_p
+    ddu = np.stack([gr.d_holo(grid, du, l) for l in range(n)], axis=-2)
+    u_il = np.swapaxes(ddu, -1, -2) - np.einsum("...pli,...p->...il", conn.gamma, du)
+
+    # u_{i jbar l} = d_l u_{i jbar} - Gamma^p_{li} u_{p jbar}
+    d_hess = np.stack([gr.d_holo(grid, hess, l) for l in range(n)], axis=-3)
+    u_ijl = np.einsum("...lij->...ijl", d_hess) - np.einsum(
+        "...pli,...pj->...ijl", conn.gamma, hess
+    )
+    # u_{i l jbar} = d_jbar u_{i l}
+    u_ilj = np.stack([gr.d_antiholo(grid, u_il, j) for j in range(n)], axis=-1)
+    curv_term = np.einsum("...p,...ljip->...ijl", du, conn.curvature)
+    first = u_ijl - (np.einsum("...ilj->...ijl", u_ilj) - curv_term)
+
+    # u_{p jbar mbar} = d_mbar u_{p jbar} - conj(Gamma^q_{mj}) u_{p qbar}
+    dbar_hess = np.stack([gr.d_antiholo(grid, hess, m) for m in range(n)], axis=-3)
+    u_pjm = np.einsum("...mpj->...pjm", dbar_hess) - np.einsum(
+        "...qmj,...pq->...pjm", np.conj(conn.gamma), hess
+    )
+    # u_{p mbar jbar} is the same tensor with the antiholomorphic slots swapped
+    u_pmj = np.swapaxes(u_pjm, -1, -2)
+    torsion_term = np.einsum("...qmj,...pq->...pjm", np.conj(conn.torsion), hess)
+    second = u_pjm - (u_pmj - torsion_term)
+    return {
+        "first_identity_sup": float(np.max(np.abs(first))),
+        "second_identity_sup": float(np.max(np.abs(second))),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -124,15 +124,15 @@ class TestChernRicci:
 class TestMetricDefects:
     @pytest.mark.parametrize("n,size", [(3, 16), (4, 8)])
     def test_shared_parts_match_separate_defects(self, rng, n, size, monkeypatch):
-        # one g^{-1} and one K of ddbar_g serve both ddbar defects, with the
-        # values of the separate evaluations bit for bit
+        # one g^{-1}, one dbar_g and one K of ddbar_g serve all three defects,
+        # with the values of the separate evaluations bit for bit
         grid = gr.TorusGrid.reduced(n, size, active_coords=(0, 2))
         metric = tf.random_hermitian_metric(grid, rng, amplitude=0.2)
         gauduchon = geo.gauduchon_defect(grid, metric)
         astheno = geo.astheno_defect(grid, metric)
         assert astheno == float(np.max(np.abs(geo.astheno_dual(grid, metric))))
-        calls = {"inv": 0, "trace": 0}
-        inv, trace = ha.inverse, geo._ddbar_trace
+        calls = {"inv": 0, "trace": 0, "dbar": 0}
+        inv, trace, dbar = ha.inverse, geo._ddbar_trace, geo._dbar_entries
 
         def counted(name, fn):
             def wrapped(*args):
@@ -142,8 +142,9 @@ class TestMetricDefects:
 
         monkeypatch.setattr(ha, "inverse", counted("inv", inv))
         monkeypatch.setattr(geo, "_ddbar_trace", counted("trace", trace))
+        monkeypatch.setattr(geo, "_dbar_entries", counted("dbar", dbar))
         d = geo.metric_defects(grid, metric)
-        assert calls == {"inv": 1, "trace": 1}
+        assert calls == {"inv": 1, "trace": 1, "dbar": 1}
         assert d.gauduchon == gauduchon
         assert d.astheno == astheno
 
@@ -277,7 +278,7 @@ class TestClosedFormsAgainstSlotLoops:
         grid, metric, sigma = oracle_case(key, sigma_kind, rng)
         gi = np.linalg.inv(metric)
         dbar_g = geo.metric_dbar_tensor(grid, metric)
-        got = geo._ddbar_terms(grid, metric, sigma, gi)
+        got = geo._ddbar_terms(geo.MetricFields(grid, metric), sigma)
         want = of.ddbar_terms_slots(grid, metric, sigma, gi, dbar_g,
                                     of.metric_ddbar_tensor(grid, metric, dbar_g))
         for block, a, b in zip(("T_A", "T_B1", "T_C", "T_D"), got, want):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from torma import cli, hmf1
+from torma import geometry as geo
 from torma import grid as gr
 from torma import testfields as tf
 from torma.config import load_config
@@ -261,6 +262,23 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["defects"]["gauduchon_defect"] < 1e-12
         assert payload["torsion_sup"] < 1e-12
+
+    def test_validate_metric_torsion_without_curvature(self, tmp_path, capsys, rng,
+                                                       monkeypatch):
+        # torsion_sup takes the connection's torsion, bit for bit, and never
+        # differentiates the connection into the curvature
+        grid = gr.TorusGrid.reduced(3, 8, active_coords=(0, 2))
+        metric = tf.random_hermitian_metric(grid, rng, amplitude=0.2)
+        want = geo.chern_connection(grid, metric).torsion_sup()
+        path = tmp_path / "metric.hmf1"
+        hmf1.write_field(path, grid, metric)
+
+        def curvature(*args):
+            raise AssertionError("validate-metric builds the curvature")
+
+        monkeypatch.setattr(gr, "d_antiholo", curvature)
+        assert cli.main(["validate-metric", "--field", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["torsion_sup"] == want
 
     def test_validate_metric_exit_2_on_non_finite_payload(self, tmp_path, capsys):
         grid = gr.TorusGrid.reduced(3, 8)

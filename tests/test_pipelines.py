@@ -183,6 +183,23 @@ class TestPhiPipeline:
         defect0 = result.diagnostics["omega0_gauduchon_defect"]
         assert result.gauduchon_defect <= defect0 + 1e-8
 
+    def test_b_prime_is_b_over_n_minus_1(self, g3, gauduchon_omega0):
+        # as in the Calabi-Yau route, b' is the metric-level constant of the
+        # volume identity omega_u^n = e^{F/(n-1) + b'} omega^n
+        rng = np.random.default_rng(37)
+        # the constant 0.3 moves b to about -0.3
+        f_datum = 0.1 * tf.random_band_limited_real(g3, rng, max_mode=1).real + 0.3
+        spec = eq.ProblemSpec(
+            grid=g3, variant=eq.Variant.PHI, omega0=gauduchon_omega0,
+            omega=gauduchon_omega0, F=f_datum,
+        )
+        result = pl.phi_pipeline(spec, f_datum)
+        b = result.report.state.b
+        assert abs(b) > 0.1
+        assert result.b_prime == b / 2
+        assert result.diagnostics["b"] == b
+        assert result.volume_identity_sup < 1e-8
+
     def test_rejects_non_gauduchon_omega(self, g3, rng):
         omega = tf.random_hermitian_metric(g3, rng, amplitude=0.2)
         spec = eq.ProblemSpec(
