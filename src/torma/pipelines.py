@@ -101,17 +101,17 @@ def _root(spec, variant, F, cfg, diagnostics):
     the root's Gauduchon defect and `diagnostics` with b added.
     """
     grid, n = spec.grid, spec.n
-    level = eq.ProblemSpec(
+    problem = eq.ProblemSpec(
         grid=grid, variant=variant, omega0=spec.omega0, omega=spec.omega,
         F=F, rhs_volume=eq.RhsVolume.OMEGA_N,
     )
-    report = sv.continuity_solve(level, cfg)
+    report = sv.continuity_solve(problem, cfg)
     b_prime = report.state.b / (n - 1)
-    omega_u = ha.nm1_root(spec.omega, eq.tilde_metric(level, report.state.u))
-    # level's volume reference is omega
+    omega_u = ha.nm1_root(spec.omega, eq.tilde_metric(problem, report.state.u))
+    # problem's volume reference is omega
     volume_residual = (
-        ha.log_det(ha.require_positive(omega_u)) - level.log_det_ref
-        - level.F / (n - 1) - b_prime
+        ha.log_det(ha.require_positive(omega_u)) - problem.log_det_ref
+        - problem.F / (n - 1) - b_prime
     )
     return PipelineResult(
         metric=omega_u,
