@@ -75,15 +75,15 @@ class ProblemSpec:
 
     def resampled(self, grid):
         """The same problem on another grid: omega_0, omega and F spectrally
-        resampled (truncated to coarsen, zero-padded to refine), the metrics
-        hermitized and F real. Raises ValidationError when a resampled metric
-        is not positive."""
+        resampled (truncated to coarsen, zero-padded to refine) on half
+        spectra, the metrics Hermitian and F real. Raises ValidationError
+        when a resampled metric is not positive."""
         return ProblemSpec(
             grid=grid,
             variant=self.variant,
-            omega0=ha.hermitize(gr.resample(self.grid, self.omega0, grid)),
-            omega=ha.hermitize(gr.resample(self.grid, self.omega, grid)),
-            F=gr.resample(self.grid, self.F.astype(complex), grid).real,
+            omega0=gr.resample_hermitian(self.grid, self.omega0, grid),
+            omega=gr.resample_hermitian(self.grid, self.omega, grid),
+            F=gr.resample(self.grid, self.F, grid),
             rhs_volume=self.rhs_volume,
         )
 

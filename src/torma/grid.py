@@ -175,6 +175,21 @@ def irfftn(grid, fh, axes=None):
     return scipy.fft.irfftn(fh, s=shape, axes=axes, workers=_FFT_WORKERS)
 
 
+def _irfftn_products(grid, mults, fh, axes=None):
+    """Real fields of mult * fh for every multiplier in mults, stacked on a
+    new leading axis: one inverse transform over the active axes (default:
+    all) for all of them. Each mult broadcasts against the half spectrum fh."""
+    axes = grid.active_axes if axes is None else axes
+    stack = np.empty((len(mults),) + fh.shape, dtype=np.complex128)
+    for k, mult in enumerate(mults):
+        np.multiply(mult, fh, out=stack[k])
+    if not axes:
+        return stack.real.copy()
+    return scipy.fft.irfftn(stack, s=[grid.sizes[a] for a in axes],
+                            axes=[a + 1 for a in axes], overwrite_x=True,
+                            workers=_FFT_WORKERS)
+
+
 class SpectralTable:
     """Fourier multipliers of one grid.
 
@@ -267,10 +282,11 @@ def _first_order(grid, f, combos):
     """sum_a c_a d/dx_a f for each combination [(a, c_a), ...] in combos.
 
     One forward transform over the active axes the combinations use. A real f
-    goes through the half spectrum with one inverse per real derivative; a
-    complex f (matrix fields of metrics) through the full spectrum with one
-    inverse per combination, which is cheaper than transforming its real and
-    imaginary parts apart. f may carry trailing matrix axes.
+    goes through the half spectrum with one inverse transform for all its
+    real derivatives; a complex f (matrix fields of metrics) through the full
+    spectrum with one inverse per combination, which is cheaper than
+    transforming its real and imaginary parts apart. f may carry trailing
+    matrix axes.
     """
     tab = spectral_table(grid)
     f = np.asarray(f)
@@ -296,12 +312,11 @@ def _first_order(grid, f, combos):
             out.append(ifftn(grid, fh_k, axes))
         return out
     fh = rfftn(grid, f, axes)
+    mults = [symbol(tab.half(a, axes[-1])) for a in axes]
+    derivs = dict(zip(axes, _irfftn_products(grid, mults, fh, axes)))
     out = [np.zeros(f.shape, dtype=np.complex128) for _ in combos]
-    derivs = {}
     for k, combo in enumerate(combos):
         for a, c in combo:
-            if a not in derivs:
-                derivs[a] = irfftn(grid, symbol(tab.half(a, axes[-1])) * fh, axes)
             out[k] += c * derivs[a]
     return out
 
@@ -348,19 +363,23 @@ def wirtinger_symbols(grid, anti=False):
 def hessian_complex(grid, u):
     """Mixed complex Hessian u_{i jbar} = d_i d_jbar u, shape grid.shape + (n, n).
 
-    For real u, one half-spectrum transform and one inverse per upper-triangle
-    entry (two where the symbol has an imaginary part); the lower triangle is
-    hess[j, i] = conj(hess[i, j]). Complex u is H(Re u) + i H(Im u).
+    For real u, one half-spectrum transform and one inverse transform for
+    every upper-triangle symbol (two where it has an imaginary part); the
+    lower triangle is hess[j, i] = conj(hess[i, j]). Complex u is
+    H(Re u) + i H(Im u).
     """
     tab = spectral_table(grid)
     n = grid.n
+    pairs = tab.pairs()
+    imag = [(i, j) for i, j in pairs if tab.im[i][j] is not None]
+    mults = [tab.re[i][j] for i, j in pairs] + [tab.im[i][j] for i, j in imag]
     hess = grid.zeros(n, n)
     for part, unit in _real_parts(u):
-        uh = rfftn(grid, part)
-        for i, j in tab.pairs():
-            entry = irfftn(grid, tab.re[i][j] * uh)
-            if tab.im[i][j] is not None:
-                entry = entry + 1j * irfftn(grid, tab.im[i][j] * uh)
+        fields = _irfftn_products(grid, mults, rfftn(grid, part))
+        entries = dict(zip(pairs, fields))
+        for (i, j), field in zip(imag, fields[len(pairs):]):
+            entries[i, j] = entries[i, j] + 1j * field
+        for (i, j), entry in entries.items():
             hess[..., i, j] += unit * entry
             if i != j:
                 hess[..., j, i] += unit * np.conj(entry)
@@ -383,10 +402,11 @@ class SecondOrderOperator:
 
     A_ii = Re C_ii, A_ij = Re(C_ij + C_ji), B_ij = Im(C_ij - C_ji), with
     d_x, d_y the real derivatives of coordinate p. ``apply`` makes one forward
-    half-spectrum transform and one inverse per real operator; ``transpose``
-    (under the pairing sum(a * b)) one forward per real operator and a single
-    inverse, since the second-order symbols are even and the first-order ones
-    odd. The multipliers come from the grid's table at call time.
+    half-spectrum transform and one inverse transform for all real operators
+    (``apply_spectrum`` the inverse alone); ``transpose`` (under the pairing
+    sum(a * b)) one forward per real operator and a single inverse, since the
+    second-order symbols are even and the first-order ones odd. The
+    multipliers come from the grid's table at call time.
     """
 
     def __init__(self, grid, coeff, first_order=None):
@@ -426,10 +446,15 @@ class SecondOrderOperator:
 
     def apply(self, v):
         """L v for a real field v."""
-        vh = rfftn(self.grid, v)
+        return self.apply_spectrum(rfftn(self.grid, v))
+
+    def apply_spectrum(self, vh):
+        """L v for the real field v with half spectrum vh (:func:`rfftn`)."""
+        terms = list(self._terms())
+        fields = _irfftn_products(self.grid, [mult for _, mult in terms], vh)
         out = np.zeros(self.grid.sizes)
-        for a, mult in self._terms():
-            out += a * irfftn(self.grid, mult * vh)
+        for (a, _), field in zip(terms, fields):
+            out += a * field
         return out
 
     def transpose(self, t):
@@ -486,6 +511,38 @@ def integral(grid, g, f):
     return complex(np.sum(f * volume_weights(grid, g)))
 
 
+def _nyquist_cut(grid, axis):
+    """Index of the Nyquist plane along an active axis, in full or half spectra."""
+    cut = [slice(None)] * len(grid.sizes)
+    cut[axis] = grid.sizes[axis] // 2
+    return tuple(cut)
+
+
+@functools.lru_cache(maxsize=16)  # bounded, as spectral_table
+def resolved_weights(grid):
+    """Parseval weights w of the half spectrum and 1/w (0 where w is 0).
+
+    w = sqrt(c / num_nodes), c = 1 on the k = 0 plane of the last active axis
+    (whose modes :func:`rfftn` holds once), 2 elsewhere (a mode and its
+    conjugate) and 0 on every mode with a Nyquist index. The real view of
+    w * rfftn(v) thus has the 2-norm and inner products of the real field v
+    with its Nyquist modes dropped (:func:`drop_nyquist`).
+    """
+    axes = grid.active_axes
+    c = np.ones(spectral_table(grid).half_shape)
+    if axes:
+        cut = [slice(None)] * len(grid.sizes)
+        cut[axes[-1]] = slice(1, None)
+        c[tuple(cut)] = 2.0
+    for axis in axes:
+        c[_nyquist_cut(grid, axis)] = 0.0
+    w = np.sqrt(c / grid.num_nodes)
+    w_inv = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0.0)
+    for arr in (w, w_inv):
+        arr.setflags(write=False)
+    return w, w_inv
+
+
 def drop_nyquist(grid, f):
     """Project out all modes carrying a Nyquist index on any active axis.
 
@@ -497,11 +554,30 @@ def drop_nyquist(grid, f):
     for part, unit in _real_parts(f):
         fh = rfftn(grid, part)
         for axis in grid.active_axes:
-            sl = [slice(None)] * fh.ndim
-            sl[axis] = grid.sizes[axis] // 2
-            fh[tuple(sl)] = 0.0
+            fh[_nyquist_cut(grid, axis)] = 0.0
         out = out + unit * irfftn(grid, fh)
     return out
+
+
+def _resample_blocks(s_in, s_out, mirrored):
+    """(source, destination) slices of one active axis of a full spectrum.
+
+    The modes |k| < m/2, m = min(s_in, s_out), keep their wavenumber, and so
+    does the -m/2 mode, or the +m/2 mode when mirrored (on the coarser grid
+    both are its Nyquist mode).
+    """
+    half = min(s_in, s_out) // 2
+    if mirrored:
+        return [(slice(0, half + 1), slice(0, half + 1)),
+                (slice(s_in - half + 1, s_in), slice(s_out - half + 1, s_out))]
+    return [(slice(0, half), slice(0, half)),
+            (slice(s_in - half, s_in), slice(s_out - half, s_out))]
+
+
+def _copy_blocks(src, dst, blocks, scale=1.0):
+    """dst[b] += scale * src[a] for every combination of the per-axis blocks."""
+    for combo in _iterproduct(*blocks):
+        dst[tuple(d for _, d in combo)] += scale * src[tuple(a for a, _ in combo)]
 
 
 def resample(grid, f, out_grid):
@@ -509,31 +585,59 @@ def resample(grid, f, out_grid):
 
     Supports the 3/2-rule dealiasing workflow: evaluate products on a finer
     grid, truncate back. Inactive axes must match; active axes may differ.
+    Along each active axis the modes |k| < m/2 (m the smaller size) are
+    kept and the -m/2 mode goes to -m/2. A real f gives the real part of
+    that field, computed on half spectra: there each Nyquist block is the
+    mean of the -m/2 and the mirrored +m/2 placement, except on the last
+    active axis's own Nyquist plane when it coarsens, which holds the +m/2
+    modes alone (the inverse transform takes the real part of that plane).
     """
     if out_grid.n != grid.n:
         raise ValidationError("resample requires equal complex dimension")
-    fh = fftn(grid, f)
-    out = np.zeros(out_grid.sizes + f.shape[len(grid.sizes):], dtype=np.complex128)
-    blocks_src, blocks_dst = [], []
-    for axis in range(2 * grid.n):
-        s_in, s_out = grid.sizes[axis], out_grid.sizes[axis]
+    for s_in, s_out in zip(grid.sizes, out_grid.sizes):
         if (s_in == 1) != (s_out == 1):
             raise ValidationError("resample cannot activate or deactivate axes")
-        if s_in == 1:
-            blocks_src.append([slice(0, 1)])
-            blocks_dst.append([slice(0, 1)])
-        else:
-            half = min(s_in, s_out) // 2
-            blocks_src.append([slice(0, half), slice(s_in - half, s_in)])
-            blocks_dst.append([slice(0, half), slice(s_out - half, s_out)])
-    ndim = fh.ndim
-    for combo in _iterproduct(*(range(len(b)) for b in blocks_src)):
-        src = [slice(None)] * ndim
-        dst = [slice(None)] * ndim
-        for axis, c in enumerate(combo):
-            src[axis] = blocks_src[axis][c]
-            dst[axis] = blocks_dst[axis][c]
-        out[tuple(dst)] = fh[tuple(src)]
-    out = ifftn(out_grid, out)
+    inactive = [(slice(0, 1), slice(0, 1))]
+    pairs = list(zip(grid.sizes, out_grid.sizes))
+    trailing = np.shape(f)[len(grid.sizes):]
+    if np.iscomplexobj(f):
+        out = np.zeros(out_grid.sizes + trailing, dtype=np.complex128)
+        _copy_blocks(fftn(grid, f), out, [
+            inactive if s_in == 1 else _resample_blocks(s_in, s_out, False)
+            for s_in, s_out in pairs])
+        out = ifftn(out_grid, out)
+    else:
+        last = grid.active_axes[-1]
+        fh = rfftn(grid, f)
+        out = np.zeros(spectral_table(out_grid).half_shape + trailing, dtype=np.complex128)
+        for mirrored in (False, True):
+            blocks = [inactive if s_in == 1 else _resample_blocks(s_in, s_out, mirrored)
+                      for s_in, s_out in pairs]
+            # the last axis holds k >= 0 only; equal sizes keep its Nyquist plane
+            s_in, s_out = pairs[last]
+            keep = blocks[last][:1]
+            if s_in == s_out and not mirrored:
+                keep.append((slice(s_in // 2, s_in // 2 + 1),) * 2)
+            blocks[last] = keep
+            _copy_blocks(fh, out, blocks, 0.5)
+        if pairs[last][1] < pairs[last][0]:
+            out[_nyquist_cut(out_grid, last)] *= 2.0
+        out = irfftn(out_grid, out)
     out *= out_grid.num_nodes / grid.num_nodes
+    return out
+
+
+def resample_hermitian(grid, g, out_grid):
+    """:func:`resample` of a Hermitian matrix field, made Hermitian: the real
+    and imaginary parts of its upper triangle go through the real path, so
+    the result is that of the complex path hermitized (ha.hermitize)."""
+    n = g.shape[-1]
+    rows, cols = np.triu_indices(n)
+    off = rows < cols
+    parts = resample(grid, np.concatenate(
+        [g[..., rows, cols].real, g[..., rows[off], cols[off]].imag], axis=-1), out_grid)
+    out = np.zeros(out_grid.sizes + (n, n), dtype=np.complex128)
+    out[..., rows, cols] = parts[..., :len(rows)]
+    out[..., rows[off], cols[off]] += 1j * parts[..., len(rows):]
+    out[..., cols[off], rows[off]] = np.conj(out[..., rows[off], cols[off]])
     return out

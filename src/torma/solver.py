@@ -18,9 +18,12 @@ augmented linear system
 
     [ L(du) - db = -r ;  mean(du) = 0 ]
 
-by GMRES, preconditioned with the exact inverse of the constant-coefficient
-(node-averaged) second-order part, which is diagonal in Fourier space.
-Newton is inexact: each GMRES solve aims only at the forcing term
+by restarted GMRES (_gmres, scipy's algorithm in numpy), preconditioned
+with the exact inverse of the constant-coefficient (node-averaged)
+second-order part, which is diagonal in Fourier space. The Krylov vectors
+are Parseval-scaled resolved half spectra (_augmented_solve), in which the
+Nyquist projection and the preconditioner cost no transform. Newton is
+inexact: each GMRES solve aims only at the forcing term
 _forcing_term(cfg, r) relative to the step's resolved residual sup r, and
 the Newton tolerance test, not the linear tolerance, decides accuracy.
 Positivity of gt is maintained by step damping only; the equation is never
@@ -34,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import equations as eq
 from . import geometry as geo
@@ -132,9 +134,10 @@ class SpectralPreconditioner:
     """Exact inverse of v -> sum C[i,j] d_j d_ibar v - beta for constant C.
 
     Solves [Lbar(v) - beta = rho ; mean(v) = s] one Fourier mode at a time;
-    used as the preconditioner of the augmented Newton system and,
-    conjugated by the volume weights, of the bordered adjoint-kernel system.
-    The symbol is real and even, so real fields are solved on half spectra.
+    used as the preconditioner of the augmented Newton system (its
+    safe_symbol, in _augmented_solve's coordinates) and, conjugated by the
+    volume weights, of the bordered adjoint-kernel system. The symbol is
+    real and even, so real fields are solved on half spectra.
     """
 
     def __init__(self, grid, coeff_mean):
@@ -170,50 +173,150 @@ def _forcing_term(cfg, r):
     return min(FORCING_CAP, max(cfg.linear_tol, FORCING_RATIO * r))
 
 
+def _givens(f, g):
+    """(c, s, r) with [c s; -s c] [f; g] = [r; 0], r carrying the sign of f
+    (LAPACK's lartg)."""
+    if g == 0.0:
+        return 1.0, 0.0, f
+    r = math.copysign(math.hypot(f, g), f)
+    return abs(f) / abs(r), g / r, r
+
+
 def _gmres(matvec, psolve, b, rtol, atol, x0=None):
-    """Preconditioned restarted GMRES on matvec(x) = b within LINEAR_MAXITER
-    iterations, started from x0 (default zero).
+    """Restarted GMRES on matvec(x) = b, left-preconditioned by psolve, from
+    x0 (default zero): at most LINEAR_MAXITER // LINEAR_RESTART cycles of
+    LINEAR_RESTART iterations.
 
-    Returns (x, info, linear); linear holds the iterations, rtol and GMRES's
-    last (preconditioned, relative) residual estimate.
+    The algorithm of scipy.sparse.linalg.gmres (scipy 1.17): Arnoldi with
+    modified Gram-Schmidt on psolve(matvec(.)), Givens rotations of the
+    Hessenberg matrix; a cycle ends when the preconditioned residual estimate
+    reaches ptol, or on breakdown, and then the true residual |b - A x| is
+    tested against max(atol, rtol |b|). ptol starts at that target scaled by
+    |psolve(b)| / |b| and adapts when the estimate and the true residual
+    disagree. Returns (x, info, linear); info is 0 on success and the cycle
+    budget otherwise; linear holds the iterations, rtol and the last
+    estimate relative to |b|.
     """
-    size = b.size
+    bnrm2 = np.linalg.norm(b)
+    atol = max(float(atol), rtol * float(bnrm2))
     estimates = []
-    op = spla.LinearOperator((size, size), matvec=matvec, dtype=np.float64)
-    m_op = spla.LinearOperator((size, size), matvec=psolve, dtype=np.float64)
-    x, info = spla.gmres(
-        op, b, x0=x0, rtol=rtol, atol=atol,
-        restart=LINEAR_RESTART, maxiter=max(1, LINEAR_MAXITER // LINEAR_RESTART),
-        M=m_op, callback=estimates.append, callback_type="pr_norm",
-    )
-    linear = {"linear_iterations": len(estimates), "linear_rtol": rtol,
-              "linear_residual": float(estimates[-1]) if estimates else None}
-    return x, info, linear
+
+    def result(x, info):
+        return x, info, {"linear_iterations": len(estimates), "linear_rtol": rtol,
+                         "linear_residual": estimates[-1] if estimates else None}
+
+    if bnrm2 == 0:
+        return result(b, 0)
+    eps = np.finfo(np.float64).eps
+    restart = min(LINEAR_RESTART, b.size)
+    cycles = max(1, LINEAR_MAXITER // LINEAR_RESTART)
+    ptol_max_factor = 1.0
+    ptol = np.linalg.norm(psolve(b)) * min(ptol_max_factor, atol / bnrm2)
+    v = np.empty((restart + 1, b.size))
+    h = np.zeros((restart, restart + 1))
+    givens = np.zeros((restart, 2))
+    x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=np.float64)
+    r = b - matvec(x) if x.any() else b.copy()
+    rnorm = np.linalg.norm(r)
+    if rnorm < atol:
+        return result(x, 0)
+    for _ in range(cycles):
+        v[0] = psolve(r)
+        tmp = np.linalg.norm(v[0])
+        v[0] *= 1.0 / tmp
+        s = np.zeros(restart + 1)
+        s[0] = tmp
+        breakdown = False
+        for col in range(restart):
+            w = psolve(matvec(v[col]))
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):
+                h[col, k] = tmp = np.dot(v[k], w)
+                w -= tmp * v[k]
+            h1 = np.linalg.norm(w)
+            h[col, col + 1] = h1
+            v[col + 1] = w
+            if h1 <= eps * h0:  # the Krylov space holds the exact solution
+                h[col, col + 1] = 0.0
+                breakdown = True
+            else:
+                v[col + 1] *= 1.0 / h1
+            for k in range(col):
+                c, sn = givens[k]
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k], h[col, k + 1] = c * n0 + sn * n1, -sn * n0 + c * n1
+            c, sn, h[col, col] = _givens(h[col, col], h[col, col + 1])
+            givens[col] = c, sn
+            h[col, col + 1] = 0.0
+            s[col], s[col + 1] = c * s[col], -sn * s[col]
+            presid = abs(s[col + 1])
+            estimates.append(float(presid / bnrm2))
+            if presid <= ptol or breakdown:
+                break
+        # back substitution on the triangular h, a zero pivot dropping its term
+        if h[col, col] == 0:
+            s[col] = 0.0
+        y = s[:col + 1].copy()
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ v[:col + 1]
+        r = b - matvec(x)
+        rnorm = np.linalg.norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:  # the estimate passed, the true residual did not
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return result(x, 0 if rnorm <= atol else cycles)
 
 
-def _augmented_solve(grid, apply_fn, rhs, precond, cfg, rtol):
-    """GMRES on [L(v) - beta = rhs ; mean(v) = 0] over packed real vectors.
+def _augmented_solve(op, rhs, precond, cfg, rtol):
+    """GMRES on [L(v) - beta = rhs ; mean(v) = 0], L the SecondOrderOperator op.
 
-    Solved in the resolved (Nyquist-free) subspace: the spectral Jacobian is
-    singular on Nyquist modes, so both the operator and the right-hand side
-    are projected there. Returns (v, beta, linear) with linear as in _gmres;
-    raises SolverError when GMRES misses rtol.
+    Solved in the resolved (Nyquist-free) subspace, where the spectral
+    Jacobian is not singular. A Krylov vector is the real view of
+    y = w rfftn(v) followed by beta, w the grid's Parseval weights
+    (gr.resolved_weights): an isometric copy of (Nyquist-free v, beta), so
+    GMRES takes the iterates of the physical formulation, while the
+    projection and the preconditioner are diagonal. One matvec transforms
+    twice (docs/conventions.md, "Krylov solve"). Returns (v, beta, linear)
+    with linear as in _gmres; raises SolverError when GMRES misses rtol.
     """
-    size = grid.num_nodes
-    rhs = gr.drop_nyquist(grid, rhs)
+    grid = op.grid
+    w, w_inv = gr.resolved_weights(grid)
+    zero = precond.zero
+    # the constant field 1 has y_0 = root, and mean(v) = Re y_0 / root
+    root = math.sqrt(grid.num_nodes)
+
+    def spectrum(x):
+        return x[:-1].view(np.complex128).reshape(w.shape)
+
+    def pack(yh, beta):
+        return np.append(yh.reshape(-1).view(np.float64), beta)
 
     def matvec(x):
-        v = x[:size].reshape(grid.sizes)
-        out = gr.drop_nyquist(grid, apply_fn(v)) - x[size]
-        return np.concatenate([out.ravel(), [np.mean(v)]])
+        yh = spectrum(x)
+        out = gr.rfftn(grid, op.apply_spectrum(yh * w_inv))
+        out *= w
+        out[zero] -= x[-1] * root
+        return pack(out, yh[zero].real / root)
 
     def psolve(x):
-        v, beta = precond.solve_augmented(x[:size].reshape(grid.sizes), mean_target=x[size])
-        return np.concatenate([v.ravel(), [beta]])
+        # SpectralPreconditioner.solve_augmented in these coordinates
+        yh = spectrum(x)
+        out = yh / precond.safe_symbol
+        out[zero] = x[-1] * root
+        return pack(out, -yh[zero].real / root)
 
     # absolute floor: once the linear residual is far below the Newton
     # tolerance, further digits cannot matter
-    x, info, linear = _gmres(matvec, psolve, np.concatenate([rhs.ravel(), [0.0]]),
+    x, info, linear = _gmres(matvec, psolve, pack(gr.rfftn(grid, rhs) * w, 0.0),
                              rtol, atol=1e-3 * cfg.newton_tol)
     if info != 0:
         raise SolverError(
@@ -221,8 +324,9 @@ def _augmented_solve(grid, apply_fn, rhs, precond, cfg, rtol):
             f"iterations (last residual estimate {linear['linear_residual']:.3e}, "
             f"info={info})"
         )
-    v = x[:size].reshape(grid.sizes)
-    return v - np.mean(v), float(x[size]), linear
+    vh = spectrum(x) * w_inv
+    vh[zero] = 0.0  # mean(v) = 0
+    return gr.irfftn(grid, vh), float(x[-1]), linear
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +446,8 @@ def newton_step(spec, state, cfg=None, evaluation=None):
     lin = eq.Linearization(spec, state, gt=ev["gt"], factor=ev["factor"])
     ev["factor"] = None  # served; not held through GMRES and the line search
     precond = SpectralPreconditioner(spec.grid, lin.coeff_mean)
-    du, db, linear = _augmented_solve(spec.grid, lin.apply, -ev["residual"], precond,
-                                      cfg, _forcing_term(cfg, ev["residual_sup"]))
+    du, db, linear = _augmented_solve(lin.operator, -ev["residual"], precond, cfg,
+                                      _forcing_term(cfg, ev["residual_sup"]))
 
     def trial_at(damping):
         u = state.u + damping * du
@@ -535,7 +639,7 @@ def continuity_solve(spec, cfg=None, u0=None):
             while levels:
                 # rebinding level frees the coarse spec before the fine solve
                 coarse_grid, level = level.grid, levels.pop()
-                u = gr.resample(coarse_grid, report.state.u, level.grid).real
+                u = gr.resample(coarse_grid, report.state.u, level.grid)
                 u = u - np.mean(u)
                 start = eq.SolveState(u=u, b=report.state.b, t=1.0)
                 _member(level, cfg, report, start, None, MIN_FIRST_DAMPING)
@@ -670,7 +774,7 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30):
         first = 2.0 * (np.einsum("...j,...ji->...i", np.conj(ev["dtau"]), ginv)
                        + cross_coeff)
         jac = gr.SecondOrderOperator(grid, ginv, first)
-        dtau, _, _ = _augmented_solve(grid, jac.apply, -ev["residual"], precond, cfg,
+        dtau, _, _ = _augmented_solve(jac, -ev["residual"], precond, cfg,
                                       _forcing_term(cfg, ev["residual_sup"]))
 
         def trial_at(damping):

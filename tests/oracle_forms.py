@@ -29,6 +29,10 @@ real axis at a time (a 1-D FFT or the fd4 np.roll stencil); the fused
 spectral operators of torma.grid are checked against them. ``derivatives``
 swaps the symbol of that fd4 stencil in for torma.grid's table, so that the
 same fused operators run as fourth-order finite differences.
+``gmres_scipy`` and ``augmented_solve_physical`` are the Newton system's
+linear solve as scipy.sparse.linalg.gmres runs it on physical fields, the
+reference for torma.solver's own GMRES in resolved half-spectrum
+coordinates.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import functools
 import math
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from torma import equations as eq
 from torma import geometry as geo
@@ -693,3 +698,43 @@ def apply_transpose_pairs(lin, f, weights, method="spectral"):
 def min_eigenvalue_full(a):
     """Smallest eigenvalue over all nodes by eigvalsh of every node."""
     return float(np.min(np.linalg.eigvalsh(a)))
+
+
+def gmres_scipy(matvec, psolve, b, rtol, atol, restart, cycles, x0=None):
+    """scipy.sparse.linalg.gmres with left preconditioner psolve, as
+    torma.solver._gmres runs it: restart Krylov vectors per cycle, at most
+    cycles cycles. Returns (x, info, preconditioned residual estimates)."""
+    size = b.size
+    estimates = []
+    x, info = spla.gmres(
+        spla.LinearOperator((size, size), matvec=matvec, dtype=np.float64), b, x0=x0,
+        rtol=rtol, atol=atol, restart=restart, maxiter=cycles,
+        M=spla.LinearOperator((size, size), matvec=psolve, dtype=np.float64),
+        callback=estimates.append, callback_type="pr_norm",
+    )
+    return x, info, estimates
+
+
+def augmented_solve_physical(op, rhs, precond, cfg, rtol, restart, cycles):
+    """[L(v) - beta = rhs ; mean(v) = 0] on packed physical vectors (v, beta):
+    the Nyquist projection grid.drop_nyquist around every apply of the
+    SecondOrderOperator op and on rhs, SpectralPreconditioner.solve_augmented
+    as the preconditioner, scipy's GMRES. Returns (v - mean(v), beta, info,
+    iterations)."""
+    grid = op.grid
+    size = grid.num_nodes
+
+    def matvec(x):
+        v = x[:size].reshape(grid.sizes)
+        out = gr.drop_nyquist(grid, op.apply(v)) - x[size]
+        return np.concatenate([out.ravel(), [np.mean(v)]])
+
+    def psolve(x):
+        v, beta = precond.solve_augmented(x[:size].reshape(grid.sizes), mean_target=x[size])
+        return np.concatenate([v.ravel(), [beta]])
+
+    b = np.concatenate([gr.drop_nyquist(grid, rhs).ravel(), [0.0]])
+    x, info, estimates = gmres_scipy(matvec, psolve, b, rtol, 1e-3 * cfg.newton_tol,
+                                     restart, cycles)
+    v = x[:size].reshape(grid.sizes)
+    return v - np.mean(v), float(x[size]), info, len(estimates)

@@ -154,9 +154,9 @@ class TestDealiasedResidual:
         fine = g3.refined(2)
         spec_fine = eq.ProblemSpec(
             grid=fine, variant=spec.variant,
-            omega0=ha.hermitize(gr.resample(g3, spec.omega0, fine)),
-            omega=ha.hermitize(gr.resample(g3, spec.omega, fine)),
-            F=gr.resample(g3, spec.F.astype(complex), fine).real,
+            omega0=gr.resample_hermitian(g3, spec.omega0, fine),
+            omega=gr.resample_hermitian(g3, spec.omega, fine),
+            F=gr.resample(g3, spec.F, fine),
             rhs_volume=spec.rhs_volume,
         )
         state_fine = eq.SolveState(u=gr.resample(g3, state.u, fine), b=state.b, t=state.t)

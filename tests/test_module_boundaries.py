@@ -1,18 +1,64 @@
-"""Module boundaries of torma's source: no module reads another's private names."""
+"""Module boundaries of torma's source: no module reads another's private
+names, and the solver runs on numpy and scipy.fft alone."""
 
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import torma
 
+SOURCES = sorted(Path(torma.__file__).parent.glob("*.py"))
 # the aliases torma's modules import each other under (geo, gr, ha, ...)
 PRIVATE_READ = re.compile(r"\b(geo|gr|ha|eq|sv|tf|mf|dg|pl)\._[A-Za-z]")
+# GMRES is solver._gmres; scipy.sparse (and scipy.linalg, which it loads)
+# would cost about 10 MiB of resident memory for one function
+SCIPY_SOLVER_IMPORT = re.compile(
+    r"^\s*(import\s+scipy\.(sparse|linalg)\b|from\s+scipy\.(sparse|linalg)\b"
+    r"|from\s+scipy\s+import\s.*\b(sparse|linalg)\b)"
+)
+
+
+def _hits(pattern):
+    return [f"{path.name}:{number}: {line.strip()}"
+            for path in SOURCES
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if pattern.search(line)]
 
 
 def test_no_module_reads_another_modules_private_names():
-    hits = []
-    for path in sorted(Path(torma.__file__).parent.glob("*.py")):
-        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if PRIVATE_READ.search(line):
-                hits.append(f"{path.name}:{number}: {line.strip()}")
+    hits = _hits(PRIVATE_READ)
     assert not hits, "\n".join(hits)
+
+
+def test_no_module_imports_scipy_sparse_or_linalg():
+    hits = _hits(SCIPY_SOLVER_IMPORT)
+    assert not hits, "\n".join(hits)
+
+
+def test_solves_leave_scipy_sparse_unloaded():
+    # a fresh interpreter: this test session has loaded scipy.sparse already
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from torma import equations as eq, grid as gr, solver as sv, testfields as tf
+        from torma.manufacture import manufacture_problem
+
+        grid = gr.TorusGrid.reduced(3, 32, active_coords=(0, 2))
+        rng = np.random.default_rng(5)
+        for variant in (eq.Variant.PSI, eq.Variant.PHI):
+            prob = manufacture_problem(grid, variant, rng, amplitude=0.04)
+            report = sv.continuity_solve(prob.spec)
+            assert report.converged and report.linear_iterations() > 0
+        sv.adjoint_kernel(prob.spec, report.state)
+        sv.gauduchon_factor(grid, tf.random_hermitian_metric(grid, rng, amplitude=0.2,
+                                                             max_mode=1))
+        print(sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.linalg"))))
+    """)
+    src = str(Path(torma.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": src}, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -756,6 +756,100 @@ class TestInexactNewton:
             sv.newton_step(prob.spec, state)
 
 
+def cycles():
+    return max(1, sv.LINEAR_MAXITER // sv.LINEAR_RESTART)
+
+
+def rel_diff(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+class TestGmres:
+    """solver._gmres against scipy.sparse.linalg.gmres, the algorithm it ports."""
+
+    @pytest.fixture
+    def system(self):
+        # nonsymmetric, diagonally preconditioned: 49 iterations to rtol 1e-10
+        rng = np.random.default_rng(41)
+        size = 120
+        a = np.diag(rng.uniform(1.0, 10.0, size)) + rng.standard_normal((size, size)) / 4.0
+        m = 1.0 / np.diag(a)
+        return (lambda x: a @ x), (lambda x: m * x), rng.standard_normal(size), rng
+
+    def check(self, system, rtol, atol, x0=None):
+        matvec, psolve, b, _ = system
+        x, info, linear = sv._gmres(matvec, psolve, b, rtol, atol, x0=x0)
+        x_ref, info_ref, estimates = of.gmres_scipy(
+            matvec, psolve, b, rtol, atol, sv.LINEAR_RESTART, cycles(), x0=x0)
+        assert linear["linear_iterations"] == len(estimates) > 0
+        assert info == info_ref
+        assert rel_diff(x, x_ref) < 1e-12
+        # the estimates carry the roundoff of |b|-sized quantities
+        assert abs(linear["linear_residual"] - estimates[-1]) < 1e-13
+        return info, linear
+
+    def test_converges(self, system):
+        info, linear = self.check(system, 1e-10, 0.0)
+        assert info == 0 and linear["linear_residual"] < 1e-10
+
+    def test_atol_floor(self, system):
+        # the absolute floor, far above rtol |b|, ends the solve
+        b = system[2]
+        info, linear = self.check(system, 1e-14, 1e-6 * np.linalg.norm(b))
+        assert info == 0 and linear["linear_residual"] > 1e-14
+
+    def test_restarted_from_x0(self, system, monkeypatch):
+        # 8 vectors per cycle: the solve restarts and adapts its inner target
+        monkeypatch.setattr(sv, "LINEAR_RESTART", 8)
+        rng = system[3]
+        info, linear = self.check(system, 1e-10, 0.0, x0=0.1 * rng.standard_normal(120))
+        assert info == 0 and linear["linear_iterations"] > 8
+
+    def test_budget_exhausted(self, system, monkeypatch):
+        monkeypatch.setattr(sv, "LINEAR_RESTART", 4)
+        monkeypatch.setattr(sv, "LINEAR_MAXITER", 12)
+        info, linear = self.check(system, 1e-12, 0.0)
+        assert info == 3 and linear["linear_iterations"] == 12
+
+
+class TestAugmentedSolveCoordinates:
+    """_augmented_solve in resolved half-spectrum coordinates against the
+    physical formulation on scipy's GMRES (oracle_forms.augmented_solve_physical):
+    the same GMRES iterations and the same (du, db) to 1e-12."""
+
+    def check(self, op, rhs, precond, rtol):
+        cfg = sv.SolverConfig()
+        du, db, linear = sv._augmented_solve(op, rhs, precond, cfg, rtol)
+        du_ref, db_ref, info, iterations = of.augmented_solve_physical(
+            op, rhs, precond, cfg, rtol, sv.LINEAR_RESTART, cycles())
+        assert info == 0
+        assert linear["linear_iterations"] == iterations > 5
+        assert rel_diff(du, du_ref) < 1e-12
+        assert abs(db - db_ref) < 1e-12 * abs(db_ref)
+
+    @pytest.mark.parametrize("variant,size", [(eq.Variant.PHI, 16), (eq.Variant.PSI, 32)])
+    def test_newton_linearization(self, variant, size):
+        grid = gr.TorusGrid.reduced(3, size)
+        prob = manufacture_problem(grid, variant, np.random.default_rng(9), amplitude=0.05,
+                                   conformal_amplitude=0.2)
+        state = sv.initial_state(prob.spec, t=1.0)
+        lin = eq.Linearization(prob.spec, state)
+        rhs = -eq.ma_residual(prob.spec, state)
+        self.check(lin.operator, rhs, sv.SpectralPreconditioner(grid, lin.coeff_mean), 1e-8)
+
+    def test_gauduchon_jacobian(self):
+        # gauduchon_factor's first Jacobian (tau = 0) at 2 x 64 nodes
+        grid = gr.TorusGrid.reduced(3, 64, active_coords=(0, 2))
+        omega = tf.random_hermitian_metric(grid, np.random.default_rng(9), amplitude=0.2,
+                                           max_mode=1)
+        metric = geo.MetricFields(grid, omega)
+        ginv = metric.gi
+        jac = gr.SecondOrderOperator(
+            grid, ginv, 2.0 * eq.torsion_coefficient(metric.dbar_field, ginv))
+        precond = sv.SpectralPreconditioner(grid, np.mean(ginv.reshape(-1, 3, 3), axis=0))
+        self.check(jac, -metric.ddbar_scalar(omega) / 2.0, precond, 1e-8)
+
+
 class TestAdjointKernel:
     def test_flat_kernel_is_constant(self, g3):
         spec = flat_spec(g3)

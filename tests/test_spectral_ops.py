@@ -162,10 +162,41 @@ class TestTransformCounts:
         return counts
 
     def test_hessian_of_real_field(self, counts, rng):
+        # all n(n+1)/2 entries from one batched inverse transform
         grid = GRIDS[(3, "x")]
         gr.hessian_complex(grid, rng.standard_normal(grid.sizes))
-        n = grid.n
-        assert counts == {"forward": 1, "inverse": n * (n + 1) // 2}
+        assert counts == {"forward": 1, "inverse": 1}
+
+    @pytest.mark.parametrize("key", [(3, "x"), (3, "y")], ids=lambda k: f"n{k[0]}-{k[1]}")
+    def test_operator_apply(self, counts, rng, key):
+        grid = GRIDS[key]
+        lin = linearization(grid, rng, eq.Variant.PHI)
+        counts.update(forward=0, inverse=0)
+        lin.operator.apply(rng.standard_normal(grid.sizes))
+        assert counts == {"forward": 1, "inverse": 1}
+
+    def test_augmented_solve_iteration(self, counts, rng, monkeypatch):
+        # one matvec and one preconditioner solve, as in one GMRES iteration:
+        # the Nyquist projection and the preconditioner cost no transform
+        grid = GRIDS[(3, "y")]
+        lin = linearization(grid, rng, eq.Variant.PHI)
+        precond = sv.SpectralPreconditioner(grid, lin.coeff_mean)
+        seen = {}
+
+        def one_iteration(matvec, psolve, b, rtol, atol, x0=None):
+            counts.update(forward=0, inverse=0)
+            psolve(matvec(b))
+            seen.update(counts)
+            return b, 0, dict(sv.NO_LINEAR_SOLVE)
+
+        def no_projection(*args):
+            raise AssertionError("drop_nyquist called")
+
+        monkeypatch.setattr(sv, "_gmres", one_iteration)
+        monkeypatch.setattr(gr, "drop_nyquist", no_projection)
+        sv._augmented_solve(lin.operator, rng.standard_normal(grid.sizes), precond,
+                            sv.SolverConfig(), 1e-3)
+        assert seen == {"forward": 1, "inverse": 1}
 
     def test_apply_transpose(self, counts, rng):
         grid = GRIDS[(3, "x")]
