@@ -581,48 +581,47 @@ def _copy_blocks(src, dst, blocks, scale=1.0):
 
 
 def resample(grid, f, out_grid):
-    """Spectral resample between grids (zero-pad to refine, truncate to coarsen).
+    """Spectral resample of a real field between grids (zero-pad to refine,
+    truncate to coarsen).
 
     Supports the 3/2-rule dealiasing workflow: evaluate products on a finer
     grid, truncate back. Inactive axes must match; active axes may differ.
     Along each active axis the modes |k| < m/2 (m the smaller size) are
-    kept and the -m/2 mode goes to -m/2. A real f gives the real part of
+    kept and the -m/2 mode goes to -m/2; the result is the real part of
     that field, computed on half spectra: there each Nyquist block is the
     mean of the -m/2 and the mirrored +m/2 placement, except on the last
     active axis's own Nyquist plane when it coarsens, which holds the +m/2
     modes alone (the inverse transform takes the real part of that plane).
+    Raises ValidationError for complex f.
     """
     if out_grid.n != grid.n:
         raise ValidationError("resample requires equal complex dimension")
     for s_in, s_out in zip(grid.sizes, out_grid.sizes):
         if (s_in == 1) != (s_out == 1):
             raise ValidationError("resample cannot activate or deactivate axes")
+    if np.iscomplexobj(f):
+        raise ValidationError("resample takes real fields; resample_hermitian takes metrics")
+    if not grid.active_axes:
+        return np.array(f, dtype=np.float64)
     inactive = [(slice(0, 1), slice(0, 1))]
     pairs = list(zip(grid.sizes, out_grid.sizes))
     trailing = np.shape(f)[len(grid.sizes):]
-    if np.iscomplexobj(f):
-        out = np.zeros(out_grid.sizes + trailing, dtype=np.complex128)
-        _copy_blocks(fftn(grid, f), out, [
-            inactive if s_in == 1 else _resample_blocks(s_in, s_out, False)
-            for s_in, s_out in pairs])
-        out = ifftn(out_grid, out)
-    else:
-        last = grid.active_axes[-1]
-        fh = rfftn(grid, f)
-        out = np.zeros(spectral_table(out_grid).half_shape + trailing, dtype=np.complex128)
-        for mirrored in (False, True):
-            blocks = [inactive if s_in == 1 else _resample_blocks(s_in, s_out, mirrored)
-                      for s_in, s_out in pairs]
-            # the last axis holds k >= 0 only; equal sizes keep its Nyquist plane
-            s_in, s_out = pairs[last]
-            keep = blocks[last][:1]
-            if s_in == s_out and not mirrored:
-                keep.append((slice(s_in // 2, s_in // 2 + 1),) * 2)
-            blocks[last] = keep
-            _copy_blocks(fh, out, blocks, 0.5)
-        if pairs[last][1] < pairs[last][0]:
-            out[_nyquist_cut(out_grid, last)] *= 2.0
-        out = irfftn(out_grid, out)
+    last = grid.active_axes[-1]
+    fh = rfftn(grid, f)
+    out = np.zeros(spectral_table(out_grid).half_shape + trailing, dtype=np.complex128)
+    for mirrored in (False, True):
+        blocks = [inactive if s_in == 1 else _resample_blocks(s_in, s_out, mirrored)
+                  for s_in, s_out in pairs]
+        # the last axis holds k >= 0 only; equal sizes keep its Nyquist plane
+        s_in, s_out = pairs[last]
+        keep = blocks[last][:1]
+        if s_in == s_out and not mirrored:
+            keep.append((slice(s_in // 2, s_in // 2 + 1),) * 2)
+        blocks[last] = keep
+        _copy_blocks(fh, out, blocks, 0.5)
+    if pairs[last][1] < pairs[last][0]:
+        out[_nyquist_cut(out_grid, last)] *= 2.0
+    out = irfftn(out_grid, out)
     out *= out_grid.num_nodes / grid.num_nodes
     return out
 

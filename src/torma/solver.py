@@ -134,8 +134,8 @@ class SpectralPreconditioner:
     """Exact inverse of v -> sum C[i,j] d_j d_ibar v - beta for constant C.
 
     Solves [Lbar(v) - beta = rho ; mean(v) = s] one Fourier mode at a time;
-    used as the preconditioner of the augmented Newton system (its
-    safe_symbol, in _augmented_solve's coordinates) and, conjugated by the
+    used as the preconditioner of the augmented Newton system (solve_spectrum,
+    in _augmented_solve's coordinates) and, conjugated by the
     volume weights, of the bordered adjoint-kernel system. The symbol is
     real and even, so real fields are solved on half spectra.
     """
@@ -157,13 +157,20 @@ class SpectralPreconditioner:
         rho_hat /= self.safe_symbol
         return gr.irfftn(self.grid, rho_hat)
 
+    def solve_spectrum(self, rho_hat, mean_target, scale):
+        """(v_hat, beta) solving Lbar(v) - beta = rho, mean(v) = mean_target on
+        half spectra in which the constant field 1 has the k = 0 entry scale
+        (rfftn: the node count N; _augmented_solve's coordinates: sqrt N)."""
+        beta = -(rho_hat[self.zero].real / scale)
+        v_hat = rho_hat / self.safe_symbol
+        v_hat[self.zero] = mean_target * scale
+        return v_hat, beta
+
     def solve_augmented(self, rho, mean_target=0.0):
         """Solve Lbar(v) - beta = rho (real) with mean(v) = mean_target."""
-        rho_hat = gr.rfftn(self.grid, rho)
-        beta = -(rho_hat[self.zero].real / self.grid.num_nodes)
-        rho_hat /= self.safe_symbol
-        rho_hat[self.zero] = mean_target * self.grid.num_nodes
-        return gr.irfftn(self.grid, rho_hat), beta
+        v_hat, beta = self.solve_spectrum(gr.rfftn(self.grid, rho), mean_target,
+                                          self.grid.num_nodes)
+        return gr.irfftn(self.grid, v_hat), beta
 
 
 def _forcing_term(cfg, r):
@@ -290,7 +297,7 @@ def _augmented_solve(op, rhs, precond, cfg, rtol):
     """
     grid = op.grid
     w, w_inv = gr.resolved_weights(grid)
-    zero = precond.zero
+    zero = (0,) * len(grid.sizes)
     # the constant field 1 has y_0 = root, and mean(v) = Re y_0 / root
     root = math.sqrt(grid.num_nodes)
 
@@ -308,11 +315,7 @@ def _augmented_solve(op, rhs, precond, cfg, rtol):
         return pack(out, yh[zero].real / root)
 
     def psolve(x):
-        # SpectralPreconditioner.solve_augmented in these coordinates
-        yh = spectrum(x)
-        out = yh / precond.safe_symbol
-        out[zero] = x[-1] * root
-        return pack(out, -yh[zero].real / root)
+        return pack(*precond.solve_spectrum(spectrum(x), x[-1], root))
 
     # absolute floor: once the linear residual is far below the Newton
     # tolerance, further digits cannot matter

@@ -29,6 +29,8 @@ real axis at a time (a 1-D FFT or the fd4 np.roll stencil); the fused
 spectral operators of torma.grid are checked against them. ``derivatives``
 swaps the symbol of that fd4 stencil in for torma.grid's table, so that the
 same fused operators run as fourth-order finite differences.
+``resample_complex`` is the spectral resample on full complex spectra,
+the reference for torma.grid's half-spectrum resample.
 ``gmres_scipy`` and ``augmented_solve_physical`` are the Newton system's
 linear solve as scipy.sparse.linalg.gmres runs it on physical fields, the
 reference for torma.solver's own GMRES in resolved half-spectrum
@@ -656,6 +658,24 @@ def drop_nyquist_full(grid, f):
         sl[axis] = grid.sizes[axis] // 2
         fh[tuple(sl)] = 0.0
     return np.fft.ifftn(fh, axes=grid.active_axes)
+
+
+def resample_complex(grid, f, out_grid):
+    """grid.resample on the full complex spectrum: along each active axis the
+    wavenumbers -m/2 <= k < m/2 (m the smaller size) keep their place, the
+    rest is dropped or zero. The result is complex; grid.resample gives its
+    real part and grid.resample_hermitian its Hermitian part."""
+    axes = grid.active_axes
+    fh = np.fft.fftn(np.asarray(f, dtype=np.complex128), axes=axes)
+    src, dst = [], []
+    for s_in, s_out in zip(grid.sizes, out_grid.sizes):
+        m = min(s_in, s_out)
+        k = np.arange(-(m // 2), m // 2) if m > 1 else np.zeros(1, dtype=int)
+        src.append(k % s_in)
+        dst.append(k % s_out)
+    out = np.zeros(out_grid.sizes + np.shape(f)[len(grid.sizes):], dtype=np.complex128)
+    out[np.ix_(*dst)] = fh[np.ix_(*src)]
+    return np.fft.ifftn(out, axes=axes) * (out_grid.num_nodes / grid.num_nodes)
 
 
 def linearization_coefficients(lin):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from torma import grid as gr
+from torma import hermitian as ha
 from torma.errors import ValidationError
 
 from . import oracle_forms as of
@@ -174,7 +175,7 @@ class TestReductions:
 
 class TestResample:
     def test_band_limited_refinement_exact(self, g2, rng):
-        f = band_limited_real(g2, rng)
+        f = band_limited_real(g2, rng).real
         fine = g2.refined(2)
         ff = gr.resample(g2, f, fine)
         # compare against direct sampling of the same trig field
@@ -185,7 +186,35 @@ class TestResample:
         assert ff.shape == fine.sizes
 
     def test_refine_then_coarsen_roundtrip(self, g3, rng):
-        f = band_limited_real(g3, rng)
+        f = band_limited_real(g3, rng).real
         fine = g3.refined(2)
         back = gr.resample(fine, gr.resample(g3, f, fine), g3)
         np.testing.assert_allclose(back, f, atol=1e-12)
+
+    # x-only and y-containing active axes; the last active axis is the one
+    # whose Nyquist plane the half spectrum holds once
+    @pytest.mark.parametrize("sizes", [(16, 1, 8, 1), (8, 1, 1, 16, 1, 1), (1, 8, 16, 1)],
+                             ids=["x", "x-y", "y-x"])
+    @pytest.mark.parametrize("first", [0.5, 1, 2])
+    @pytest.mark.parametrize("last", [0.5, 1, 2])
+    def test_white_noise_matches_complex_route(self, rng, sizes, first, last):
+        # white noise fills the Nyquist blocks, where the real route splits a
+        # -m/2 placement from its mirror
+        grid = gr.TorusGrid(len(sizes) // 2, sizes)
+        out = list(sizes)
+        out[grid.active_axes[0]] = int(first * sizes[grid.active_axes[0]])
+        out[grid.active_axes[-1]] = int(last * sizes[grid.active_axes[-1]])
+        out_grid = gr.TorusGrid(grid.n, tuple(out))
+        f = rng.standard_normal(sizes + (2,))
+        ref = of.resample_complex(grid, f, out_grid)
+        np.testing.assert_allclose(gr.resample(grid, f, out_grid), ref.real,
+                                   rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+        a = rng.standard_normal(sizes + (grid.n, grid.n, 2)) @ np.array([1.0, 1j])
+        g = a + np.conj(np.swapaxes(a, -1, -2))
+        ref = ha.hermitize(of.resample_complex(grid, g, out_grid))
+        np.testing.assert_allclose(gr.resample_hermitian(grid, g, out_grid), ref,
+                                   rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+
+    def test_rejects_complex_field(self, g2):
+        with pytest.raises(ValidationError, match="real"):
+            gr.resample(g2, np.zeros(g2.sizes, dtype=complex), g2.refined(2))
