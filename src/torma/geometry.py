@@ -57,24 +57,11 @@ class ConnectionData:
         return float(np.max(np.abs(self.torsion)))
 
 
-def metric_dbar_tensor(grid, g):
-    """dbar_g[..., k, i, j] = d_kbar g_{i jbar}, a view of the entrywise
-    :func:`_dbar_entries` (every entry a contiguous node field, which also
-    suits the ``...``-broadcast einsums of its callers)."""
-    return _field(_dbar_entries(grid, _entries(g)), 3)
-
-
-def metric_d_tensor(grid, g, dbar_g=None):
-    """d_g[..., c, a, b] = d_c g_{a bbar} = conj(d_cbar g_{b abar})."""
-    if dbar_g is None:
-        dbar_g = metric_dbar_tensor(grid, g)
-    return np.conj(np.swapaxes(dbar_g, -1, -2))
-
-
 def christoffel(metric):
     """(Gamma^k_{ij}, T^k_{ij}) of a :class:`MetricFields`: the Chern
     connection and its torsion, without the curvature."""
-    d_g = metric_d_tensor(metric.grid, metric.g, metric.dbar_field)
+    # d_g[..., c, a, b] = d_c g_{a bbar} = conj(d_cbar g_{b abar})
+    d_g = np.conj(np.swapaxes(metric.dbar_field, -1, -2))
     # g^{k qbar} realizes index raising via the transposed inverse
     gamma = np.einsum("...kq,...ijq->...kij", np.swapaxes(metric.gi, -1, -2), d_g)
     return gamma, gamma - np.swapaxes(gamma, -1, -2)
@@ -300,7 +287,9 @@ class MetricFields:
 
     @property
     def dbar_field(self):
-        """The (..., k, i, j) view of dbar: :func:`metric_dbar_tensor` of g."""
+        """dbar_g[..., k, i, j] = d_kbar g_{i jbar}: the (..., k, i, j) view of
+        dbar (every entry a contiguous node field, which also suits the
+        ``...``-broadcast einsums of its callers)."""
         return _field(self.dbar, 3)
 
     @functools.cached_property

@@ -190,6 +190,19 @@ def _irfftn_products(grid, mults, fh, axes=None):
                             workers=_FFT_WORKERS)
 
 
+def _rfftn_products(grid, fields, f):
+    """Half spectra of field * f for every real field in fields, stacked on a
+    new leading axis: one forward transform over the active axes for all of
+    them (the forward counterpart of :func:`_irfftn_products`)."""
+    stack = np.empty((len(fields),) + np.shape(f))
+    for k, a in enumerate(fields):
+        np.multiply(a, f, out=stack[k])
+    if not grid.active_axes:
+        return stack.astype(np.complex128)
+    return scipy.fft.rfftn(stack, axes=[a + 1 for a in grid.active_axes],
+                           overwrite_x=True, workers=_FFT_WORKERS)
+
+
 class SpectralTable:
     """Fourier multipliers of one grid.
 
@@ -404,9 +417,9 @@ class SecondOrderOperator:
     d_x, d_y the real derivatives of coordinate p. ``apply`` makes one forward
     half-spectrum transform and one inverse transform for all real operators
     (``apply_spectrum`` the inverse alone); ``transpose`` (under the pairing
-    sum(a * b)) one forward per real operator and a single inverse, since the
-    second-order symbols are even and the first-order ones odd. The
-    multipliers come from the grid's table at call time.
+    sum(a * b)) likewise one forward transform for all real operators and
+    one inverse, since the second-order symbols are even and the first-order
+    ones odd. The multipliers come from the grid's table at call time.
     """
 
     def __init__(self, grid, coeff, first_order=None):
@@ -463,9 +476,11 @@ class SecondOrderOperator:
         Each multiplier is real and even or imaginary and odd, so the
         transpose of its term under sum(a * b) has the conjugate multiplier.
         """
+        terms = list(self._terms())
+        spectra = _rfftn_products(self.grid, [a for a, _ in terms], t)
         acc = np.zeros(spectral_table(self.grid).half_shape, dtype=np.complex128)
-        for a, mult in self._terms():
-            acc += np.conj(mult) * rfftn(self.grid, a * t)
+        for (_, mult), spectrum in zip(terms, spectra):
+            acc += np.conj(mult) * spectrum
         return irfftn(self.grid, acc)
 
 

@@ -25,9 +25,10 @@ are Parseval-scaled resolved half spectra (_augmented_solve), in which the
 Nyquist projection and the preconditioner cost no transform. Newton is
 inexact: each GMRES solve aims only at the forcing term
 _forcing_term(cfg, r) relative to the step's resolved residual sup r, and
-the Newton tolerance test, not the linear tolerance, decides accuracy.
-Positivity of gt is maintained by step damping only; the equation is never
-modified.
+the Newton tolerance test, not the linear tolerance, decides accuracy. Only
+a member at t = 1 is solved to newton_tol: one before t = 1 only carries
+the path and stops at MEMBER_TOL (_member). Positivity of gt is maintained
+by step damping only; the equation is never modified.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ MIN_COARSE_NODES = 256
 # to the relative tolerance min(FORCING_CAP, max(cfg.linear_tol, FORCING_RATIO r))
 FORCING_CAP = 0.01
 FORCING_RATIO = 0.1
+# a continuity member before t = 1 only carries the path: Newton stops it at
+# max(newton_tol, MEMBER_TOL), since the next member starts far above that anyway
+MEMBER_TOL = 1e-2
 # smallest damping: 17 trials 1, 1/2, ..., 2^-16 bound what a failing line search costs
 MIN_DAMPING = 2.0 ** -16
 # stagnation: 5 steps that do not halve the residual sup; converging Newton cuts far more
@@ -99,7 +103,11 @@ class SolverConfig:
 @dataclass
 class SolveReport:
     """Outcome of a continuity solve; records hold one dict per Newton iterate,
-    with the linear solve of the step taken from it (NO_LINEAR_SOLVE if none)."""
+    with its member's stopping tolerance "tol" (newton_tol at t = 1,
+    max(newton_tol, MEMBER_TOL) before) and the linear solve of the step
+    taken from it (NO_LINEAR_SOLVE if none). t_history and b_history hold
+    the accepted members; after a failure the report's state, the last good
+    one, can be a member before t = 1 accepted at MEMBER_TOL."""
 
     state: eq.SolveState = None
     converged: bool = False
@@ -510,15 +518,19 @@ def _accept(report, state, ev, history):
 def _member(spec, cfg, report, start, carry, min_first_damping):
     """Damped Newton at start.t from start, every iterate recorded in report.
 
-    carry, the evaluation of the same u (or None), hands over its arrays as in
-    _ma_evaluation. A first step damped below min_first_damping raises
-    SolverError, as do _newton's and newton_step's failures. The converged
-    state becomes the report's and joins t_history and b_history; returns it
-    with its carry.
+    A member at t = 1 stops below cfg.newton_tol; one before t = 1 only
+    carries the path and stops below max(cfg.newton_tol, MEMBER_TOL). Each
+    record holds that stopping tolerance as "tol". carry, the evaluation of
+    the same u (or None), hands over its arrays as in _ma_evaluation. A first
+    step damped below min_first_damping raises SolverError, as do _newton's
+    and newton_step's failures. The accepted state becomes the report's and
+    joins t_history and b_history; returns it with its carry.
     """
+    tol = cfg.newton_tol if start.t >= 1.0 else max(cfg.newton_tol, MEMBER_TOL)
+
     def record(it, s, e):
         report.records.append({
-            "t": s.t, "iter": it, "sizes": list(spec.grid.sizes),
+            "t": s.t, "iter": it, "sizes": list(spec.grid.sizes), "tol": tol,
             "residual_sup": e["residual_sup"], "b": float(s.b),
             "positivity_margin": _margin(e), "damping": None, **NO_LINEAR_SOLVE,
         })
@@ -533,8 +545,8 @@ def _member(spec, cfg, report, start, carry, min_first_damping):
         return new_state, info
 
     state, carry = _accept(report, *_newton(
-        start, _ma_evaluation(spec, start, carry), step, cfg.newton_tol,
-        cfg.max_newton, f"Newton at t={start.t:.4f}", record,
+        start, _ma_evaluation(spec, start, carry), step, tol, cfg.max_newton,
+        f"Newton at t={start.t:.4f}", record,
     ))
     report.t_history.append(state.t)
     report.b_history.append(state.b)
@@ -550,8 +562,8 @@ def _march(spec, cfg, u0=None, report=None):
     first Newton step has to be damped below MIN_FIRST_DAMPING; positivity
     is then kept by shorter steps rather than by near-zero damping. On
     unrecoverable failure raises SolverError with the report attached as
-    exc.report, its state the last good one (converged at the last t
-    reached, or this march's start).
+    exc.report, its state the last good one (accepted at the last t reached,
+    at MEMBER_TOL when that t is below 1, or this march's start).
     """
     # carry: the evaluation of the last accepted state, handed to the next
     # attempt's start (same u, so only the residual is recomputed)
@@ -623,11 +635,11 @@ def continuity_solve(spec, cfg=None, u0=None):
     with the mean removed, b kept). When any of these raises SolverError
     (PositivityError), the grid asked for marches instead; no level between
     marches. The report's records hold every level's iterates, coarsest
-    first, each with its grid's "sizes"; t_history and b_history one entry
-    per converged member per level; the residual numbers are the finest
-    level's. diagnostics["coarse_gap"] is sup|u - P u_coarse| of the finest
-    level's t = 1 solve, P the prolongation; a solve that marched on the grid
-    asked for has none. With u0 the caller has chosen the start: one march.
+    first, each with its grid's "sizes" and its member's "tol"; t_history and
+    b_history one entry per accepted member per level; the residual numbers
+    are the finest level's. diagnostics["coarse_gap"] is sup|u - P u_coarse|
+    of the finest level's t = 1 solve, P the prolongation; a solve that
+    marched on the grid asked for has none. With u0 the caller has chosen the start: one march.
 
     Returns a SolveReport at t = 1; on unrecoverable failure raises SolverError
     with the report of the last good state attached as exc.report.

@@ -18,8 +18,9 @@ relation Psi ^ omega = tr(star Psi) dV.
 
 The slot-loop references evaluate the torsion contractions of
 torma.equations and the ddbar blocks of torma.geometry with one S/B call
-per slot on the whole ddbar tensor of the metric (S3, S4, B3 and that
-tensor live here, since production no longer builds them); the closed
+per slot on the whole ddbar tensor of the metric (S3, S4, B3, that
+tensor and the stacked dbar and d tensors live here, since production no
+longer builds them); the closed
 forms used in production are checked against them, and the
 Leibniz-route Gauduchon scalar checks the factorized one of torma.geometry.
 ``commutation_check`` measures two third-derivative commutation identities
@@ -378,11 +379,25 @@ def inverse_star_sigma(g, s, gi=None):
 # per unit or rank-one slot
 
 
+def metric_dbar_tensor(grid, g):
+    """dbar_g[..., k, i, j] = d_kbar g_{i jbar}, one d_antiholo per k: the
+    reference for geometry.MetricFields.dbar_field, and the dbar of any
+    Hermitian field (no positivity needed)."""
+    return np.stack([gr.d_antiholo(grid, g, k) for k in range(grid.n)], axis=-3)
+
+
+def metric_d_tensor(grid, g, dbar_g=None):
+    """d_g[..., c, a, b] = d_c g_{a bbar} = conj(d_cbar g_{b abar})."""
+    if dbar_g is None:
+        dbar_g = metric_dbar_tensor(grid, g)
+    return np.conj(np.swapaxes(dbar_g, -1, -2))
+
+
 def metric_ddbar_tensor(grid, g, dbar_g=None):
     """ddbar_g[..., l, k, i, j] = d_l d_kbar g_{i jbar}: the whole n^4 tensor,
     one d_holo of dbar_g per l."""
     if dbar_g is None:
-        dbar_g = geo.metric_dbar_tensor(grid, g)
+        dbar_g = metric_dbar_tensor(grid, g)
     out = np.empty(dbar_g.shape[:-3] + (grid.n,) + dbar_g.shape[-3:], dtype=np.complex128)
     for l in range(grid.n):
         out[..., l, :, :, :] = gr.d_holo(grid, dbar_g, l)
@@ -405,10 +420,10 @@ def _unit(n, r, s):
 def ddbar_terms_slots(grid, g, sigma, gi, dbar_g, ddbar_g):
     """The blocks T_A, T_B1, T_C, T_D of i ddbar(sigma ^ omega^{n-2})."""
     n = grid.n
-    dbar_sigma = geo.metric_dbar_tensor(grid, sigma)
-    d_sigma = geo.metric_d_tensor(grid, sigma, dbar_sigma)
+    dbar_sigma = metric_dbar_tensor(grid, sigma)
+    d_sigma = metric_d_tensor(grid, sigma, dbar_sigma)
     ddbar_sigma = metric_ddbar_tensor(grid, sigma, dbar_sigma)
-    d_g = geo.metric_d_tensor(grid, g, dbar_g)
+    d_g = metric_d_tensor(grid, g, dbar_g)
 
     # T_A = sum_{l,k} S2(U_lk, d_l d_kbar sigma)
     t_a = np.zeros(grid.sizes, dtype=np.complex128)
@@ -451,7 +466,7 @@ def ddbar_scalar_slots(grid, omega, sigma):
     """[i ddbar(sigma ^ omega^{n-2})] / dV from the slot-loop blocks."""
     n = grid.n
     gi = np.linalg.inv(omega)
-    dbar_g = geo.metric_dbar_tensor(grid, omega)
+    dbar_g = metric_dbar_tensor(grid, omega)
     ddbar_g = metric_ddbar_tensor(grid, omega, dbar_g)
     t_a, t_b1, t_c, t_d = ddbar_terms_slots(grid, omega, sigma, gi, dbar_g, ddbar_g)
     rho = math.factorial(n - 2) * t_a
@@ -467,14 +482,14 @@ def astheno_dual_slots(grid, omega):
     n = grid.n
     g = omega
     gi = np.linalg.inv(g)
-    dbar_g = geo.metric_dbar_tensor(grid, g)
+    dbar_g = metric_dbar_tensor(grid, g)
     ddbar_g = metric_ddbar_tensor(grid, g, dbar_g)
     dual = np.zeros(grid.sizes + (n, n), dtype=np.complex128)
     for l in range(n):
         for k in range(n):
             dual += ha.b2(g, _unit(n, l, k), ddbar_g[..., l, k, :, :], gi)
     if n >= 4:
-        d_g = geo.metric_d_tensor(grid, g, dbar_g)
+        d_g = metric_d_tensor(grid, g, dbar_g)
         cross = np.zeros_like(dual)
         for k in range(n):
             for j in range(n):
@@ -501,8 +516,8 @@ def gauduchon_scalar_direct(grid, omega):
     n = grid.n
     g = omega
     gi = np.linalg.inv(g)
-    dbar_g = geo.metric_dbar_tensor(grid, g)
-    d_g = geo.metric_d_tensor(grid, g, dbar_g)
+    dbar_g = metric_dbar_tensor(grid, g)
+    d_g = metric_d_tensor(grid, g, dbar_g)
     ddbar_g = metric_ddbar_tensor(grid, g, dbar_g)
     s2_sum = np.zeros(grid.sizes, dtype=np.complex128)
     for l in range(n):

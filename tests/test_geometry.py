@@ -201,11 +201,11 @@ class TestMetricDefects:
         # compare its star dual at sampled nodes
         grid = gr.TorusGrid.reduced(n, 8, active_coords=(0, 2))
         metric = tf.random_hermitian_metric(grid, rng, amplitude=0.15)
-        dbar_g = geo.metric_dbar_tensor(grid, metric)
+        dbar_g = of.metric_dbar_tensor(grid, metric)
         ddbar_g = of.metric_ddbar_tensor(grid, metric, dbar_g)
         dual = geo.astheno_dual(grid, metric)
         rho = geo.gauduchon_scalar(grid, metric)
-        d_g = geo.metric_d_tensor(grid, metric, dbar_g)
+        d_g = of.metric_d_tensor(grid, metric, dbar_g)
         for node in [(0, 0, 3, 0) + (0,) * (2 * n - 4), (5, 0, 1, 0) + (0,) * (2 * n - 4)]:
             g = metric[node]
             omega_f = of.one_one(g)
@@ -235,7 +235,7 @@ class TestMetricDefects:
         err = {}
         for grid in (coarse, g3fine):
             sampled = metric.sample(grid)
-            spectral = geo.metric_dbar_tensor(grid, sampled)
+            spectral = of.metric_dbar_tensor(grid, sampled)
             err[grid.sizes[0]] = np.max(np.abs(spectral - metric.dbar_tensor(grid)))
         assert err[32] < 1e-8
         assert err[16] > 100 * err[32]
@@ -277,7 +277,7 @@ class TestClosedFormsAgainstSlotLoops:
     def test_blocks(self, key, sigma_kind, rng):
         grid, metric, sigma = oracle_case(key, sigma_kind, rng)
         gi = np.linalg.inv(metric)
-        dbar_g = geo.metric_dbar_tensor(grid, metric)
+        dbar_g = of.metric_dbar_tensor(grid, metric)
         got = geo._ddbar_terms(geo.MetricFields(grid, metric), sigma)
         want = of.ddbar_terms_slots(grid, metric, sigma, gi, dbar_g,
                                     of.metric_ddbar_tensor(grid, metric, dbar_g))
@@ -289,6 +289,13 @@ class TestClosedFormsAgainstSlotLoops:
         grid, metric, sigma = oracle_case(key, sigma_kind, rng)
         assert_oracle_close(geo.ddbar_scalar(grid, metric, sigma),
                             of.ddbar_scalar_slots(grid, metric, sigma))
+
+    def test_dbar_field(self, key, rng):
+        # one transform pair per coordinate's own axes against one
+        # d_antiholo per coordinate, bit for bit
+        grid, metric, _ = oracle_case(key, "omega", rng)
+        np.testing.assert_array_equal(geo.MetricFields(grid, metric).dbar_field,
+                                      of.metric_dbar_tensor(grid, metric))
 
     def test_astheno_dual(self, key, rng):
         grid, metric, _ = oracle_case(key, "omega", rng)

@@ -348,6 +348,17 @@ def halvings(report):
     return sum(1 for r in report.records if r["iter"] == 0) - len(report.t_history)
 
 
+def members(report):
+    """The report's records split into continuity members, each starting at
+    an iter-0 record."""
+    out = []
+    for rec in report.records:
+        if rec["iter"] == 0:
+            out.append([])
+        out[-1].append(rec)
+    return out
+
+
 def count_marches(monkeypatch):
     """Record the grid sizes of every _march call from now on."""
     marches = []
@@ -627,6 +638,37 @@ class TestNestedIteration:
         (coarse_low, resid_low), (coarse_warped, resid_warped) = gaps
         assert coarse_warped > 100.0 * coarse_low
         assert resid_warped > 100.0 * abs(resid_low)
+
+
+class TestMemberTolerance:
+    def test_members_before_t1_stop_at_member_tol(self, monkeypatch):
+        # 16^3 PHI nests through 8^3. The coarse march's members before
+        # t = 1 only carry the path: solved to newton_tol instead, they reach
+        # the same t, take more Newton steps and GMRES iterations, and move
+        # the answer only at roundoff (measured 9e-18 in u, 1.4e-17 in b)
+        grid = gr.TorusGrid.default(3)
+        prob = manufacture_problem(grid, eq.Variant.PHI, np.random.default_rng(3),
+                                   u_family="warped")
+        newton_tol, member_tol = sv.SolverConfig().newton_tol, sv.MEMBER_TOL
+        loose = sv.continuity_solve(prob.spec)
+        monkeypatch.setattr(sv, "MEMBER_TOL", newton_tol)
+        tight = sv.continuity_solve(prob.spec)
+        assert loose.converged and tight.converged
+        assert loose.t_history == tight.t_history == [0.0, 0.5, 1.0, 1.0]
+        finals = set()
+        for member in members(loose):
+            t = member[0]["t"]
+            tol = newton_tol if t == 1.0 else member_tol
+            assert all(r["t"] == t and r["tol"] == tol for r in member)
+            assert member[-1]["residual_sup"] < tol
+            if t == 1.0:
+                finals.add(tuple(member[-1]["sizes"]))
+        assert finals == {grid.sizes, grid.coarsened(2).sizes}
+        assert all(r["tol"] == newton_tol for r in tight.records)
+        assert len(loose.records) < len(tight.records)
+        assert loose.linear_iterations() < tight.linear_iterations()
+        assert gr.sup_norm(loose.state.u - tight.state.u) <= 2.0 * newton_tol
+        assert abs(loose.state.b - tight.state.b) <= 2.0 * newton_tol
 
 
 class TestDampedNewtonDriver:

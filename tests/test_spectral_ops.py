@@ -175,6 +175,15 @@ class TestTransformCounts:
         lin.operator.apply(rng.standard_normal(grid.sizes))
         assert counts == {"forward": 1, "inverse": 1}
 
+    @pytest.mark.parametrize("key", [(3, "x"), (3, "y")], ids=lambda k: f"n{k[0]}-{k[1]}")
+    def test_operator_transpose(self, counts, rng, key):
+        # every term's coefficient times t through one batched forward transform
+        grid = GRIDS[key]
+        lin = linearization(grid, rng, eq.Variant.PHI)
+        counts.update(forward=0, inverse=0)
+        lin.operator.transpose(rng.standard_normal(grid.sizes))
+        assert counts == {"forward": 1, "inverse": 1}
+
     def test_augmented_solve_iteration(self, counts, rng, monkeypatch):
         # one matvec and one preconditioner solve, as in one GMRES iteration:
         # the Nyquist projection and the preconditioner cost no transform
