@@ -305,10 +305,11 @@ class Linearization:
             if gr.sup_norm(v.imag) > 1e-10:
                 raise ValidationError("linearization argument v must be real")
             v = v.real
-        return self.operator.apply(v)
+        return self.operator.apply_spectrum(gr.rfftn(self.spec.grid, v))
 
     def apply_transpose(self, f, weights):
-        """L^T f under <a,b>_w; f and the result are real fields."""
+        """L^T f under <a,b>_w; f and the result are real fields (no solver
+        caller; perfbench/spans.py traces it)."""
         return self.operator.transpose(weights * f) / weights
 
 

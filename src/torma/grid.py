@@ -414,12 +414,13 @@ class SecondOrderOperator:
               + sum_p [Re(a_p) d_x v + Im(a_p) d_y v]/2,
 
     A_ii = Re C_ii, A_ij = Re(C_ij + C_ji), B_ij = Im(C_ij - C_ji), with
-    d_x, d_y the real derivatives of coordinate p. ``apply`` makes one forward
-    half-spectrum transform and one inverse transform for all real operators
-    (``apply_spectrum`` the inverse alone); ``transpose`` (under the pairing
-    sum(a * b)) likewise one forward transform for all real operators and
-    one inverse, since the second-order symbols are even and the first-order
-    ones odd. The multipliers come from the grid's table at call time.
+    d_x, d_y the real derivatives of coordinate p. ``apply_spectrum`` takes
+    the half spectrum of v and makes one inverse transform for all real
+    operators; ``transpose_spectrum`` (under the pairing sum(a * b)) one
+    forward transform for all of them and returns a half spectrum, since the
+    second-order symbols are even and the first-order ones odd
+    (``transpose`` adds the inverse transform). The multipliers come from
+    the grid's table at call time.
     """
 
     def __init__(self, grid, coeff, first_order=None):
@@ -457,10 +458,6 @@ class SecondOrderOperator:
         """Half-spectrum symbol of L for constant coefficients (real without first order)."""
         return sum(a * mult for a, mult in self._terms())
 
-    def apply(self, v):
-        """L v for a real field v."""
-        return self.apply_spectrum(rfftn(self.grid, v))
-
     def apply_spectrum(self, vh):
         """L v for the real field v with half spectrum vh (:func:`rfftn`)."""
         terms = list(self._terms())
@@ -470,8 +467,8 @@ class SecondOrderOperator:
             out += a * field
         return out
 
-    def transpose(self, t):
-        """L^T t for a real field t.
+    def transpose_spectrum(self, t):
+        """Half spectrum (:func:`rfftn`) of L^T t for a real field t.
 
         Each multiplier is real and even or imaginary and odd, so the
         transpose of its term under sum(a * b) has the conjugate multiplier.
@@ -481,7 +478,11 @@ class SecondOrderOperator:
         acc = np.zeros(spectral_table(self.grid).half_shape, dtype=np.complex128)
         for (_, mult), spectrum in zip(terms, spectra):
             acc += np.conj(mult) * spectrum
-        return irfftn(self.grid, acc)
+        return acc
+
+    def transpose(self, t):
+        """L^T t for a real field t."""
+        return irfftn(self.grid, self.transpose_spectrum(t))
 
 
 def trace_with_inverse(g, a):

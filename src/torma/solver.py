@@ -21,8 +21,10 @@ augmented linear system
 by restarted GMRES (_gmres, scipy's algorithm in numpy), preconditioned
 with the exact inverse of the constant-coefficient (node-averaged)
 second-order part, which is diagonal in Fourier space. The Krylov vectors
-are Parseval-scaled resolved half spectra (_augmented_solve), in which the
-Nyquist projection and the preconditioner cost no transform. Newton is
+are Parseval-scaled resolved half spectra (_bordered_solve), in which the
+Nyquist projection and the preconditioner cost no transform; adjoint_kernel
+solves the transposed system there, L^T for L and (0, 1) as the right-hand
+side, with the same preconditioner and border. Newton is
 inexact: each GMRES solve aims only at the forcing term
 _forcing_term(cfg, r) relative to the step's resolved residual sup r, and
 the Newton tolerance test, not the linear tolerance, decides accuracy. Only
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,20 +87,28 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("newton_tol", "min_t_step"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"{name} must be positive")
-        if not self.max_newton >= 1:
-            raise ValidationError("max_newton must be at least 1")
+            _check_positive(name, getattr(self, name))
+        _check_count("max_newton", self.max_newton, 1)
         if not 0.0 < self.linear_tol <= FORCING_CAP:
             raise ValidationError(f"linear_tol must lie in (0, {FORCING_CAP:g}]")
         steps = tuple(float(t) for t in self.continuity_steps)
-        if steps[0] != 0.0 or steps[-1] != 1.0 or any(
-            b <= a for a, b in zip(steps, steps[1:])
-        ):
-            raise ValidationError(
-                "continuity schedule must increase strictly from 0 to 1"
-            )
+        # written so that a NaN fails every comparison
+        if not (steps and steps[0] == 0.0 and steps[-1] == 1.0
+                and all(b > a for a, b in zip(steps, steps[1:]))):
+            raise ValidationError("continuity schedule must increase strictly from 0 to 1")
         self.continuity_steps = steps
+
+
+def _check_positive(name, value):
+    """ValidationError unless value is positive and finite."""
+    if not 0.0 < value < np.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_count(name, value, least):
+    """ValidationError unless value is an integer of at least least."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValidationError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 @dataclass
@@ -142,10 +153,10 @@ class SpectralPreconditioner:
     """Exact inverse of v -> sum C[i,j] d_j d_ibar v - beta for constant C.
 
     Solves [Lbar(v) - beta = rho ; mean(v) = s] one Fourier mode at a time;
-    used as the preconditioner of the augmented Newton system (solve_spectrum,
-    in _augmented_solve's coordinates) and, conjugated by the
-    volume weights, of the bordered adjoint-kernel system. The symbol is
-    real and even, so real fields are solved on half spectra.
+    solve_spectrum, in _bordered_solve's coordinates, preconditions the
+    Newton system and the adjoint-kernel system alike: the symbol is real
+    and even, so Lbar is its own transpose, and real fields are solved on
+    half spectra.
     """
 
     def __init__(self, grid, coeff_mean):
@@ -168,14 +179,15 @@ class SpectralPreconditioner:
     def solve_spectrum(self, rho_hat, mean_target, scale):
         """(v_hat, beta) solving Lbar(v) - beta = rho, mean(v) = mean_target on
         half spectra in which the constant field 1 has the k = 0 entry scale
-        (rfftn: the node count N; _augmented_solve's coordinates: sqrt N)."""
+        (rfftn: the node count N; _bordered_solve's coordinates: sqrt N)."""
         beta = -(rho_hat[self.zero].real / scale)
         v_hat = rho_hat / self.safe_symbol
         v_hat[self.zero] = mean_target * scale
         return v_hat, beta
 
     def solve_augmented(self, rho, mean_target=0.0):
-        """Solve Lbar(v) - beta = rho (real) with mean(v) = mean_target."""
+        """Solve Lbar(v) - beta = rho (real) with mean(v) = mean_target (no
+        solver caller; perfbench/spans.py traces it)."""
         v_hat, beta = self.solve_spectrum(gr.rfftn(self.grid, rho), mean_target,
                                           self.grid.num_nodes)
         return gr.irfftn(self.grid, v_hat), beta
@@ -291,19 +303,20 @@ def _gmres(matvec, psolve, b, rtol, atol, x0=None):
     return result(x, 0 if rnorm <= atol else cycles)
 
 
-def _augmented_solve(op, rhs, precond, cfg, rtol):
-    """GMRES on [L(v) - beta = rhs ; mean(v) = 0], L the SecondOrderOperator op.
+def _bordered_solve(image, rhs_hat, mean, precond, rtol, atol):
+    """GMRES on [A(v) - beta = rhs ; mean(v) = mean], image(vh) the half
+    spectrum (gr.rfftn) of A v for v of half spectrum vh, rhs_hat that of rhs.
 
     Solved in the resolved (Nyquist-free) subspace, where the spectral
-    Jacobian is not singular. A Krylov vector is the real view of
-    y = w rfftn(v) followed by beta, w the grid's Parseval weights
-    (gr.resolved_weights): an isometric copy of (Nyquist-free v, beta), so
-    GMRES takes the iterates of the physical formulation, while the
-    projection and the preconditioner are diagonal. One matvec transforms
-    twice (docs/conventions.md, "Krylov solve"). Returns (v, beta, linear)
-    with linear as in _gmres; raises SolverError when GMRES misses rtol.
+    Jacobian is not singular. A Krylov vector is the real view of y = w vh
+    followed by beta, w the grid's Parseval weights (gr.resolved_weights):
+    an isometric copy of (Nyquist-free v, beta), so GMRES takes the iterates
+    of the physical formulation, while the projection and the preconditioner
+    are diagonal and a matvec costs image's transforms alone
+    (docs/conventions.md, "Krylov solve"). Returns (v, beta, info, linear),
+    info and linear as in _gmres, v of mean exactly mean.
     """
-    grid = op.grid
+    grid = precond.grid
     w, w_inv = gr.resolved_weights(grid)
     zero = (0,) * len(grid.sizes)
     # the constant field 1 has y_0 = root, and mean(v) = Re y_0 / root
@@ -317,7 +330,7 @@ def _augmented_solve(op, rhs, precond, cfg, rtol):
 
     def matvec(x):
         yh = spectrum(x)
-        out = gr.rfftn(grid, op.apply_spectrum(yh * w_inv))
+        out = image(yh * w_inv)
         out *= w
         out[zero] -= x[-1] * root
         return pack(out, yh[zero].real / root)
@@ -325,19 +338,28 @@ def _augmented_solve(op, rhs, precond, cfg, rtol):
     def psolve(x):
         return pack(*precond.solve_spectrum(spectrum(x), x[-1], root))
 
+    x, info, linear = _gmres(matvec, psolve, pack(rhs_hat * w, mean), rtol, atol)
+    vh = spectrum(x) * w_inv
+    vh[zero] = mean * grid.num_nodes
+    return gr.irfftn(grid, vh), float(x[-1]), info, linear
+
+
+def _augmented_solve(op, rhs, precond, cfg, rtol):
+    """Newton's (v, beta, linear): _bordered_solve of [L(v) - beta = rhs ;
+    mean(v) = 0], L the SecondOrderOperator op; SolverError if GMRES misses rtol."""
+    grid = op.grid
     # absolute floor: once the linear residual is far below the Newton
     # tolerance, further digits cannot matter
-    x, info, linear = _gmres(matvec, psolve, pack(gr.rfftn(grid, rhs) * w, 0.0),
-                             rtol, atol=1e-3 * cfg.newton_tol)
+    v, beta, info, linear = _bordered_solve(
+        lambda vh: gr.rfftn(grid, op.apply_spectrum(vh)), gr.rfftn(grid, rhs), 0.0,
+        precond, rtol, 1e-3 * cfg.newton_tol)
     if info != 0:
         raise SolverError(
             f"inner GMRES did not reach rtol {rtol:.3e} in {linear['linear_iterations']} "
             f"iterations (last residual estimate {linear['linear_residual']:.3e}, "
             f"info={info})"
         )
-    vh = spectrum(x) * w_inv
-    vh[zero] = 0.0  # mean(v) = 0
-    return gr.irfftn(grid, vh), float(x[-1]), linear
+    return v, beta, linear
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +695,8 @@ def continuity_solve(spec, cfg=None, u0=None):
 @dataclass
 class AdjointKernel:
     """Positive kernel function of L^* with sigma = log f; f integrates to 1
-    against the tilde-metric volume."""
+    against the tilde-metric volume W. residual_sup is the resolved
+    sup|W^{-1} drop_nyquist(L^T(W f))| for f scaled to max 1."""
 
     f: np.ndarray
     sigma: np.ndarray
@@ -685,54 +708,29 @@ def adjoint_kernel(spec, state, tol=1e-9):
     """Kernel of the adjoint linearization from one bordered GMRES solve.
 
     L* = W^{-1} L^T W is the adjoint in the L^2 pairing weighted by the
-    tilde-metric volume W. Its range is w-weighted mean-zero (L kills the
-    constants), so [L* f - beta = 0 ; sum(f w) = 1] gives the kernel with
-    beta = 0 (Keller 1977; docs/conventions.md). Success is sup|L* f|, f
-    scaled to max 1, below tol. Raises ValidationError unless tol is positive
-    and finite, and SolverError if that residual misses tol or f changes sign.
+    tilde-metric volume W, so f = g / W for g solving the transposed Newton
+    system [L^T(g) - beta = 0 ; mean(g) = 1] (Keller 1977; docs/conventions.md)
+    by _bordered_solve to rtol = tol. Resolved, that kernel is one-dimensional,
+    so f does not depend on the Krylov start. Raises ValidationError unless
+    tol is positive and finite, and SolverError if residual_sup misses tol or
+    f changes sign.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
+    _check_positive("tol", tol)
     lin = eq.Linearization(spec, state)
-    grid = spec.grid
-    size = grid.num_nodes
+    grid, op = spec.grid, lin.operator
     weights = gr.volume_weights(grid, lin.gt)
-    precond = SpectralPreconditioner(grid, lin.coeff_mean)
-
-    def matvec(x):
-        f = x[:size].reshape(grid.sizes)
-        out = lin.apply_transpose(f, weights) - x[size]
-        return np.concatenate([out.ravel(), [np.sum(f * weights)]])
-
-    def psolve(x):
-        # L* = W^{-1} L^T W: v = W f solves Lbar(v) - beta = W rho with the
-        # constraint sum(f w) = mean(v) size
-        v, beta = precond.solve_augmented(x[:size].reshape(grid.sizes) * weights,
-                                          mean_target=x[size] / size)
-        return np.concatenate([(v / weights).ravel(), [beta]])
-
-    def kernel_of(x):
-        f = x[:size].reshape(grid.sizes) / np.max(np.abs(x[:size]))
-        return f, gr.sup_norm(lin.apply_transpose(f, weights))
-
-    # tied to tol: a fixed target far below it can stall near roundoff
-    rtol = 0.1 * tol
-    b = np.append(np.zeros(size), 1.0)
-    x, info, linear = _gmres(matvec, psolve, b, rtol, atol=0.0)
+    g, _, info, linear = _bordered_solve(
+        lambda gh: op.transpose_spectrum(gr.irfftn(grid, gh)),
+        np.zeros(gr.spectral_table(grid).half_shape, dtype=np.complex128), 1.0,
+        SpectralPreconditioner(grid, lin.coeff_mean), tol, 0.0)
+    f = g / weights
+    f /= np.max(np.abs(f))
+    residual = gr.sup_norm(gr.drop_nyquist(grid, op.transpose(weights * f)) / weights)
     iterations = linear["linear_iterations"]
-    f, residual = kernel_of(x)
-    if not residual < tol and info == 0:
-        # GMRES met its preconditioned 2-norm target but f missed the sup
-        # norm: one continuation from x at a tenth of the target. A solve
-        # that ran out of its budget (info > 0) raises at once.
-        rtol = 0.1 * rtol
-        x, info, linear = _gmres(matvec, psolve, b, rtol, atol=0.0, x0=x)
-        iterations += linear["linear_iterations"]
-        f, residual = kernel_of(x)
     if not residual < tol:
         raise SolverError(
             f"adjoint kernel: |L*f| = {residual:.3e} not below tol {tol:.3e} after "
-            f"GMRES to rtol {rtol:.3e} in {iterations} iterations (info={info})"
+            f"GMRES to rtol {tol:.3e} in {iterations} iterations (info={info})"
         )
     if f.min() <= 0.0:
         raise SolverError("adjoint kernel changes sign on the grid; refine the discretization")
@@ -754,10 +752,11 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30):
 
     solved by the same damped Newton driver and augmented GMRES machinery as
     the main solver (the scalar unknown absorbs the one-dimensional
-    compatibility of the system).
+    compatibility of the system). Raises ValidationError unless tol is
+    positive and finite and max_newton an integer of at least 0.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
+    _check_positive("tol", tol)
+    _check_count("max_newton", max_newton, 0)
     cfg = SolverConfig()
     n = grid.n
     # one factor and one dbar_g serve rho_0 and the cross coefficient

@@ -761,7 +761,7 @@ def augmented_solve_physical(op, rhs, precond, cfg, rtol, restart, cycles):
 
     def matvec(x):
         v = x[:size].reshape(grid.sizes)
-        out = gr.drop_nyquist(grid, op.apply(v)) - x[size]
+        out = gr.drop_nyquist(grid, op.apply_spectrum(gr.rfftn(grid, v))) - x[size]
         return np.concatenate([out.ravel(), [np.mean(v)]])
 
     def psolve(x):

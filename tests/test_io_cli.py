@@ -147,6 +147,16 @@ class TestConfig:
         assert cli.main(["solve", "--config", str(cfg)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["continuity_steps =", "continuity_steps = 0, nan, 1"])
+    def test_bad_schedule_exits_2(self, tmp_path, capsys, line):
+        # an empty schedule escaped as an IndexError (exit 1), a NaN in it
+        # as a GMRES failure (exit 3)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[problem]\nn = 2\nsizes = 16,1,16,1\n\n[solver]\n{line}\n",
+                       encoding="utf-8")
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        assert "continuity schedule" in capsys.readouterr().err
+
     @pytest.mark.parametrize("line, key", [
         ("stagnaton_window = 3", "stagnaton_window"),
         ("linear_maxiter = 1", "linear_maxiter"),  # a key that was removed

@@ -7,11 +7,14 @@ table of the grid. Inputs are white noise, so every mode, Nyquist included,
 takes part.
 """
 
+import math
 import sys
 
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torma import equations as eq
 from torma import grid as gr
@@ -137,6 +140,57 @@ def test_method_switch_never_reuses_spectral_table(rng):
     np.testing.assert_array_equal(gr.hessian_complex(grid, u), spectral)
 
 
+# grids of n = 2-4 with any non-empty set of active axes, each of 4, 8 or 16
+# nodes, at most PROPERTY_NODES in all (8 active axes of 4 nodes fit)
+PROPERTY_NODES = 4 ** 8
+
+
+@st.composite
+def property_grids(draw):
+    n = draw(st.integers(2, 4))
+    active = sorted(draw(st.sets(st.integers(0, 2 * n - 1), min_size=1)))
+    sizes = [1] * (2 * n)
+    for k, axis in enumerate(active):
+        # leave 4 nodes for each active axis still to size
+        room = PROPERTY_NODES // (math.prod(sizes) * 4 ** (len(active) - k - 1))
+        sizes[axis] = draw(st.sampled_from([s for s in (4, 8, 16) if s <= room]))
+    return gr.TorusGrid(n, tuple(sizes)), np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+
+PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+class TestIdentitiesOnRandomGrids:
+    """The identities the resolved Krylov solves rest on, over random grid shapes."""
+
+    @PROPERTY
+    @given(case=property_grids())
+    def test_operator_transpose(self, case):
+        # sum a L(b) = sum L^T(a) b, with first-order terms; transpose is the
+        # inverse transform of transpose_spectrum
+        grid, rng = case
+        n = grid.n
+        shape = grid.sizes
+        coeff = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
+        first = rng.standard_normal(shape + (n,)) + 1j * rng.standard_normal(shape + (n,))
+        op = gr.SecondOrderOperator(grid, coeff, first)
+        a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+        lb = op.apply_spectrum(gr.rfftn(grid, b))
+        lta = op.transpose(a)
+        np.testing.assert_array_equal(gr.irfftn(grid, op.transpose_spectrum(a)), lta)
+        assert abs(np.sum(a * lb) - np.sum(lta * b)) <= 1e-12 * np.sum(np.abs(a * lb))
+
+    @PROPERTY
+    @given(case=property_grids())
+    def test_parseval_weights(self, case):
+        # |w rfftn(v)| = |drop_nyquist(v)|: the resolved coordinates are isometric
+        grid, rng = case
+        v = rng.standard_normal(grid.sizes)
+        w, _ = gr.resolved_weights(grid)
+        want = np.linalg.norm(gr.drop_nyquist(grid, v))
+        assert abs(np.linalg.norm(w * gr.rfftn(grid, v)) - want) <= 1e-12 * want
+
+
 class TestTransformCounts:
     """Transforms made from torma.grid; guards against per-axis loops coming back."""
 
@@ -172,7 +226,7 @@ class TestTransformCounts:
         grid = GRIDS[key]
         lin = linearization(grid, rng, eq.Variant.PHI)
         counts.update(forward=0, inverse=0)
-        lin.operator.apply(rng.standard_normal(grid.sizes))
+        lin.apply(rng.standard_normal(grid.sizes))
         assert counts == {"forward": 1, "inverse": 1}
 
     @pytest.mark.parametrize("key", [(3, "x"), (3, "y")], ids=lambda k: f"n{k[0]}-{k[1]}")
@@ -205,6 +259,32 @@ class TestTransformCounts:
         monkeypatch.setattr(gr, "drop_nyquist", no_projection)
         sv._augmented_solve(lin.operator, rng.standard_normal(grid.sizes), precond,
                             sv.SolverConfig(), 1e-3)
+        assert seen == {"forward": 1, "inverse": 1}
+
+    def test_adjoint_kernel_iteration(self, counts, rng, monkeypatch):
+        # the transposed matvec and the same preconditioner solve make the
+        # 2 calls of a Newton iteration; GMRES is stopped after them
+        grid = GRIDS[(3, "y")]
+        lin = linearization(grid, rng, eq.Variant.PHI)
+        seen = {}
+
+        class Stop(Exception):
+            pass
+
+        def one_iteration(matvec, psolve, b, rtol, atol, x0=None):
+            x = rng.standard_normal(b.size)
+            counts.update(forward=0, inverse=0)
+            psolve(matvec(x))
+            seen.update(counts)
+            raise Stop
+
+        def no_projection(*args):
+            raise AssertionError("drop_nyquist called")
+
+        monkeypatch.setattr(sv, "_gmres", one_iteration)
+        monkeypatch.setattr(gr, "drop_nyquist", no_projection)
+        with pytest.raises(Stop):
+            sv.adjoint_kernel(lin.spec, lin.state)
         assert seen == {"forward": 1, "inverse": 1}
 
     def test_apply_transpose(self, counts, rng):
