@@ -108,12 +108,16 @@ class ProblemSpec:
 
     @functools.cached_property
     def torsion_operator(self):
-        """M[..., p, :, :] = M(e_p) of the torsion term, built on first use.
+        """M[..., p, i, j] = M(e_p)_{ij} of the torsion term, built on first
+        use: the field view of the entrywise buffer M[p, i, j, *nodes] of
+        :func:`torsion_operator_entries`.
 
         Only the PHI assembly and beta_closedness_scalar ask for it, so a PSI
         solve never holds this grid.sizes + (n, n, n) array.
         """
-        return torsion_operator_from_parts(self.omega, self.dbar_omega, self.omega_inv)
+        m = torsion_operator_entries(ha.entrywise(self.omega), self.metric.dbar,
+                                     self.metric.gi_entries)
+        return ha.as_field(m, 3)
 
     @functools.cached_property
     def log_det_ref(self):
@@ -136,55 +140,106 @@ class SolveState:
         return self.u - np.max(self.u.real)
 
 
-def torsion_coefficient(dbar_omega, ginv):
-    """c_p = sum_k S2(e_p e_k^T, d_kbar g), so sum_k S2(du x e_k^T, d_kbar g) = du . c.
+def _torsion_parts(dbar, gi):
+    """(c, d) for D_k = d_kbar g, R_k = g^{-1} D_k and t_k = tr R_k, from the
+    entrywise dbar[k, i, j] and g^{-1}: c[p] = sum_k [(g^{-1})_{kp} t_k -
+    (R_k g^{-1})_{kp}] and d[j] = sum_k (R_k)_{kj} - t_j, each of shape
+    (n, *nodes), node field by node field."""
+    n = gi.shape[0]
+    t, rows = [], []
+    for k in range(n):
+        t.append(sum(gi[j, i] * dbar[k, i, j] for i in range(n) for j in range(n)))
+        rows.append([sum(gi[k, i] * dbar[k, i, j] for i in range(n)) for j in range(n)])
+    c = np.stack([sum(gi[k, p] * t[k] - sum(rows[k][j] * gi[j, p] for j in range(n))
+                      for k in range(n)) for p in range(n)])
+    d = np.stack([sum(rows[k][j] for k in range(n)) - t[j] for j in range(n)])
+    return c, d
+
+
+def torsion_coefficient(dbar, gi):
+    """c[p] with sum_k S2(du x e_k^T, d_kbar g) = du . c, entrywise: dbar is
+    dbar[k, i, j] = d_kbar g_{i jbar} and gi = g^{-1} (matrix axes first),
+    the result has shape (n, *nodes).
 
     Closed form with R_k = g^{-1} d_kbar g:
     c_p = sum_k [(g^{-1})_{kp} tr R_k - (R_k g^{-1})_{kp}].
     """
-    t = np.einsum("...ji,...kij->...k", ginv, dbar_omega)
-    return (np.einsum("...kp,...k->...p", ginv, t)
-            - np.einsum("...ki,...kij,...jp->...p", ginv, dbar_omega, ginv))
+    return _torsion_parts(dbar, gi)[0]
 
 
-def torsion_operator_from_parts(g, dbar_omega, ginv):
-    """M[..., p, :, :] = M(e_p) with M(du) = sum_k B2(du x e_k^T, d_kbar g).
+def torsion_operator_entries(g, dbar, gi):
+    """M[p, i, j, *nodes] = M(e_p)_{ij} with M(du) = sum_k B2(du x e_k^T, d_kbar g).
 
     M is the complex-linear part of the E dual, Z = Re(sum_p du_p M_p)/(n-1).
-    Closed form of each slot sum, with D_k = d_kbar g, R_k = g^{-1} D_k,
-    t_k = tr R_k and c_p from torsion_coefficient:
+    g, dbar[k, i, j] = d_kbar g_{i jbar} and gi = g^{-1} are entrywise
+    (matrix axes first; g may be a strided view). With D_k = d_kbar g,
+    R_k = g^{-1} D_k, t_k = tr R_k and c_p from torsion_coefficient
+    (docs/conventions.md, "The two operators"):
 
-        M_p = c_p g + sum_k [ -(g^{-1})_{kp} D_k + e_p (R_k)_{k,:}
-                              - t_k E_pk + (D_k g^{-1})_{:,p} e_k^T ].
+        (M_p)_ij = c_p g_ij + sum_k (g^{-1})_{kp} [(D_j)_ik - (D_k)_ij]
+                   + delta_ip sum_k [(R_k)_{kj} - t_j],
+
+    written into one buffer, the sum over k entry by entry: every other
+    allocation is a node field (at 16^3 one fits in cache, where a matrix
+    slab does not, and slab temporaries raised the benchmark's peak memory).
     """
-    diag = np.arange(g.shape[-1])
-    m = np.einsum("...p,...ij->...pij", torsion_coefficient(dbar_omega, ginv), g)
-    m -= np.einsum("...kp,...kij->...pij", ginv, dbar_omega)
-    m += np.einsum("...kij,...jp->...pik", dbar_omega, ginv)
-    # sum_k [e_p (R_k)_{k,:} - t_k E_pk] only touches row p of M_p
-    rows = np.einsum("...ki,...kij->...j", ginv, dbar_omega)
-    traces = np.einsum("...ji,...kij->...k", ginv, dbar_omega)
-    m[..., diag, diag, :] += (rows - traces)[..., None, :]
-    return m
+    n = gi.shape[0]
+    c, d = _torsion_parts(dbar, gi)
+    out = np.empty((n, n, n) + gi.shape[2:], dtype=np.complex128)
+    for p in range(n):
+        np.multiply(c[p], g, out=out[p])
+        out[p, p] += d
+    del c, d
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                diff = dbar[j, i, k] - dbar[k, i, j]
+                for p in range(n):
+                    out[p, i, j, ...] += gi[k, p] * diff
+    return out
 
 
-def _torsion_from_operator(m, du, ginv):
-    """(Z, H) from the torsion operator M and the holomorphic gradient du."""
-    n = m.shape[-1]
-    z = ha.hermitize(np.einsum("...p,...pij->...ij", du, m)) / (n - 1)
-    h_trace = np.einsum("...ij,...ji->...", ginv, z).real
-    return z, h_trace
+def _add_torsion(buf, m, du):
+    """buf[i, j] += Z_ij on the lower triangle i >= j of the entrywise buf,
+    Z = Re(sum_p du_p M_p)/(n-1) (the Hermitian part of the sum) from the
+    entrywise M[p, i, j] and du[p]."""
+    n = buf.shape[0]
+    for i in range(n):
+        for j in range(i + 1):
+            w = du[0] * m[0, i, j]
+            for p in range(1, n):
+                w += du[p] * m[p, i, j]
+            if i == j:
+                buf[i, i, ...] += w.real / (n - 1)
+                continue
+            w_t = du[0] * m[0, j, i]
+            for p in range(1, n):
+                w_t += du[p] * m[p, j, i]
+            w += np.conj(w_t)
+            w *= 0.5 / (n - 1)
+            buf[i, j, ...] += w
+
+
+def _torsion_term(m, gi, du):
+    """(Z, H) from the entrywise torsion operator M, g^{-1} and du[p]: Z as
+    a Hermitian (..., n, n) field and H = tr(g^{-1} Z)."""
+    z = np.zeros(m.shape[1:], dtype=np.complex128)
+    _add_torsion(z, m, du)
+    z = ha.from_lower(z)
+    return z, ha.trace_product(gi, ha.entrywise(z))
 
 
 def e_term_from_parts(g, du, dbar_omega, ginv=None):
     """Torsion tensor Z = star E and its trace H from pointwise ingredients.
 
     du is the holomorphic gradient field (..., n); dbar_omega the tensor
-    d_kbar g_{i jbar}. Decomposing i du ^ dbar(omega) into (1,1)-slot wedges
-    gives star E = Re( sum_k B2(du x e_k, d_kbar g) ) / (n-1).
+    d_kbar g_{i jbar} (..., k, i, j). Decomposing i du ^ dbar(omega) into
+    (1,1)-slot wedges gives star E = Re( sum_k B2(du x e_k, d_kbar g) ) / (n-1).
     """
     ginv = ha.inverse(ha.require_positive(g)) if ginv is None else ginv
-    return _torsion_from_operator(torsion_operator_from_parts(g, dbar_omega, ginv), du, ginv)
+    gi = ha.entrywise(ginv)
+    m = torsion_operator_entries(ha.entrywise(g), ha.entrywise(dbar_omega, 3), gi)
+    return _torsion_term(m, gi, ha.entrywise(du, 1))
 
 
 def e_term(spec, u):
@@ -192,28 +247,46 @@ def e_term(spec, u):
     if spec.variant is not Variant.PHI:
         raise ValidationError("e_term is defined for the PHI variant only")
     du = gr.holo_gradient(spec.grid, u)
-    return _torsion_from_operator(spec.torsion_operator, du, spec.omega_inv)
+    return _torsion_term(ha.entrywise(spec.torsion_operator, 3), spec.metric.gi_entries,
+                         ha.entrywise(du, 1))
 
 
-def tilde_metric(spec, u, hess=None):
+def tilde_metric(spec, u):
     """gt = omega_h + ((lap u) omega - i ddbar u)/(n-1) (+ Z for PHI).
 
-    Not guaranteed positive; callers query positivity themselves.
+    Built entry by entry on the lower triangle of one entrywise buffer and
+    completed Hermitian from it (ha.from_lower), so gt == conj(gt^T) bit for
+    bit; returned as its (*nodes, n, n) view. lap u is the real field
+    tr(omega^{-1} Hess u); a complex u enters through its real part. Not
+    guaranteed positive; callers query positivity themselves.
     """
     n = spec.n
+    u = np.real(u)
     # a first use builds omega_h here, before the field-sized temporaries below
-    omega_h = spec.omega_h
-    if hess is None:
-        hess = gr.hessian_complex(spec.grid, u)
-    lap = np.einsum("...ij,...ji->...", spec.omega_inv, hess)
-    # in place: one field-sized array besides hess
-    gt = lap[..., None, None] * spec.omega
-    gt -= hess
-    gt /= n - 1
-    gt += omega_h
+    omega_h = ha.entrywise(spec.omega_h)
+    omega = ha.entrywise(spec.omega)
+    parts = gr.hessian_parts(spec.grid, u)
+    lap = gr.hessian_trace(spec.metric.gi_entries, parts)
+    # the lower entry (j, i) of the Hessian is re - i im of the pair (i, j)
+    hess = {(j, i): (re, im) for i, j, re, im in parts}
+    del parts
+    buf = np.empty((n, n) + spec.grid.sizes, dtype=np.complex128)
+    for i in range(n):
+        for j in range(i + 1):
+            entry = buf[i, j, ...]
+            np.multiply(lap, omega[i, j], out=entry)
+            if (i, j) in hess:
+                re, im = hess[i, j]
+                np.subtract(entry.real, re, out=entry.real)
+                if im is not None:
+                    np.add(entry.imag, im, out=entry.imag)
+            entry /= n - 1
+            entry += omega_h[i, j]
+    del hess, lap
     if spec.variant is Variant.PHI:
-        gt += e_term(spec, u)[0]
-    return ha.hermitize(gt)
+        du = gr.holo_gradient(spec.grid, u)
+        _add_torsion(buf, ha.entrywise(spec.torsion_operator, 3), ha.entrywise(du, 1))
+    return ha.from_lower(buf)
 
 
 def positivity_margin(gt):
@@ -252,18 +325,55 @@ def ma_residual(spec, state, gt=None, log_det=None):
     return log_det - spec.log_det_ref - state.t * spec.F - state.b
 
 
-def _second_order_coeff(spec, gt_inv):
-    """C with apply = trace(C @ Hess v) + first order: (tr(gt^{-1} g) g^{-1} - gt^{-1})/(n-1)."""
-    tr = np.einsum("...ij,...ji->...", gt_inv, spec.omega)
-    return (tr[..., None, None] * spec.omega_inv - gt_inv) / (spec.n - 1)
+def _second_order_terms(spec, gti):
+    """SecondOrderOperator's second-order terms and coeff_mean, the node mean
+    of C = (tr(gt^{-1} g) g^{-1} - gt^{-1})/(n-1), from the entrywise
+    gt^{-1}: A_ii = Re C_ii, A_ij = 2 Re C_ij and B_ij = 2 Im C_ij for i < j
+    (C is Hermitian)."""
+    n = spec.n
+    gi = spec.metric.gi_entries
+    tab = gr.spectral_table(spec.grid)
+    live = set(tab.pairs())
+    tr = ha.trace_product(gti, ha.entrywise(spec.omega))
+    mean = np.empty((n, n), dtype=np.complex128)
+    second = []  # in the order of tab.pairs()
+    for i in range(n):
+        for j in range(i, n):
+            if i == j:
+                c = tr * gi[i, i].real
+                c -= gti[i, i].real
+            else:
+                c = tr * gi[i, j]
+                c -= gti[i, j]
+            c /= n - 1
+            mean[i, j] = np.mean(c)
+            mean[j, i] = np.conj(mean[i, j])
+            if (i, j) not in live:
+                continue
+            if i == j:
+                second.append((i, i, c, None))
+            else:
+                second.append((i, j, 2.0 * c.real,
+                               2.0 * c.imag if tab.im[i][j] is not None else None))
+    return second, mean
 
 
-def _first_order_coeff(spec, gt_inv):
-    """a_p = tr(gt^{-1} M_p)/(n-1), so tr(gt^{-1} Z(v)) = Re sum_p a_p d_p v;
-    None for PSI."""
+def _first_order_terms(spec, gti):
+    """SecondOrderOperator's first-order terms (p, Re a_p/2, Im a_p/2) of
+    a_p = tr(gt^{-1} M_p)/(n-1), so tr(gt^{-1} Z(v)) = Re sum_p a_p d_p v,
+    from the entrywise gt^{-1}; none for PSI."""
     if spec.variant is not Variant.PHI:
-        return None
-    return np.einsum("...ij,...pji->...p", gt_inv, spec.torsion_operator) / (spec.n - 1)
+        return []
+    n = spec.n
+    m = ha.entrywise(spec.torsion_operator, 3)
+    tab = gr.spectral_table(spec.grid)
+    terms = []
+    for p in tab.live:
+        a = sum(gti[i, j] * m[p, j, i] for i in range(n) for j in range(n))
+        a *= 0.5 / (n - 1)
+        terms.append((p, np.ascontiguousarray(a.real),
+                      np.ascontiguousarray(a.imag) if p in tab.y_live else None))
+    return terms
 
 
 class Linearization:
@@ -293,11 +403,9 @@ class Linearization:
                 raise PositivityError(
                     f"tilde metric not positive (min eig {positivity_margin(self.gt):.3e})"
                 )
-        gt_inv = ha.inverse(factor)
-        coeff = _second_order_coeff(spec, gt_inv)
-        self.coeff_mean = np.mean(coeff, axis=tuple(range(coeff.ndim - 2)))
-        self.operator = gr.SecondOrderOperator(
-            spec.grid, coeff, _first_order_coeff(spec, gt_inv))
+        gti = ha.entrywise(ha.inverse(factor))
+        second, self.coeff_mean = _second_order_terms(spec, gti)
+        self.operator = gr.SecondOrderOperator(spec.grid, second, _first_order_terms(spec, gti))
 
     def apply(self, v):
         """L v for a real field v; a complex v must be real to 1e-10, as F."""
@@ -330,7 +438,7 @@ def eta_tensor(spec, state):
     if spec.variant is Variant.PHI:
         z, h_tr = e_term(spec, state.u)
         eta_u = eta_u + h_tr[..., None, None] * g - (n - 1) * z
-    gt = tilde_metric(spec, state.u, hess=hess)
+    gt = tilde_metric(spec, state.u)
     tr_ggt = np.einsum("...ij,...ji->...", spec.omega_inv, gt)
     eta_gt = tr_ggt[..., None, None] * g - (n - 1) * gt
     eta_u = ha.hermitize(eta_u)
@@ -381,6 +489,7 @@ def beta_closedness_scalar(spec, u):
         raise ValidationError("beta_u needs n >= 3")
     hess = gr.hessian_complex(spec.grid, u)
     du = gr.holo_gradient(spec.grid, u)
-    z, h_tr = _torsion_from_operator(spec.torsion_operator, du, spec.omega_inv)
+    z, h_tr = _torsion_term(ha.entrywise(spec.torsion_operator, 3), spec.metric.gi_entries,
+                            ha.entrywise(du, 1))
     sigma = hess + h_tr[..., None, None] * spec.omega - (spec.n - 1) * z
     return spec.metric.ddbar_scalar(ha.hermitize(sigma))

@@ -95,14 +95,10 @@ _ROWS, _COLS = "abcd", "ABCD"
 
 
 def _entries(x, axes=2):
-    """The entrywise (matrix axes, *nodes) array of a (*nodes, matrix axes)
-    field; no copy for a field view of an entrywise buffer (ha.inverse)."""
-    return np.ascontiguousarray(np.moveaxis(x, range(-axes, 0), range(axes)))
-
-
-def _field(x, axes=2):
-    """The (*nodes, matrix axes) view of an entrywise array."""
-    return np.moveaxis(x, range(axes), range(-axes, 0))
+    """The contiguous entrywise (matrix axes, *nodes) array of a (*nodes,
+    matrix axes) field; no copy for a field view of an entrywise buffer
+    (ha.inverse)."""
+    return np.ascontiguousarray(ha.entrywise(x, axes))
 
 
 def _apply(a, t, axis=0):
@@ -290,7 +286,7 @@ class MetricFields:
         """dbar_g[..., k, i, j] = d_kbar g_{i jbar}: the (..., k, i, j) view of
         dbar (every entry a contiguous node field, which also suits the
         ``...``-broadcast einsums of its callers)."""
-        return _field(self.dbar, 3)
+        return ha.as_field(self.dbar, 3)
 
     @functools.cached_property
     def k(self):
@@ -396,7 +392,7 @@ def _astheno_dual(metric):
         open_slot = _alternating("AaB,bcC->dD", _raised_dbar(gi, metric.dbar),
                                  _raised_d(gi, metric.dbar))
         dual -= (n - 3) * _apply(g, np.swapaxes(open_slot, 0, 1))
-    return ha.hermitize(_field((n - 2) * dual))
+    return ha.hermitize(ha.as_field((n - 2) * dual))
 
 
 @dataclass

@@ -357,11 +357,13 @@ def d_antiholo(grid, f, i):
 
 
 def holo_gradient(grid, f):
-    """All d/dz^i stacked on a trailing axis: shape grid.shape + (n,).
+    """All d/dz^i on a trailing axis: shape grid.shape + (n,), the view of one
+    (n, *nodes) buffer, so each component is a contiguous node field.
 
     One forward transform for all coordinates.
     """
-    return np.stack(_first_order(grid, f, [_holo_combo(j) for j in range(grid.n)]), axis=-1)
+    return np.moveaxis(np.stack(_first_order(grid, f, [_holo_combo(j) for j in range(grid.n)])),
+                       0, -1)
 
 
 def wirtinger_symbols(grid, anti=False):
@@ -373,26 +375,52 @@ def wirtinger_symbols(grid, anti=False):
     return [sum(c * 1j * tab.axis[a] for a, c in _holo_combo(j, anti)) for j in range(grid.n)]
 
 
-def hessian_complex(grid, u):
-    """Mixed complex Hessian u_{i jbar} = d_i d_jbar u, shape grid.shape + (n, n).
+def hessian_parts(grid, u):
+    """Real fields of the mixed Hessian u_{i jbar} of a real field u: one
+    (i, j, re, im) per live upper-triangle pair i <= j of the table, with
+    u_{i jbar} = re + i im and im None where the symbol has no imaginary
+    part; every other entry of the upper triangle is zero, and the lower
+    triangle is u_{j ibar} = conj(u_{i jbar}).
 
-    For real u, one half-spectrum transform and one inverse transform for
-    every upper-triangle symbol (two where it has an imaginary part); the
-    lower triangle is hess[j, i] = conj(hess[i, j]). Complex u is
-    H(Re u) + i H(Im u).
+    One half-spectrum transform and one batched inverse transform for all
+    of them.
     """
     tab = spectral_table(grid)
-    n = grid.n
     pairs = tab.pairs()
     imag = [(i, j) for i, j in pairs if tab.im[i][j] is not None]
     mults = [tab.re[i][j] for i, j in pairs] + [tab.im[i][j] for i, j in imag]
+    fields = _irfftn_products(grid, mults, rfftn(grid, u))
+    im = dict(zip(imag, fields[len(pairs):]))
+    return [(i, j, re, im.get((i, j))) for (i, j), re in zip(pairs, fields)]
+
+
+def hessian_trace(gi, parts):
+    """tr(g^{-1} Hess u) = g^{i jbar} u_{i jbar}, a real field, from the
+    entrywise (n, n, *nodes) Hermitian g^{-1} and :func:`hessian_parts`."""
+    out = 0.0
+    for i, j, re, im in parts:
+        if i == j:
+            out = out + gi[i, i].real * re
+            continue
+        # g^{j ibar} u_{i jbar} + its conjugate
+        term = gi[i, j].real * re
+        if im is not None:
+            term += gi[i, j].imag * im
+        out = out + 2.0 * term
+    return out
+
+
+def hessian_complex(grid, u):
+    """Mixed complex Hessian u_{i jbar} = d_i d_jbar u, shape grid.shape + (n, n).
+
+    The entries of :func:`hessian_parts`, with hess[j, i] = conj(hess[i, j]).
+    Complex u is H(Re u) + i H(Im u).
+    """
+    n = grid.n
     hess = grid.zeros(n, n)
     for part, unit in _real_parts(u):
-        fields = _irfftn_products(grid, mults, rfftn(grid, part))
-        entries = dict(zip(pairs, fields))
-        for (i, j), field in zip(imag, fields[len(pairs):]):
-            entries[i, j] = entries[i, j] + 1j * field
-        for (i, j), entry in entries.items():
+        for i, j, re, im in hessian_parts(grid, part):
+            entry = re if im is None else re + 1j * im
             hess[..., i, j] += unit * entry
             if i != j:
                 hess[..., j, i] += unit * np.conj(entry)
@@ -414,33 +442,45 @@ class SecondOrderOperator:
               + sum_p [Re(a_p) d_x v + Im(a_p) d_y v]/2,
 
     A_ii = Re C_ii, A_ij = Re(C_ij + C_ji), B_ij = Im(C_ij - C_ji), with
-    d_x, d_y the real derivatives of coordinate p. ``apply_spectrum`` takes
-    the half spectrum of v and makes one inverse transform for all real
-    operators; ``transpose_spectrum`` (under the pairing sum(a * b)) one
-    forward transform for all of them and returns a half spectrum, since the
-    second-order symbols are even and the first-order ones odd
+    d_x, d_y the real derivatives of coordinate p. ``second`` holds
+    (i, j, A_ij, B_ij) for every pair of ``SpectralTable.pairs`` (B_ij None
+    where ``im[i][j]`` is), ``first`` (p, Re(a_p)/2, Im(a_p)/2) for every
+    live p (the second None unless p's y-axis is active);
+    :meth:`from_coefficients` derives both from C and a. ``apply_spectrum``
+    takes the half spectrum of v and makes one inverse transform for all
+    real operators; ``transpose_spectrum`` (under the pairing sum(a * b))
+    one forward transform for all of them and returns a half spectrum, since
+    the second-order symbols are even and the first-order ones odd
     (``transpose`` adds the inverse transform). The multipliers come from
     the grid's table at call time.
     """
 
-    def __init__(self, grid, coeff, first_order=None):
+    def __init__(self, grid, second, first=()):
         self.grid = grid
+        self.second = list(second)
+        self.first = list(first)
+
+    @classmethod
+    def from_coefficients(cls, grid, coeff, first_order=None):
+        """The operator of the complex coefficient fields C (..., n, n) and
+        a (..., n), or of constant matrices."""
         tab = spectral_table(grid)
-        self.second = []
+        second = []
         for i, j in tab.pairs():
             if i == j:
-                self.second.append((i, j, _real_field(coeff[..., i, i].real), None))
+                second.append((i, j, _real_field(coeff[..., i, i].real), None))
                 continue
             a = _real_field((coeff[..., i, j] + coeff[..., j, i]).real)
             b = (_real_field((coeff[..., i, j] - coeff[..., j, i]).imag)
                  if tab.im[i][j] is not None else None)
-            self.second.append((i, j, a, b))
-        self.first = []
+            second.append((i, j, a, b))
+        first = []
         if first_order is not None:
             for p in tab.live:
                 a = 0.5 * first_order[..., p]
-                self.first.append((p, _real_field(a.real),
-                                   _real_field(a.imag) if p in tab.y_live else None))
+                first.append((p, _real_field(a.real),
+                              _real_field(a.imag) if p in tab.y_live else None))
+        return cls(grid, second, first)
 
     def _terms(self):
         """(real coefficient field, half-spectrum multiplier) of each term of L."""

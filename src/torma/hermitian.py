@@ -48,7 +48,7 @@ def hermitize(a):
 # Each kernel loops in Python over the n x n matrix entries only; every entry
 # is one vectorized operation over all nodes. Results live in one (n, n,
 # *nodes) buffer, so each entry is a contiguous node field, and are handed out
-# as (*nodes, n, n) views of it (_as_field).
+# as (*nodes, n, n) views of it (as_field).
 
 
 # eigvalsh's sample in min_eigenvalue: the nodes with the smallest diagonal.
@@ -57,9 +57,16 @@ def hermitize(a):
 _CANDIDATES = 8
 
 
-def _as_field(buf):
-    """The (*nodes, n, n) view of an entrywise (n, n, *nodes) buffer."""
-    return np.moveaxis(buf, (0, 1), (-2, -1))
+def as_field(x, axes=2):
+    """The (*nodes, matrix axes) view of an entrywise (matrix axes, *nodes)
+    array."""
+    return np.moveaxis(x, range(axes), range(-axes, 0))
+
+
+def entrywise(x, axes=2):
+    """The entrywise (matrix axes, *nodes) view of a (*nodes, matrix axes)
+    field; for a field view of an entrywise buffer, that buffer."""
+    return np.moveaxis(x, range(-axes, 0), range(axes))
 
 
 def _abs2(x):
@@ -94,7 +101,7 @@ def _factor(a, shift=0.0):
                 for k in range(j):
                     entry -= buf[i, k, ...] * row[k]
                 entry *= scale
-    return _as_field(buf), ok
+    return as_field(buf), ok
 
 
 def cholesky(a):
@@ -134,12 +141,30 @@ def _triangular_inverse(factor):
     return buf
 
 
-def _fill_upper(buf):
-    """Complete an entrywise Hermitian buffer from its lower triangle."""
+def from_lower(buf):
+    """The (*nodes, n, n) Hermitian field of an entrywise (n, n, *nodes)
+    buffer, completed in place from its lower triangle: the upper triangle
+    becomes the conjugate of the lower and the diagonal's imaginary part
+    zero, so the field is Hermitian bit for bit."""
     n = buf.shape[0]
     for i in range(n):
+        if np.iscomplexobj(buf):  # a real buffer has no imaginary part to clear
+            buf[i, i, ...].imag = 0.0
         for j in range(i + 1, n):
             np.conj(buf[j, i, ...], out=buf[i, j, ...])
+    return as_field(buf)
+
+
+def trace_product(a, b):
+    """tr(a b) = sum_ij a_ij b_ji of entrywise Hermitian a and b, a real
+    field from their lower triangles."""
+    n = a.shape[0]
+    out = a[0, 0].real * b[0, 0].real
+    for i in range(1, n):
+        out = out + a[i, i].real * b[i, i].real
+        for j in range(i):
+            out = out + 2.0 * (a[i, j].real * b[i, j].real + a[i, j].imag * b[i, j].imag)
+    return out
 
 
 def inverse(factor):
@@ -159,8 +184,7 @@ def inverse(factor):
         for k in range(i + 1, n):
             acc += _abs2(m[k, i, ...])
         m[i, i, ...] = acc
-    _fill_upper(m)
-    return _as_field(m)
+    return from_lower(m)
 
 
 def min_eigenvalue(a):
@@ -173,31 +197,35 @@ def min_eigenvalue(a):
     do not factor. delta = 64 n^2 eps (scale + |lam|), scale = n max |a_ij|
     per node, covers the factorization's backward error and eigvalsh's
     roundoff (docs/conventions.md, "Pointwise kernels"). Like eigvalsh, the
-    screen reads the real diagonal and the lower triangle only; a non-finite
-    node never factors.
+    screen reads the real diagonal and the lower triangle only, each entry
+    as a node field of a (no copy of a non-contiguous a); a non-finite node
+    never factors.
     """
     a = np.asarray(a)
+    if a.ndim == 2:
+        a = a[None]
     n = a.shape[-1]
-    flat = a.reshape(-1, n, n)
     # n max |entry read| bounds each node's spectral radius
-    scale = np.abs(flat[:, 0, 0].real)
-    smallest = flat[:, 0, 0].real
+    scale = np.abs(a[..., 0, 0].real)
+    smallest = a[..., 0, 0].real
     for i in range(1, n):
-        scale = np.maximum(scale, np.abs(flat[:, i, i].real))
-        smallest = np.minimum(smallest, flat[:, i, i].real)
+        scale = np.maximum(scale, np.abs(a[..., i, i].real))
+        smallest = np.minimum(smallest, a[..., i, i].real)
         for j in range(i):
-            scale = np.maximum(scale, np.abs(flat[:, i, j]))
+            scale = np.maximum(scale, np.abs(a[..., i, j]))
     scale *= n
-    nodes = flat.shape[0]
+    smallest = smallest.ravel()
+    nodes = smallest.size
     few = min(nodes, _CANDIDATES)
     candidates = np.argpartition(smallest, few - 1)[:few] if few < nodes else np.arange(nodes)
-    lam = np.linalg.eigvalsh(flat[candidates])
+    candidates = np.unravel_index(candidates, a.shape[:-2])
+    lam = np.linalg.eigvalsh(a[candidates])
     lam_min = np.min(lam)
     with np.errstate(invalid="ignore", over="ignore"):
         delta = 64.0 * n * n * np.finfo(np.float64).eps * (scale + abs(lam_min))
-        _, ok = _factor(flat, lam_min + delta)
+        _, ok = _factor(a, lam_min + delta)
     ok[candidates] = True
-    rest = np.linalg.eigvalsh(flat[~ok])
+    rest = np.linalg.eigvalsh(a[~ok])
     return float(np.min(np.concatenate([lam.ravel(), rest.ravel()])))
 
 
@@ -304,9 +332,8 @@ def star_power(omega_ref, omega, ref_log_det=None):
             out[i, i, ...] += _abs2(w[k, i, ...])
             for j in range(i):
                 out[i, j, ...] += np.conj(w[k, i, ...]) * w[k, j, ...]
-    _fill_upper(out)
     out *= ratio
-    return _as_field(out)
+    return from_lower(out)
 
 
 def nm1_root(omega_ref, s):
@@ -320,7 +347,7 @@ def nm1_root(omega_ref, s):
     chol = require_positive(omega_ref, "reference metric")
     require_positive(s, "(n-1,n-1) form dual")
     n = s.shape[-1]
-    chol_inv = _as_field(_triangular_inverse(chol))
+    chol_inv = as_field(_triangular_inverse(chol))
     s_flat = chol_inv @ s @ np.conj(np.swapaxes(chol_inv, -1, -2))
     vals, vecs = np.linalg.eigh(s_flat)
     det_lam = np.prod(vals, axis=-1) ** (1.0 / (n - 1))
@@ -346,5 +373,5 @@ def star_wedge(omega, alpha):
 def relative_eigenvalues(g, a):
     """Eigenvalues of a relative to g (ascending), shape (..., n); raises
     ValidationError unless g is positive definite."""
-    chol_inv = _as_field(_triangular_inverse(require_positive(g, "metric")))
+    chol_inv = as_field(_triangular_inverse(require_positive(g, "metric")))
     return np.linalg.eigvalsh(chol_inv @ a @ np.conj(np.swapaxes(chol_inv, -1, -2)))

@@ -161,7 +161,7 @@ class SpectralPreconditioner:
 
     def __init__(self, grid, coeff_mean):
         self.grid = grid
-        self.symbol = gr.SecondOrderOperator(grid, coeff_mean).symbol()
+        self.symbol = gr.SecondOrderOperator.from_coefficients(grid, coeff_mean).symbol()
         self.zero = tuple(0 for _ in grid.sizes)
         # modes annihilated by the derivative multipliers (k = 0, Nyquist) pass
         # through the preconditioner unchanged
@@ -761,33 +761,36 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30):
     n = grid.n
     # one factor and one dbar_g serve rho_0 and the cross coefficient
     metric = geo.MetricFields(grid, omega)
-    ginv = metric.gi
+    ginv, gi = metric.gi, metric.gi_entries
     rho0 = metric.ddbar_scalar(omega) / math.factorial(n - 1)
-    cross_coeff = eq.torsion_coefficient(metric.dbar_field, ginv)
+    cross_coeff = eq.torsion_coefficient(metric.dbar, gi)
     del metric
     coeff_mean = np.mean(ginv.reshape(-1, n, n), axis=0)
     precond = SpectralPreconditioner(grid, coeff_mean)
     what = "Gauduchon factor Newton"
 
     def evaluate(tau):
-        """N(tau)/(n-1)!, dtau, and the sup of the resolved mean-free defect."""
-        hess = gr.hessian_complex(grid, tau)
-        dtau = gr.holo_gradient(grid, tau)
-        grad_sq = np.einsum("...j,...ji,...i->...", np.conj(dtau), ginv, dtau)
-        lap = np.einsum("...ij,...ji->...", ginv, hess)
+        """N(tau)/(n-1)!, (g^{-1} dtau)_i, and the sup of the resolved
+        mean-free defect."""
+        lap = gr.hessian_trace(gi, gr.hessian_parts(grid, tau))
+        dtau = np.moveaxis(gr.holo_gradient(grid, tau), -1, 0)
+        raised = [sum(gi[i, j] * dtau[j] for j in range(n)) for i in range(n)]
+        # |dtau|^2_g = sum_ij conj(dtau_j) g^{ji} dtau_i = Re sum_i conj(dtau_i) raised_i;
         # [i d(tau) ^ dbar(omega^{n-1})]/dV = (n-1)! sum_k S2(dtau x e_k, d_kbar g)
         #                                   = (n-1)! dtau . c
-        cross = np.einsum("...p,...p->...", dtau, cross_coeff)
-        resid = lap.real + grad_sq.real + 2.0 * cross.real + rho0
+        grad_sq = sum((np.conj(dtau[i]) * raised[i]).real for i in range(n))
+        cross = sum(dtau[p] * cross_coeff[p] for p in range(n))
+        resid = lap + grad_sq + 2.0 * cross.real + rho0
         resolved = gr.drop_nyquist(grid, resid)
-        return {"residual": resid, "dtau": dtau,
+        return {"residual": resid, "raised": raised,
                 "residual_sup": gr.sup_norm(resolved - np.mean(resolved))}
 
     def step(it, tau, ev):
-        # N'(tau) v = Re[lap_g v + 2 sum_i (sum_j conj(dtau_j) g^{ji} + c_i) d_i v]
-        first = 2.0 * (np.einsum("...j,...ji->...i", np.conj(ev["dtau"]), ginv)
-                       + cross_coeff)
-        jac = gr.SecondOrderOperator(grid, ginv, first)
+        # N'(tau) v = Re[lap_g v + 2 sum_i (sum_j conj(dtau_j) g^{ji} + c_i) d_i v],
+        # sum_j conj(dtau_j) g^{ji} = conj(raised_i)
+        first = np.stack([2.0 * (np.conj(r) + c) for r, c in zip(ev["raised"], cross_coeff)],
+                         axis=-1)
+        jac = gr.SecondOrderOperator.from_coefficients(grid, ginv, first)
         dtau, _, _ = _augmented_solve(jac, -ev["residual"], precond, cfg,
                                       _forcing_term(cfg, ev["residual_sup"]))
 

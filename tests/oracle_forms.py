@@ -693,11 +693,78 @@ def resample_complex(grid, f, out_grid):
     return np.fft.ifftn(out, axes=axes) * (out_grid.num_nodes / grid.num_nodes)
 
 
+# ---------------------------------------------------------------------------
+# einsum and hermitize forms of the evaluation and the linearization: the
+# references for torma.equations' entrywise kernels, on (*nodes, matrix axes)
+# fields
+
+
+def torsion_coefficient_einsum(dbar_omega, ginv):
+    """c_p = sum_k [(g^{-1})_{kp} tr R_k - (R_k g^{-1})_{kp}], R_k = g^{-1} d_kbar g."""
+    t = np.einsum("...ji,...kij->...k", ginv, dbar_omega)
+    return (np.einsum("...kp,...k->...p", ginv, t)
+            - np.einsum("...ki,...kij,...jp->...p", ginv, dbar_omega, ginv))
+
+
+def torsion_operator_einsum(g, dbar_omega, ginv):
+    """M[..., p, :, :] = M(e_p) by the closed form of docs/conventions.md:
+
+        M_p = c_p g + sum_k [ -(g^{-1})_{kp} D_k + e_p (R_k)_{k,:}
+                              - t_k E_pk + (D_k g^{-1})_{:,p} e_k^T ].
+    """
+    diag = np.arange(g.shape[-1])
+    m = np.einsum("...p,...ij->...pij", torsion_coefficient_einsum(dbar_omega, ginv), g)
+    m -= np.einsum("...kp,...kij->...pij", ginv, dbar_omega)
+    m += np.einsum("...kij,...jp->...pik", dbar_omega, ginv)
+    # sum_k [e_p (R_k)_{k,:} - t_k E_pk] only touches row p of M_p
+    rows = np.einsum("...ki,...kij->...j", ginv, dbar_omega)
+    traces = np.einsum("...ji,...kij->...k", ginv, dbar_omega)
+    m[..., diag, diag, :] += (rows - traces)[..., None, :]
+    return m
+
+
+def spec_torsion_operator_einsum(spec):
+    return torsion_operator_einsum(spec.omega, spec.dbar_omega, spec.omega_inv)
+
+
+def e_term_einsum(spec, u):
+    """(Z, H) = (hermitize(sum_p du_p M_p)/(n-1), tr(g^{-1} Z)) for any variant."""
+    du = gr.holo_gradient(spec.grid, u)
+    z = ha.hermitize(np.einsum("...p,...pij->...ij", du, spec_torsion_operator_einsum(spec)))
+    z /= spec.n - 1
+    return z, np.einsum("...ij,...ji->...", spec.omega_inv, z).real
+
+
+def tilde_metric_einsum(spec, u):
+    """gt = hermitize(omega_h + ((lap u) omega - Hess u)/(n-1) [+ Z])."""
+    hess = gr.hessian_complex(spec.grid, u)
+    lap = np.einsum("...ij,...ji->...", spec.omega_inv, hess)
+    gt = (lap[..., None, None] * spec.omega - hess) / (spec.n - 1) + spec.omega_h
+    if spec.variant is eq.Variant.PHI:
+        gt += e_term_einsum(spec, u)[0]
+    return ha.hermitize(gt)
+
+
+def second_order_coeff_einsum(spec, gt_inv):
+    """C = (tr(gt^{-1} g) g^{-1} - gt^{-1})/(n-1)."""
+    tr = np.einsum("...ij,...ji->...", gt_inv, spec.omega)
+    return (tr[..., None, None] * spec.omega_inv - gt_inv) / (spec.n - 1)
+
+
+def first_order_coeff_einsum(spec, gt_inv):
+    """a_p = tr(gt^{-1} M_p)/(n-1); None for PSI."""
+    if spec.variant is not eq.Variant.PHI:
+        return None
+    return (np.einsum("...ij,...pji->...p", gt_inv, spec_torsion_operator_einsum(spec))
+            / (spec.n - 1))
+
+
 def linearization_coefficients(lin):
     """Linearization's second-order coefficients C and first-order a_p (None
     for PSI), rebuilt from lin.gt."""
     gt_inv = ha.inverse(ha.cholesky(lin.gt))
-    return eq._second_order_coeff(lin.spec, gt_inv), eq._first_order_coeff(lin.spec, gt_inv)
+    return (second_order_coeff_einsum(lin.spec, gt_inv),
+            first_order_coeff_einsum(lin.spec, gt_inv))
 
 
 def apply_composed(lin, v, method="spectral"):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torma import equations as eq
 from torma import grid as gr
@@ -37,6 +39,82 @@ def random_spec(grid, rng, variant, metric_amplitude=0.15):
     return eq.ProblemSpec(
         grid=grid, variant=variant, omega0=omega0, omega=omega, F=np.zeros(grid.sizes)
     )
+
+
+# at most 4^6 nodes, so every axis is active only for n = 3
+LAYER_NODES = 4 ** 6
+
+
+@st.composite
+def layer_cases(draw):
+    """(spec, u) on a random grid with n = 3 or 4: reduced (any non-empty set
+    of active axes) or full (every coordinate resolved, so every Hessian
+    entry lives), 4-16 nodes per active axis."""
+    n = draw(st.sampled_from([3, 4]))
+    if draw(st.booleans()):
+        active = [a for j in range(n)
+                  for a in draw(st.sampled_from([(2 * j,), (2 * j + 1,), (2 * j, 2 * j + 1)]))]
+        while len(active) > 6:  # drop y-axes from the last coordinates
+            active.remove(max(a for a in active if a % 2 and a - 1 in active))
+    else:
+        active = sorted(draw(st.sets(st.integers(0, 2 * n - 1), min_size=1, max_size=6)))
+    sizes = [1] * (2 * n)
+    for k, axis in enumerate(active):
+        # leave 4 nodes for each active axis still to size
+        room = LAYER_NODES // (math.prod(sizes) * 4 ** (len(active) - k - 1))
+        sizes[axis] = draw(st.sampled_from([s for s in (4, 8, 16) if s <= room]))
+    grid = gr.TorusGrid(n, tuple(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    variant = draw(st.sampled_from(list(eq.Variant)))
+    omega = tf.random_hermitian_metric(grid, rng, amplitude=0.15, max_mode=1)
+    omega0 = tf.random_hermitian_metric(grid, rng, amplitude=0.15, max_mode=1)
+    spec = eq.ProblemSpec(grid=grid, variant=variant, omega0=omega0, omega=omega,
+                          F=np.zeros(grid.sizes))
+    # band-limited plus white noise, so Nyquist modes and every symbol take part
+    u = (tf.random_band_limited_real(grid, rng, amplitude=0.02, max_mode=1).real
+         + 1e-5 * rng.standard_normal(grid.sizes))
+    return spec, u
+
+
+def assert_rel(got, want, rtol=1e-13):
+    assert gr.sup_norm(got - want) <= rtol * gr.sup_norm(want)
+
+
+class TestEntrywiseLayerOnRandomGrids:
+    """The entrywise gt, torsion operator and Newton coefficients against
+    their einsum and hermitize forms in oracle_forms, over random grids."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(case=layer_cases())
+    def test_against_einsum_forms(self, case):
+        spec, u = case
+        grid = spec.grid
+        gt = eq.tilde_metric(spec, u)
+        assert_rel(gt, of.tilde_metric_einsum(spec, u))
+        assert np.array_equal(gt, np.conj(np.swapaxes(gt, -1, -2)))
+        z, h = eq.e_term_from_parts(spec.omega, gr.holo_gradient(grid, u), spec.dbar_omega,
+                                    spec.omega_inv)
+        z_want, h_want = of.e_term_einsum(spec, u)
+        assert_rel(z, z_want)
+        assert_rel(h, h_want)
+        assert np.array_equal(z, np.conj(np.swapaxes(z, -1, -2)))
+        if spec.variant is eq.Variant.PHI:
+            assert_rel(spec.torsion_operator, of.spec_torsion_operator_einsum(spec))
+        lin = eq.Linearization(spec, eq.SolveState(u=u, b=0.0), gt=gt)
+        coeff, first = of.linearization_coefficients(lin)
+        want = gr.SecondOrderOperator.from_coefficients(grid, coeff, first)
+        # (i, j, A, B) and (p, Re a/2, Im a/2): labels, then fields or None
+        got_terms = lin.operator.second + lin.operator.first
+        want_terms = want.second + want.first
+        assert [t[:-2] for t in got_terms] == [t[:-2] for t in want_terms]
+        scale = max(gr.sup_norm(f) for t in want_terms for f in t[-2:] if f is not None)
+        for got, exp in zip(got_terms, want_terms):
+            for got_f, want_f in zip(got[-2:], exp[-2:]):
+                assert (got_f is None) == (want_f is None)
+                if want_f is not None:
+                    assert gr.sup_norm(got_f - want_f) <= 1e-13 * scale
+        mean = np.mean(coeff, axis=tuple(range(coeff.ndim - 2)))
+        assert_rel(lin.coeff_mean, mean)
 
 
 class TestResampledSpec:
@@ -201,7 +279,8 @@ class TestTorsionClosedForms:
     @pytest.mark.parametrize("n", [3, 4])
     def test_operator_matches_slot_loop(self, rng, n):
         g, dbar_g, ginv = self.pointwise(rng, n)
-        m = eq.torsion_operator_from_parts(g, dbar_g, ginv)
+        m = ha.as_field(eq.torsion_operator_entries(ha.entrywise(g), ha.entrywise(dbar_g, 3),
+                                                 ha.entrywise(ginv)), 3)
         for p, unit in enumerate(np.eye(n, dtype=complex)):
             du = np.broadcast_to(unit, g.shape[:-1])
             np.testing.assert_allclose(
@@ -214,7 +293,8 @@ class TestTorsionClosedForms:
 
         g, dbar_g, ginv = self.pointwise(rng, n)
         du = random_complex(rng, g.shape[0], n)
-        got = np.einsum("...p,...p->...", du, eq.torsion_coefficient(dbar_g, ginv))
+        c = eq.torsion_coefficient(ha.entrywise(dbar_g, 3), ha.entrywise(ginv))
+        got = np.einsum("...p,...p->...", du, ha.as_field(c, 1))
         np.testing.assert_allclose(got, of.cross_slots(g, du, dbar_g, ginv), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -234,6 +314,11 @@ class TestTorsionClosedForms:
         ], axis=-1)
         np.testing.assert_allclose(of.linearization_coefficients(lin)[1], want,
                                    rtol=0, atol=1e-13)
+        # the operator's first-order fields are (Re a_p / 2, Im a_p / 2)
+        assert [p for p, _, _ in lin.operator.first] == [0, 1]
+        for p, re, im in lin.operator.first:
+            np.testing.assert_allclose(re, 0.5 * want[..., p].real, rtol=0, atol=1e-13)
+            assert im is None
 
 
 class TestResidual:

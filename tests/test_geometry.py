@@ -313,7 +313,7 @@ def test_ddbar_trace_against_einsum(key, sigma_kind, rng):
     # the whole ddbar tensor
     grid, metric, sigma = oracle_case(key, sigma_kind, rng)
     gi = ha.inverse(ha.require_positive(metric))
-    got = geo._field(geo._ddbar_trace(grid, geo._entries(gi), geo._spectrum(grid, sigma)))
+    got = ha.as_field(geo._ddbar_trace(grid, geo._entries(gi), geo._spectrum(grid, sigma)))
     want = of.ddbar_trace_einsum(gi, of.metric_ddbar_tensor(grid, sigma))
     assert float(np.max(np.abs(got - want))) <= 1e-13 * float(np.max(np.abs(want)))
 

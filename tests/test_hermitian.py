@@ -302,6 +302,25 @@ class TestPositivity:
             margin_outcome(ha.min_eigenvalue, a), margin_outcome(of.min_eigenvalue_full, a)
         )
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_screened_margin_reads_entrywise_fields(self, rng, n):
+        # the (*nodes, n, n) view of an entrywise (n, n, *nodes) buffer, as
+        # tilde_metric and inverse return, is read in place; some nodes are
+        # indefinite, so eigvalsh runs beyond the candidates
+        a = random_hermitian(rng, n, shape=(6, 7)) + 2.5 * np.eye(n)
+        buf = np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1)))
+        view = np.moveaxis(buf, (0, 1), (-2, -1))
+        assert not view.flags.c_contiguous
+        assert of.min_eigenvalue_full(a) < 0.0 < np.max(np.linalg.eigvalsh(a)[..., 0])
+        assert ha.min_eigenvalue(view) == of.min_eigenvalue_full(a)
+        # one node, with and without a node axis
+        assert ha.min_eigenvalue(view[2:3, 4]) == of.min_eigenvalue_full(a[2:3, 4])
+        assert ha.min_eigenvalue(view[2, 4]) == of.min_eigenvalue_full(a[2, 4])
+        buf[n - 1, 0, 3, 5] = np.nan
+        np.testing.assert_array_equal(
+            margin_outcome(ha.min_eigenvalue, view), margin_outcome(of.min_eigenvalue_full, view)
+        )
+
     @given(a=hermitian_fields())
     @settings(max_examples=300, deadline=None)
     def test_cholesky_test_agrees_with_eigenvalues(self, a):

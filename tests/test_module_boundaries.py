@@ -1,6 +1,8 @@
 """Module boundaries of torma's source: no module reads another's private
-names, and the solver runs on numpy and scipy.fft alone."""
+names, the solver runs on numpy and scipy.fft alone, and the evaluation
+layer is entrywise."""
 
+import inspect
 import os
 import re
 import subprocess
@@ -8,7 +10,12 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import torma
+from torma import equations as eq
+from torma import grid as gr
+from torma import solver as sv
 
 SOURCES = sorted(Path(torma.__file__).parent.glob("*.py"))
 # the aliases torma's modules import each other under (geo, gr, ha, ...)
@@ -19,6 +26,20 @@ SCIPY_SOLVER_IMPORT = re.compile(
     r"^\s*(import\s+scipy\.(sparse|linalg)\b|from\s+scipy\.(sparse|linalg)\b"
     r"|from\s+scipy\s+import\s.*\b(sparse|linalg)\b)"
 )
+
+
+# every pointwise field of an evaluation and a Newton linearization is built in
+# hermitian's entrywise (n, n, *nodes) layout, with no contraction over
+# trailing matrix axes and no Hermitian-part copy
+ENTRYWISE = [
+    eq.tilde_metric, eq.e_term, eq.Linearization.__init__, sv._newton, sv.newton_step,
+    sv.gauduchon_factor,
+    # and the kernels they build from
+    eq.torsion_operator_entries, eq.torsion_coefficient, eq._torsion_parts,
+    eq._add_torsion, eq._torsion_term, eq._second_order_terms, eq._first_order_terms,
+    gr.hessian_parts, gr.hessian_trace,
+]
+STACKED = re.compile(r"np\.einsum|hermitize\(")
 
 
 def _hits(pattern):
@@ -62,3 +83,9 @@ def test_solves_leave_scipy_sparse_unloaded():
                           timeout=300, env={**os.environ, "PYTHONPATH": src}, check=False)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("fn", ENTRYWISE, ids=lambda fn: fn.__qualname__)
+def test_evaluation_layer_is_entrywise(fn):
+    hits = [line.strip() for line in inspect.getsource(fn).splitlines() if STACKED.search(line)]
+    assert not hits, "\n".join(hits)

@@ -155,13 +155,13 @@ class TestNewton:
         # grid level of the nested solve; a PSI solve must never allocate it
         prob = manufacture_problem(g32, variant, rng)
         builds = []
-        build = eq.torsion_operator_from_parts
+        build = eq.torsion_operator_entries
 
         def counted(*args):
             builds.append(args)
             return build(*args)
 
-        monkeypatch.setattr(eq, "torsion_operator_from_parts", counted)
+        monkeypatch.setattr(eq, "torsion_operator_entries", counted)
         report = sv.continuity_solve(prob.spec)
         assert report.converged
         levels = {tuple(r["sizes"]) for r in report.records}
@@ -893,8 +893,8 @@ class TestAugmentedSolveCoordinates:
                                            max_mode=1)
         metric = geo.MetricFields(grid, omega)
         ginv = metric.gi
-        jac = gr.SecondOrderOperator(
-            grid, ginv, 2.0 * eq.torsion_coefficient(metric.dbar_field, ginv))
+        cross = eq.torsion_coefficient(metric.dbar, metric.gi_entries)
+        jac = gr.SecondOrderOperator.from_coefficients(grid, ginv, 2.0 * ha.as_field(cross, 1))
         precond = sv.SpectralPreconditioner(grid, np.mean(ginv.reshape(-1, 3, 3), axis=0))
         self.check(jac, -metric.ddbar_scalar(omega) / 2.0, precond, 1e-8)
 

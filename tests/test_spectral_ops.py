@@ -173,7 +173,7 @@ class TestIdentitiesOnRandomGrids:
         shape = grid.sizes
         coeff = rng.standard_normal(shape + (n, n)) + 1j * rng.standard_normal(shape + (n, n))
         first = rng.standard_normal(shape + (n,)) + 1j * rng.standard_normal(shape + (n,))
-        op = gr.SecondOrderOperator(grid, coeff, first)
+        op = gr.SecondOrderOperator.from_coefficients(grid, coeff, first)
         a, b = rng.standard_normal(shape), rng.standard_normal(shape)
         lb = op.apply_spectrum(gr.rfftn(grid, b))
         lta = op.transpose(a)
