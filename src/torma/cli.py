@@ -102,12 +102,12 @@ def cmd_validate_metric(args):
     grid, values = hmf1.read_field(args.field)
     if values.ndim != len(grid.sizes) + 2:
         raise ValidationError(f"{args.field} holds a scalar field, not a metric")
-    defects = geo.metric_defects(grid, values)
-    _, torsion = geo.christoffel(geo.MetricFields(grid, values))
+    metric = geo.MetricFields(grid, values)
+    _, torsion = geo.christoffel(metric)
     payload = {
         "n": grid.n,
         "sizes": list(grid.sizes),
-        "defects": defects.as_dict(),
+        "defects": metric.defects().as_dict(),
         "torsion_sup": float(np.max(np.abs(torsion))),
         "min_eigenvalue": ha.min_eigenvalue(values),
     }
@@ -214,10 +214,10 @@ def cmd_diagnose(args):
 
 def cmd_gauduchon_factor(args):
     grid, omega = hmf1.read_field(args.field)
-    before = geo.gauduchon_defect(grid, omega)
+    before = geo.MetricFields(grid, omega).gauduchon_defect()
     sigma = sv.gauduchon_factor(grid, omega, tol=args.tol)
     conformal = np.exp(sigma.real)[..., None, None] * omega
-    after = geo.gauduchon_defect(grid, conformal)
+    after = geo.MetricFields(grid, conformal).gauduchon_defect()
     if args.out:
         hmf1.write_field(args.out, grid, sigma)
     _emit({"defect_before": before, "defect_after": after,

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import equations as eq
+from . import geometry as geo
 from . import grid as gr
 from . import hermitian as ha
 
@@ -24,7 +25,7 @@ def b_bound_check(spec, state):
     At an extremum of u the comparison det gt vs det h gives
     |b| <= sup|tF| + sup|log det(h) - log det(ref)|.
     """
-    log_ratio = ha.log_det(ha.require_positive(spec.omega_h, "omega_h")) - spec.log_det_ref
+    log_ratio = geo.MetricFields(spec.grid, spec.omega_h, "omega_h").log_det - spec.log_det_ref
     c_meas = gr.sup_norm(log_ratio)
     sup_f = gr.sup_norm(state.t * spec.F)
     return {
@@ -40,8 +41,8 @@ def b_bound_check(spec, state):
 def c2_monitor(spec, state):
     """sup tr_g(gt) against K = sup|grad u|^2 + 1 (no universal C asserted)."""
     gt = eq.tilde_metric(spec, state.u)
-    trace = np.einsum("...ij,...ji->...", spec.omega_inv, gt).real
-    k_const = gr.sup_norm(gr.grad_norm_sq(spec.grid, spec.omega, state.u)) + 1.0
+    trace = np.einsum("...ij,...ji->...", spec.metric.gi, gt).real
+    k_const = gr.sup_norm(gr.grad_norm_sq(spec.grid, spec.metric.gi, state.u)) + 1.0
     lam = ha.relative_eigenvalues(spec.omega, gt)
     eta_max = lam.sum(axis=-1) - (spec.n - 1) * lam[..., 0]
     lam_max = lam[..., -1]
@@ -68,16 +69,15 @@ def cherrier_table(spec, state, p_list=(4, 8, 16, 32)):
     u = state.normalized_sup().real
     if np.max(np.asarray(p_list)) > 64:
         raise ValueError("p values above 64 risk overflow; shrink the list")
+    weights = gr.log_det_weights(spec.grid, spec.metric.log_det)
     rows = []
     for p in p_list:
         with np.errstate(over="raise"):
             try:
                 half = np.exp(-0.5 * p * u)
-                lhs = gr.integral(
-                    spec.grid, spec.omega,
-                    gr.grad_norm_sq(spec.grid, spec.omega, half.astype(complex)),
-                ).real
-                rhs = gr.integral(spec.grid, spec.omega, np.exp(-p * u)).real
+                grad = gr.grad_norm_sq(spec.grid, spec.metric.gi, half.astype(complex))
+                lhs = float(np.sum(grad * weights))
+                rhs = float(np.sum(np.exp(-p * u) * weights))
             except FloatingPointError:
                 rows.append({"p": int(p), "saturated": True})
                 continue

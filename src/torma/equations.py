@@ -20,6 +20,7 @@ move that leaves b untouched.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 from enum import Enum
@@ -54,16 +55,14 @@ class ProblemSpec:
     rhs_volume: RhsVolume = RhsVolume.OMEGA_N
 
     def __post_init__(self):
-        n = self.grid.n
-        self.grid.check_field(self.omega0, (n, n))
-        self.grid.check_field(self.omega, (n, n))
+        self.metric0, self.metric  # made now: their factors validate omega_0 and omega
+        self._check_datum()
+
+    def _check_datum(self):
         self.grid.check_field(self.F, ())
-        for name, f in (("omega_0", self.omega0), ("omega", self.omega), ("datum F", self.F)):
-            if not np.all(np.isfinite(f)):
-                raise ValidationError(f"{name} has non-finite values")
-        ha.require_positive(self.omega0, "omega_0")
-        ha.require_positive(self.omega, "omega")
-        if self.variant is Variant.PHI and n < 3:
+        if not np.all(np.isfinite(self.F)):
+            raise ValidationError("datum F has non-finite values")
+        if self.variant is Variant.PHI and self.n < 3:
             raise ValidationError("the PHI variant needs n >= 3")
         if gr.sup_norm(np.imag(self.F)) > 1e-10:
             raise ValidationError("datum F must be real")
@@ -72,6 +71,17 @@ class ProblemSpec:
     @property
     def n(self):
         return self.grid.n
+
+    def with_datum(self, variant, F):
+        """The same metrics with another variant and datum F, and omega^n as
+        the volume reference: no metric is factored again, since the new spec
+        shares this one's MetricFields and omega_h, built here first."""
+        self.omega_h  # built first, so that the new spec shares it
+        spec = copy.copy(self)
+        spec.variant, spec.F, spec.rhs_volume = variant, F, RhsVolume.OMEGA_N
+        spec.__dict__.pop("log_det_ref", None)
+        spec._check_datum()
+        return spec
 
     def resampled(self, grid):
         """The same problem on another grid: omega_0, omega and F spectrally
@@ -88,23 +98,31 @@ class ProblemSpec:
         )
 
     @functools.cached_property
-    def metric(self):
-        """The geometry.MetricFields of omega, built on first use: a spec
-        that is built but never solved holds none of its derived fields."""
-        return geo.MetricFields(self.grid, self.omega)
+    def metric0(self):
+        """omega_0's MetricFields, made with the spec; omega_h, the last use
+        of its factor, drops it, and a later read makes it again."""
+        return geo.MetricFields(self.grid, self.omega0, "omega_0")
 
-    @property
-    def omega_inv(self):
-        return self.metric.gi
+    @functools.cached_property
+    def metric(self):
+        """omega's MetricFields, made with the spec; omega_h releases its
+        factor (MetricFields.release)."""
+        return geo.MetricFields(self.grid, self.omega, "omega")
+
+    def release(self):
+        """Drop both MetricFields, factors included, for a spec that waits
+        unsolved: its first evaluation factors the metrics again."""
+        for name in ("metric0", "metric"):
+            self.__dict__.pop(name, None)
 
     @functools.cached_property
     def omega_h(self):
-        """omega_h = (1/(n-1)!) star(omega_0^{n-1}), a positive Hermitian field."""
-        return ha.star_power(self.omega, self.omega0, ref_log_det=self.metric.log_det)
-
-    @property
-    def dbar_omega(self):
-        return self.metric.dbar_field
+        """omega_h = (1/(n-1)!) star(omega_0^{n-1}), a positive Hermitian field,
+        from the validation factors, which it releases: a solved spec holds none."""
+        omega_h = ha.star_power_factored(self.omega, self.metric0.factor, self.metric.log_det)
+        del self.metric0
+        self.metric.release()
+        return omega_h
 
     @functools.cached_property
     def torsion_operator(self):
@@ -123,7 +141,7 @@ class ProblemSpec:
     def log_det_ref(self):
         """log det of the volume reference: omega, or omega_h for OMEGA_H_N."""
         if self.rhs_volume is RhsVolume.OMEGA_H_N:
-            return ha.log_det(ha.require_positive(self.omega_h, "volume reference metric"))
+            return geo.MetricFields(self.grid, self.omega_h, "volume reference metric").log_det
         return self.metric.log_det
 
 
@@ -229,14 +247,13 @@ def _torsion_term(m, gi, du):
     return z, ha.trace_product(gi, ha.entrywise(z))
 
 
-def e_term_from_parts(g, du, dbar_omega, ginv=None):
+def e_term_from_parts(g, du, dbar_omega, ginv):
     """Torsion tensor Z = star E and its trace H from pointwise ingredients.
 
-    du is the holomorphic gradient field (..., n); dbar_omega the tensor
-    d_kbar g_{i jbar} (..., k, i, j). Decomposing i du ^ dbar(omega) into
+    du is the holomorphic gradient field (..., n), dbar_omega d_kbar g_{i jbar}
+    (..., k, i, j) and ginv = g^{-1}. Decomposing i du ^ dbar(omega) into
     (1,1)-slot wedges gives star E = Re( sum_k B2(du x e_k, d_kbar g) ) / (n-1).
     """
-    ginv = ha.inverse(ha.require_positive(g)) if ginv is None else ginv
     gi = ha.entrywise(ginv)
     m = torsion_operator_entries(ha.entrywise(g), ha.entrywise(dbar_omega, 3), gi)
     return _torsion_term(m, gi, ha.entrywise(du, 1))
@@ -433,13 +450,13 @@ def eta_tensor(spec, state):
     g = spec.omega
     h = spec.omega_h
     hess = gr.hessian_complex(spec.grid, state.u)
-    tr_gh = np.einsum("...ij,...ji->...", spec.omega_inv, h)
+    tr_gh = np.einsum("...ij,...ji->...", spec.metric.gi, h)
     eta_u = hess + tr_gh[..., None, None] * g - (n - 1) * h
     if spec.variant is Variant.PHI:
         z, h_tr = e_term(spec, state.u)
         eta_u = eta_u + h_tr[..., None, None] * g - (n - 1) * z
     gt = tilde_metric(spec, state.u)
-    tr_ggt = np.einsum("...ij,...ji->...", spec.omega_inv, gt)
+    tr_ggt = np.einsum("...ij,...ji->...", spec.metric.gi, gt)
     eta_gt = tr_ggt[..., None, None] * g - (n - 1) * gt
     eta_u = ha.hermitize(eta_u)
     eta_gt = ha.hermitize(eta_gt)
@@ -454,8 +471,8 @@ def eta_tensor(spec, state):
 def trace_identity_residual(spec, u):
     """sup | tr_w(gt) - tr_w(h) - lap u - [H] |."""
     gt = tilde_metric(spec, u)
-    lap = gr.laplacian(spec.grid, spec.omega, u)
-    lhs = np.einsum("...ij,...ji->...", spec.omega_inv, gt - spec.omega_h) - lap
+    lap = gr.laplacian(spec.grid, spec.metric.gi, u)
+    lhs = np.einsum("...ij,...ji->...", spec.metric.gi, gt - spec.omega_h) - lap
     if spec.variant is Variant.PHI:
         _, h_tr = e_term(spec, u)
         lhs = lhs - h_tr
@@ -470,7 +487,7 @@ def reconstruction_identity_residual(spec, u):
     n = spec.n
     gt = tilde_metric(spec, u)
     hess = gr.hessian_complex(spec.grid, u)
-    tr_diff = np.einsum("...ij,...ji->...", spec.omega_inv, gt - spec.omega_h)
+    tr_diff = np.einsum("...ij,...ji->...", spec.metric.gi, gt - spec.omega_h)
     rhs = (n - 1) * spec.omega_h + tr_diff[..., None, None] * spec.omega - (n - 1) * gt
     if spec.variant is Variant.PHI:
         z, h_tr = e_term(spec, u)

@@ -43,6 +43,7 @@ import numpy as np
 
 from . import grid as gr
 from . import hermitian as ha
+from .errors import ValidationError
 
 
 @dataclass
@@ -78,9 +79,7 @@ def chern_connection(grid, omega):
 
 def chern_ricci(grid, omega):
     """Chern-Ricci form -d_i d_jbar log det g as a Hermitian field."""
-    grid.check_field(omega, (grid.n, grid.n))
-    logdet = ha.log_det(ha.require_positive(omega)).astype(np.complex128)
-    return ha.hermitize(-gr.hessian_complex(grid, logdet))
+    return MetricFields(grid, omega).ricci()
 
 
 # ---------------------------------------------------------------------------
@@ -251,24 +250,40 @@ def _raised_dbar(gi, dbar_g):
 
 
 class MetricFields:
-    """The fields of one Hermitian metric g that its ddbar defects, its
-    connection and a ProblemSpec share.
+    """The fields of one Hermitian metric g from its one factorization, which
+    its ddbar defects, its connection and a ProblemSpec share.
 
-    Construction checks the shape and factors g once: the factor validates
-    g (ValidationError otherwise) and gives log_det and gi = g^{-1}, then is
-    dropped. gi_entries is gi's entrywise buffer (no copy). The entrywise g,
-    its dbar and the g-trace k of ddbar_g are built on first use and kept; k
-    comes from one spectrum of g, which is not kept.
+    Construction checks the shape and finiteness of g and factors it: the
+    factor validates g (ValidationError naming `what`), gives log_det and is
+    held for gi = g^{-1} and hermitian.star_power_factored until release().
+    gi, gi_entries (its entrywise buffer), the entrywise g, its dbar and the
+    g-trace k of ddbar_g are built on first use; k from one spectrum of g.
     """
 
-    def __init__(self, grid, g):
+    def __init__(self, grid, g, what="metric"):
         grid.check_field(g, (grid.n, grid.n))
-        factor = ha.require_positive(g)
+        if not np.all(np.isfinite(g)):  # the factor reads the lower triangle only
+            raise ValidationError(f"{what} has non-finite values")
         self.grid = grid
         self.g = g
-        self.log_det = ha.log_det(factor)
-        self.gi = ha.inverse(factor)
-        self.gi_entries = _entries(self.gi)
+        self.factor = ha.require_positive(g, what)
+        self.log_det = ha.log_det(self.factor)
+
+    @functools.cached_property
+    def gi(self):
+        return ha.inverse(self.factor)
+
+    @property
+    def gi_entries(self):
+        return _entries(self.gi)
+
+    def release(self):
+        """Keep log_det and gi, what a solve reads of its reference metric,
+        and drop the factor and the ddbar fields."""
+        self.gi  # built from the factor before it goes
+        self.factor = None
+        for name in ("entries", "dbar", "k"):
+            self.__dict__.pop(name, None)
 
     @functools.cached_property
     def entries(self):
@@ -293,8 +308,17 @@ class MetricFields:
         """The g-trace K of ddbar_g (:func:`_ddbar_trace`), entrywise."""
         return _ddbar_trace(self.grid, self.gi_entries, _spectrum(self.grid, self.g))
 
+    def ricci(self):
+        """The Chern-Ricci form -d_i d_jbar log det g, a Hermitian field."""
+        return -gr.hessian_complex(self.grid, self.log_det)
+
     def ddbar_scalar(self, sigma):
-        """:func:`ddbar_scalar` of g and sigma."""
+        """[i ddbar(sigma ^ g^{n-2})] / (g^n / n!) as a real scalar field.
+
+        sigma is any real (1,1)-form field. With sigma = g this is the
+        Gauduchon defect scalar of g^{n-1}; with the sigma-representation of a
+        dual (1,1)-form it evaluates ddbar of any (n-1,n-1)-form.
+        """
         n = self.grid.n
         t_a, t_b1, t_c, t_d = _ddbar_terms(self, sigma)
         rho = math.factorial(n - 2) * t_a
@@ -303,6 +327,41 @@ class MetricFields:
         if n >= 4:
             rho = rho - (n - 2) * (n - 3) * math.factorial(n - 4) * t_d
         return rho.real
+
+    def gauduchon_defect(self):
+        """sup |gauduchon_scalar| of g."""
+        return float(np.max(np.abs(self.ddbar_scalar(self.g))))
+
+    def astheno_dual(self):
+        """Hodge dual (1,1)-field of i ddbar(g^{n-2}); None for n = 2.
+
+        i ddbar(g^{n-2}) = (n-2) [i ddbar(g) ^ g^{n-3}
+                                  - (n-3) i dbar(g) ^ d(g) ^ g^{n-4}],
+        whose second part is sum_{kjc} B3(d_kbar g_{.j} x e_k, E_cj, d_c g).
+        """
+        n = self.grid.n
+        if n == 2:
+            return None
+        gi, g = self.gi_entries, self.entries
+        dual = _ddbar_dual(gi, g, self.k)
+        if n >= 4:
+            # the output slot: B_ij = g_iq S4(.., c) with (g^{-1} c)_{xX} -> delta_xj delta_Xq,
+            # so B = g X^T for the alternating sum X_jq with the slot's row and column open
+            open_slot = _alternating("AaB,bcC->dD", _raised_dbar(gi, self.dbar),
+                                     _raised_d(gi, self.dbar))
+            dual -= (n - 3) * _apply(g, np.swapaxes(open_slot, 0, 1))
+        return ha.hermitize(ha.as_field((n - 2) * dual))
+
+    def astheno_defect(self):
+        """sup |astheno_dual| of g; None for n = 2."""
+        return None if self.grid.n == 2 else float(np.max(np.abs(self.astheno_dual())))
+
+    def defects(self):
+        """The MetricDefects of ddbar(g^{n-1}), ddbar(g^{n-2}) and d(g)."""
+        # d_c g_{a bbar} - d_a g_{c bbar} = conj(d_cbar g_{b abar} - d_abar g_{b cbar})
+        kahler = float(np.max(np.abs(self.dbar - np.swapaxes(self.dbar, 0, 2))))
+        return MetricDefects(gauduchon=self.gauduchon_defect(), astheno=self.astheno_defect(),
+                             kahler=kahler)
 
 
 # ---------------------------------------------------------------------------
@@ -339,60 +398,9 @@ def _ddbar_terms(metric, sigma):
     return t_a, t_b1, t_c, t_d
 
 
-def ddbar_scalar(grid, omega, sigma):
-    """[i ddbar(sigma ^ omega^{n-2})] / (omega^n / n!) as a real scalar field.
-
-    sigma is any real (1,1)-form field. With sigma = omega this is the
-    Gauduchon defect scalar of omega^{n-1}; with the sigma-representation of a
-    dual (1,1)-form it evaluates ddbar of any (n-1,n-1)-form.
-    """
-    return MetricFields(grid, omega).ddbar_scalar(sigma)
-
-
 def gauduchon_scalar(grid, omega):
     """[i ddbar(omega^{n-1})] / (omega^n / n!); zero iff omega is Gauduchon."""
-    return ddbar_scalar(grid, omega, omega)
-
-
-def gauduchon_defect(grid, omega):
-    """sup |gauduchon_scalar| of a validated metric: the Gauduchon part of
-    :func:`metric_defects` alone."""
-    return float(np.max(np.abs(gauduchon_scalar(grid, omega))))
-
-
-def astheno_defect(grid, omega):
-    """sup |astheno_dual| of a validated metric (None for n = 2): the
-    astheno-Kahler part of :func:`metric_defects` alone."""
-    metric = MetricFields(grid, omega)
-    if grid.n == 2:
-        return None
-    return float(np.max(np.abs(_astheno_dual(metric))))
-
-
-def astheno_dual(grid, omega):
-    """Hodge dual (1,1)-field of i ddbar(omega^{n-2}); None for n = 2.
-
-    i ddbar(omega^{n-2}) = (n-2) [i ddbar(omega) ^ omega^{n-3}
-                                  - (n-3) i dbar(omega) ^ d(omega) ^ omega^{n-4}],
-    whose second part is sum_{kjc} B3(d_kbar g_{.j} x e_k, E_cj, d_c g).
-    """
-    if grid.n == 2:
-        return None
-    return _astheno_dual(MetricFields(grid, omega))
-
-
-def _astheno_dual(metric):
-    """astheno_dual (n >= 3) of the MetricFields `metric`."""
-    n = metric.grid.n
-    gi, g = metric.gi_entries, metric.entries
-    dual = _ddbar_dual(gi, g, metric.k)
-    if n >= 4:
-        # the output slot: B_ij = g_iq S4(.., c) with (g^{-1} c)_{xX} -> delta_xj delta_Xq,
-        # so B = g X^T for the alternating sum X_jq with the slot's row and column open
-        open_slot = _alternating("AaB,bcC->dD", _raised_dbar(gi, metric.dbar),
-                                 _raised_d(gi, metric.dbar))
-        dual -= (n - 3) * _apply(g, np.swapaxes(open_slot, 0, 1))
-    return ha.hermitize(ha.as_field((n - 2) * dual))
+    return MetricFields(grid, omega).ddbar_scalar(omega)
 
 
 @dataclass
@@ -412,14 +420,5 @@ class MetricDefects:
 
 
 def metric_defects(grid, omega):
-    """Defects of ddbar(omega^{n-1}), ddbar(omega^{n-2}), and d(omega); one
-    MetricFields serves all three."""
-    metric = MetricFields(grid, omega)
-    dbar_g = metric.dbar
-    # d_c g_{a bbar} - d_a g_{c bbar} = conj(d_cbar g_{b abar} - d_abar g_{b cbar})
-    kahler = float(np.max(np.abs(dbar_g - np.swapaxes(dbar_g, 0, 2))))
-    gauduchon = float(np.max(np.abs(metric.ddbar_scalar(omega))))
-    astheno = None
-    if grid.n >= 3:
-        astheno = float(np.max(np.abs(_astheno_dual(metric))))
-    return MetricDefects(gauduchon=gauduchon, astheno=astheno, kahler=kahler)
+    """:meth:`MetricFields.defects` of omega."""
+    return MetricFields(grid, omega).defects()

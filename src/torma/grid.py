@@ -525,15 +525,9 @@ class SecondOrderOperator:
         return irfftn(self.grid, self.transpose_spectrum(t))
 
 
-def trace_with_inverse(g, a):
-    """Pointwise tr(g^{-1} a) for a positive Hermitian field g; equals the
-    contraction g^{i jbar} a_{i jbar}."""
-    return np.einsum("...ij,...ji->...", ha.inverse(ha.require_positive(g)), a)
-
-
-def laplacian(grid, omega, u):
-    """Metric Laplacian g^{i jbar} u_{i jbar} for the Hermitian field omega."""
-    return trace_with_inverse(omega, hessian_complex(grid, u))
+def laplacian(grid, gi, u):
+    """Metric Laplacian g^{i jbar} u_{i jbar} from gi = g^{-1} (MetricFields.gi)."""
+    return np.einsum("...ij,...ji->...", gi, hessian_complex(grid, u))
 
 
 def mean(grid, f):
@@ -545,26 +539,24 @@ def sup_norm(f):
     return float(np.max(np.abs(f)))
 
 
-def grad_norm_sq(grid, omega, f):
-    """|grad f|^2_g = g^{i jbar} f_i conj(f_j), pointwise real field."""
+def grad_norm_sq(grid, gi, f):
+    """|grad f|^2_g = g^{i jbar} f_i conj(f_j), a real field, from gi = g^{-1}."""
     df = holo_gradient(grid, f)
-    ginv = ha.inverse(ha.require_positive(omega))
-    return np.einsum("...j,...ji,...i->...", np.conj(df), ginv, df).real
+    return np.einsum("...j,...ji,...i->...", np.conj(df), gi, df).real
 
 
-def volume_weights(grid, g):
+def log_det_weights(grid, log_det):
     """Discrete weights so that sum(f * weights) approximates int f omega^n,
-    for a positive Hermitian field g.
+    from the field log det g of the metric.
 
     omega^n = n! det(g) (2 dx dy)^n on the unit torus, hence the 2^n n! factor.
     """
-    det = np.exp(ha.log_det(ha.require_positive(g)))
-    return det * (2.0 ** grid.n) * float(math.factorial(grid.n)) * grid.cell_volume
+    return np.exp(log_det) * (2.0 ** grid.n) * float(math.factorial(grid.n)) * grid.cell_volume
 
 
-def integral(grid, g, f):
-    """int_M f omega^n via the discrete weights."""
-    return complex(np.sum(f * volume_weights(grid, g)))
+def volume_weights(grid, g):
+    """:func:`log_det_weights` of a positive field g, factored here (no torma module calls it)."""
+    return log_det_weights(grid, ha.log_det(ha.require_positive(g)))
 
 
 def _nyquist_cut(grid, axis):

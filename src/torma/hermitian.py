@@ -312,10 +312,14 @@ def star_power(omega_ref, omega, ref_log_det=None):
     require_same_dim(omega_ref, omega)
     if ref_log_det is None:
         ref_log_det = log_det(require_positive(omega_ref, "reference metric"))
-    factor = require_positive(omega, "metric")
+    return star_power_factored(omega_ref, require_positive(omega, "metric"), ref_log_det)
+
+
+def star_power_factored(omega_ref, factor, ref_log_det):
+    """:func:`star_power` from the Cholesky factor a = L L^* of omega."""
     ratio = np.exp(log_det(factor) - ref_log_det)
     # g a^{-1} g = w^* w with L w = g (forward substitution), a = L L^*
-    n = omega.shape[-1]
+    n = factor.shape[-1]
     nodes = np.broadcast_shapes(factor.shape[:-2], np.shape(omega_ref)[:-2])
     w = np.empty((n, n) + nodes, dtype=np.result_type(factor.dtype, omega_ref.dtype))
     for k in range(n):
@@ -325,7 +329,7 @@ def star_power(omega_ref, omega, ref_log_det=None):
             for l in range(k):
                 entry -= factor[..., k, l] * w[l, j, ...]
             entry /= factor[..., k, k].real
-    del factor  # freed before the product is allocated
+    del factor  # freed before the product is allocated, unless the caller holds it
     out = np.zeros_like(w)
     for k in range(n):
         for i in range(n):
@@ -366,8 +370,7 @@ def star_wedge(omega, alpha):
     require_same_dim(omega, alpha)
     if omega.shape[-1] < 3:
         raise ValidationError("star_wedge needs n >= 3 (omega^{n-2} with n-2 >= 1)")
-    require_positive(omega, "metric")
-    return b1(omega, alpha)
+    return b1(omega, alpha, inverse(require_positive(omega, "metric")))
 
 
 def relative_eigenvalues(g, a):

@@ -83,6 +83,7 @@ def _assemble(grid, variant, omega_a, omega0_a, u_poly, b_star, rhs_volume,
     spec = eq.ProblemSpec(
         grid=grid, variant=variant, omega0=g0, omega=g, F=f_star, rhs_volume=rhs_volume
     )
+    spec.release()  # callers often only read its arrays into a spec of their own
     return ManufacturedProblem(
         spec=spec, u_star=u_star, b_star=b_star,
         omega_analytic=omega_a, omega0_analytic=omega0_a, u_analytic=u_poly,

@@ -98,29 +98,36 @@ def _root(spec, variant, F, cfg, diagnostics):
 
     The root omega_u satisfies omega_u^n = e^{F/(n-1) + b'} omega^n with
     b' = b/(n-1); the result carries the sup of that identity's residual,
-    the root's Gauduchon defect and `diagnostics` with b added.
+    the root's Gauduchon defect and `diagnostics` with b added; returned with
+    the root's MetricFields, the one factorization of omega_u.
     """
-    grid, n = spec.grid, spec.n
-    problem = eq.ProblemSpec(
-        grid=grid, variant=variant, omega0=spec.omega0, omega=spec.omega,
-        F=F, rhs_volume=eq.RhsVolume.OMEGA_N,
-    )
+    n = spec.n
+    problem = spec.with_datum(variant, F)
     report = sv.continuity_solve(problem, cfg)
     b_prime = report.state.b / (n - 1)
     omega_u = ha.nm1_root(spec.omega, eq.tilde_metric(problem, report.state.u))
+    root = geo.MetricFields(spec.grid, omega_u)
     # problem's volume reference is omega
-    volume_residual = (
-        ha.log_det(ha.require_positive(omega_u)) - problem.log_det_ref
-        - problem.F / (n - 1) - b_prime
-    )
-    return PipelineResult(
+    volume_residual = root.log_det - problem.log_det_ref - problem.F / (n - 1) - b_prime
+    result = PipelineResult(
         metric=omega_u,
         b_prime=b_prime,
         report=report,
         volume_identity_sup=gr.sup_norm(volume_residual),
-        gauduchon_defect=geo.gauduchon_defect(grid, omega_u),
+        gauduchon_defect=root.gauduchon_defect(),
         diagnostics={"b": report.state.b, **diagnostics},
     )
+    return result, root
+
+
+def _calabi_yau(spec, f_prime, cfg):
+    """calabi_yau_gauduchon's result and the root's MetricFields."""
+    _require_closed(spec.metric.astheno_defect(), "omega is not astheno-Kahler")
+    # one evaluation serves the precondition and the diagnostics
+    omega0_defect = spec.metric0.gauduchon_defect()
+    _require_closed(omega0_defect, "omega_0 is not Gauduchon")
+    F = (spec.n - 1) * np.asarray(f_prime).real
+    return _root(spec, eq.Variant.PSI, F, cfg, {"omega0_gauduchon_defect": omega0_defect})
 
 
 def calabi_yau_gauduchon(spec, f_prime, cfg=None):
@@ -131,12 +138,7 @@ def calabi_yau_gauduchon(spec, f_prime, cfg=None):
     PRECONDITION_TOL), so the root metric stays Gauduchon. spec supplies the
     metrics; its F is ignored in favor of (n-1) f_prime.
     """
-    _require_closed(geo.astheno_defect(spec.grid, spec.omega), "omega is not astheno-Kahler")
-    # one evaluation serves the precondition and the diagnostics
-    omega0_defect = geo.gauduchon_defect(spec.grid, spec.omega0)
-    _require_closed(omega0_defect, "omega_0 is not Gauduchon")
-    F = (spec.n - 1) * np.asarray(f_prime).real
-    return _root(spec, eq.Variant.PSI, F, cfg, {"omega0_gauduchon_defect": omega0_defect})
+    return _calabi_yau(spec, f_prime, cfg)[0]
 
 
 def prescribed_ricci(spec, psi, cfg=None):
@@ -146,12 +148,9 @@ def prescribed_ricci(spec, psi, cfg=None):
     potential F' (or a CohomologyError), then the Calabi-Yau pipeline runs with
     that F'.
     """
-    grid = spec.grid
-    ric = geo.chern_ricci(grid, spec.omega)
-    f_prime = potential_from_form(grid, ha.hermitize(ric - psi))
-    result = calabi_yau_gauduchon(spec, f_prime, cfg)
-    ric_defect = gr.sup_norm(geo.chern_ricci(grid, result.metric) - psi)
-    result.diagnostics["ricci_defect"] = ric_defect
+    f_prime = potential_from_form(spec.grid, ha.hermitize(spec.metric.ricci() - psi))
+    result, root = _calabi_yau(spec, f_prime, cfg)
+    result.diagnostics["ricci_defect"] = gr.sup_norm(root.ricci() - psi)
     result.diagnostics["potential_sup"] = gr.sup_norm(f_prime)
     return result
 
@@ -164,7 +163,7 @@ def phi_pipeline(spec, f_datum, cfg=None):
     """
     if spec.n < 3:
         raise ValidationError("the PHI pipeline needs n >= 3")
-    _require_closed(geo.gauduchon_defect(spec.grid, spec.omega), "omega is not Gauduchon")
-    omega0_defect = geo.gauduchon_defect(spec.grid, spec.omega0)
+    _require_closed(spec.metric.gauduchon_defect(), "omega is not Gauduchon")
+    omega0_defect = spec.metric0.gauduchon_defect()
     F = np.asarray(f_datum).real
-    return _root(spec, eq.Variant.PHI, F, cfg, {"omega0_gauduchon_defect": omega0_defect})
+    return _root(spec, eq.Variant.PHI, F, cfg, {"omega0_gauduchon_defect": omega0_defect})[0]

@@ -716,9 +716,10 @@ def adjoint_kernel(spec, state, tol=1e-9):
     f changes sign.
     """
     _check_positive("tol", tol)
-    lin = eq.Linearization(spec, state)
+    ev = _factored(spec, state.u)
+    lin = eq.Linearization(spec, state, gt=ev.pop("gt"), factor=ev.pop("factor"))
     grid, op = spec.grid, lin.operator
-    weights = gr.volume_weights(grid, lin.gt)
+    weights = gr.log_det_weights(grid, ev["log_det"])
     g, _, info, linear = _bordered_solve(
         lambda gh: op.transpose_spectrum(gr.irfftn(grid, gh)),
         np.zeros(gr.spectral_table(grid).half_shape, dtype=np.complex128), 1.0,
@@ -806,7 +807,7 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30):
     sigma = (tau / (n - 1)).real
     sigma = sigma - np.mean(sigma)
     conformal = np.exp(sigma)[..., None, None] * omega
-    check = geo.gauduchon_defect(grid, conformal)
+    check = geo.MetricFields(grid, conformal).gauduchon_defect()
     if not check < max(10.0 * tol, 1e-7):
         raise SolverError(
             f"post-validation failed: Gauduchon defect {check:.3e} after the "

@@ -724,7 +724,7 @@ def torsion_operator_einsum(g, dbar_omega, ginv):
 
 
 def spec_torsion_operator_einsum(spec):
-    return torsion_operator_einsum(spec.omega, spec.dbar_omega, spec.omega_inv)
+    return torsion_operator_einsum(spec.omega, spec.metric.dbar_field, spec.metric.gi)
 
 
 def e_term_einsum(spec, u):
@@ -732,13 +732,13 @@ def e_term_einsum(spec, u):
     du = gr.holo_gradient(spec.grid, u)
     z = ha.hermitize(np.einsum("...p,...pij->...ij", du, spec_torsion_operator_einsum(spec)))
     z /= spec.n - 1
-    return z, np.einsum("...ij,...ji->...", spec.omega_inv, z).real
+    return z, np.einsum("...ij,...ji->...", spec.metric.gi, z).real
 
 
 def tilde_metric_einsum(spec, u):
     """gt = hermitize(omega_h + ((lap u) omega - Hess u)/(n-1) [+ Z])."""
     hess = gr.hessian_complex(spec.grid, u)
-    lap = np.einsum("...ij,...ji->...", spec.omega_inv, hess)
+    lap = np.einsum("...ij,...ji->...", spec.metric.gi, hess)
     gt = (lap[..., None, None] * spec.omega - hess) / (spec.n - 1) + spec.omega_h
     if spec.variant is eq.Variant.PHI:
         gt += e_term_einsum(spec, u)[0]
@@ -748,7 +748,7 @@ def tilde_metric_einsum(spec, u):
 def second_order_coeff_einsum(spec, gt_inv):
     """C = (tr(gt^{-1} g) g^{-1} - gt^{-1})/(n-1)."""
     tr = np.einsum("...ij,...ji->...", gt_inv, spec.omega)
-    return (tr[..., None, None] * spec.omega_inv - gt_inv) / (spec.n - 1)
+    return (tr[..., None, None] * spec.metric.gi - gt_inv) / (spec.n - 1)
 
 
 def first_order_coeff_einsum(spec, gt_inv):

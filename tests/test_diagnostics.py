@@ -63,7 +63,7 @@ class TestC2Monitor:
         state = eq.SolveState(u=np.zeros(g3.sizes, dtype=complex), b=0.0)
         rec = dg.c2_monitor(prob.spec, state)
         trace_h = np.einsum(
-            "...ij,...ji->...", prob.spec.omega_inv, prob.spec.omega_h
+            "...ij,...ji->...", prob.spec.metric.gi, prob.spec.omega_h
         ).real
         assert rec["ratio"] == pytest.approx(trace_h.max())
         assert rec["eta_band_ok"]

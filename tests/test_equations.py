@@ -92,8 +92,8 @@ class TestEntrywiseLayerOnRandomGrids:
         gt = eq.tilde_metric(spec, u)
         assert_rel(gt, of.tilde_metric_einsum(spec, u))
         assert np.array_equal(gt, np.conj(np.swapaxes(gt, -1, -2)))
-        z, h = eq.e_term_from_parts(spec.omega, gr.holo_gradient(grid, u), spec.dbar_omega,
-                                    spec.omega_inv)
+        z, h = eq.e_term_from_parts(spec.omega, gr.holo_gradient(grid, u), spec.metric.dbar_field,
+                                    spec.metric.gi)
         z_want, h_want = of.e_term_einsum(spec, u)
         assert_rel(z, z_want)
         assert_rel(h, h_want)
@@ -176,6 +176,14 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="non-finite"):
             eq.ProblemSpec(grid=g3, variant=eq.Variant.PSI, **data)
 
+    @pytest.mark.parametrize("field", ["omega0", "omega"])
+    def test_rejects_non_finite_upper_triangle(self, g3, field):
+        # a Cholesky factor reads the lower triangle only
+        data = {"omega0": flat_field(g3), "omega": flat_field(g3), "F": np.zeros(g3.sizes)}
+        data[field][..., 0, 1] = np.nan
+        with pytest.raises(ValidationError, match=f"{field.replace('0', '_0')} has non-finite"):
+            eq.ProblemSpec(grid=g3, variant=eq.Variant.PSI, **data)
+
 
 class TestTildeMetric:
     def test_zero_potential_gives_omega_h(self, g3, rng):
@@ -235,8 +243,8 @@ class TestETerm:
         u = tf.random_band_limited_real(g3, rng)
         z, _ = eq.e_term(spec, u)
         z_norm = np.linalg.norm(z.reshape(-1, 9), axis=1).reshape(g3.sizes)
-        grad = np.sqrt(np.maximum(gr.grad_norm_sq(g3, spec.omega, u), 1e-30))
-        c_meas = float(np.max(np.abs(spec.dbar_omega))) * 10.0
+        grad = np.sqrt(np.maximum(gr.grad_norm_sq(g3, spec.metric.gi, u), 1e-30))
+        c_meas = float(np.max(np.abs(spec.metric.dbar_field))) * 10.0
         assert np.max(z_norm / grad) < c_meas
 
     @pytest.mark.parametrize("n", [3, 4])
@@ -308,7 +316,7 @@ class TestTorsionClosedForms:
             np.einsum(
                 "...ij,...ji->...", gt_inv,
                 of.e_raw_slots(spec.omega, np.broadcast_to(unit, grid.sizes + (n,)),
-                               spec.dbar_omega, spec.omega_inv),
+                               spec.metric.dbar_field, spec.metric.gi),
             ) / (n - 1)
             for unit in np.eye(n, dtype=complex)
         ], axis=-1)
@@ -406,7 +414,7 @@ class TestLinearization:
         v = tf.random_band_limited_real(g3, rng)
         np.testing.assert_allclose(
             eq.Linearization(spec, state).apply(v),
-            gr.laplacian(g3, spec.omega, v).real,
+            gr.laplacian(g3, spec.metric.gi, v).real,
             atol=1e-11,
         )
 

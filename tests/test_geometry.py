@@ -111,6 +111,15 @@ class TestChernRicci:
         ric = geo.chern_ricci(g3fine, metric)
         np.testing.assert_allclose(ric, -3.0 * sigma.hessian(g3fine), atol=1e-9)
 
+    def test_hermitian_entry_for_entry(self, g3, rng):
+        # the Hessian of the real log det needs no Hermitian-part copy: the
+        # form equals that of its complex cast made Hermitian, bit for bit
+        metric = tf.random_hermitian_metric(g3, rng, amplitude=0.2)
+        ric = geo.chern_ricci(g3, metric)
+        log_det = ha.log_det(ha.require_positive(metric)).astype(np.complex128)
+        assert np.array_equal(ric, ha.hermitize(-gr.hessian_complex(g3, log_det)))
+        assert np.array_equal(ric, np.conj(np.swapaxes(ric, -1, -2)))
+
     def test_log_difference_identity(self, g3, rng):
         # Ric(g1) - Ric(g2) = -ddbar log(det g1 / det g2)
         g1 = tf.random_hermitian_metric(g3, rng, amplitude=0.2)
@@ -128,9 +137,9 @@ class TestMetricDefects:
         # with the values of the separate evaluations bit for bit
         grid = gr.TorusGrid.reduced(n, size, active_coords=(0, 2))
         metric = tf.random_hermitian_metric(grid, rng, amplitude=0.2)
-        gauduchon = geo.gauduchon_defect(grid, metric)
-        astheno = geo.astheno_defect(grid, metric)
-        assert astheno == float(np.max(np.abs(geo.astheno_dual(grid, metric))))
+        gauduchon = geo.MetricFields(grid, metric).gauduchon_defect()
+        astheno = geo.MetricFields(grid, metric).astheno_defect()
+        assert astheno == float(np.max(np.abs(geo.MetricFields(grid, metric).astheno_dual())))
         calls = {"inv": 0, "trace": 0, "dbar": 0}
         inv, trace, dbar = ha.inverse, geo._ddbar_trace, geo._dbar_entries
 
@@ -151,10 +160,10 @@ class TestMetricDefects:
     def test_astheno_defect_n2_and_validation(self, rng):
         g2 = gr.TorusGrid.reduced(2, 8)
         metric = tf.random_hermitian_metric(g2, rng, amplitude=0.2)
-        assert geo.astheno_defect(g2, metric) is None
+        assert geo.MetricFields(g2, metric).astheno_defect() is None
         g3 = gr.TorusGrid.reduced(3, 8, active_coords=(0, 2))
         with pytest.raises(ValidationError):
-            geo.astheno_defect(g3, -tf.random_hermitian_metric(g3, rng, amplitude=0.2))
+            geo.MetricFields(g3, -tf.random_hermitian_metric(g3, rng, amplitude=0.2))
 
     def test_constant_metric_all_zero(self, g3, rng):
         from .conftest import random_positive
@@ -203,7 +212,7 @@ class TestMetricDefects:
         metric = tf.random_hermitian_metric(grid, rng, amplitude=0.15)
         dbar_g = of.metric_dbar_tensor(grid, metric)
         ddbar_g = of.metric_ddbar_tensor(grid, metric, dbar_g)
-        dual = geo.astheno_dual(grid, metric)
+        dual = geo.MetricFields(grid, metric).astheno_dual()
         rho = geo.gauduchon_scalar(grid, metric)
         d_g = of.metric_d_tensor(grid, metric, dbar_g)
         for node in [(0, 0, 3, 0) + (0,) * (2 * n - 4), (5, 0, 1, 0) + (0,) * (2 * n - 4)]:
@@ -287,7 +296,7 @@ class TestClosedFormsAgainstSlotLoops:
     @pytest.mark.parametrize("sigma_kind", ["omega", "other"])
     def test_ddbar_scalar(self, key, sigma_kind, rng):
         grid, metric, sigma = oracle_case(key, sigma_kind, rng)
-        assert_oracle_close(geo.ddbar_scalar(grid, metric, sigma),
+        assert_oracle_close(geo.MetricFields(grid, metric).ddbar_scalar(sigma),
                             of.ddbar_scalar_slots(grid, metric, sigma))
 
     def test_dbar_field(self, key, rng):
@@ -299,7 +308,7 @@ class TestClosedFormsAgainstSlotLoops:
 
     def test_astheno_dual(self, key, rng):
         grid, metric, _ = oracle_case(key, "omega", rng)
-        dual = geo.astheno_dual(grid, metric)
+        dual = geo.MetricFields(grid, metric).astheno_dual()
         if grid.n == 2:
             assert dual is None
         else:
@@ -340,8 +349,8 @@ def test_defects_pass_no_einsum_more_than_two_matrix_axes(rng, monkeypatch, n, s
     metric = tf.random_hermitian_metric(grid, rng, amplitude=0.2)
     seen = _EinsumOperands()
     monkeypatch.setattr(geo, "np", seen)
-    geo.gauduchon_defect(grid, metric)
-    geo.astheno_defect(grid, metric)
+    geo.MetricFields(grid, metric).gauduchon_defect()
+    geo.MetricFields(grid, metric).astheno_defect()
     assert all(len(shape) - 2 * n <= 2 for shape in seen.shapes), seen.shapes
     # the recorder sees geometry's einsums: the connection contracts d_g
     geo.chern_connection(grid, metric)
@@ -361,7 +370,7 @@ def test_ddbar_scalar_allocation_bound():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        geo.ddbar_scalar(grid, metric, sigma)
+        geo.MetricFields(grid, metric).ddbar_scalar(sigma)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

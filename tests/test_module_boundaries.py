@@ -1,7 +1,8 @@
 """Module boundaries of torma's source: no module reads another's private
-names, the solver runs on numpy and scipy.fft alone, and the evaluation
-layer is entrywise."""
+names, the solver runs on numpy and scipy.fft alone, the evaluation layer is
+entrywise, and only the owners of a metric's factor factor it."""
 
+import ast
 import inspect
 import os
 import re
@@ -14,8 +15,12 @@ import pytest
 
 import torma
 from torma import equations as eq
+from torma import geometry as geo
 from torma import grid as gr
+from torma import hermitian as ha
+from torma import manufacture as mf
 from torma import solver as sv
+from torma import testfields as tf
 
 SOURCES = sorted(Path(torma.__file__).parent.glob("*.py"))
 # the aliases torma's modules import each other under (geo, gr, ha, ...)
@@ -40,6 +45,21 @@ ENTRYWISE = [
     gr.hessian_parts, gr.hessian_trace,
 ]
 STACKED = re.compile(r"np\.einsum|hermitize\(")
+
+# the functions that factor a metric (call ha.require_positive or
+# ha.cholesky): the owner, geometry.MetricFields, when it is built; gt's
+# factorization in a solve, and Linearization's when it is handed none;
+# testfields' generators and manufacture, which validate what they make; and
+# grid.volume_weights, the bare-array form no torma module calls. hermitian's
+# own public entry points, which validate the fields they are given, may too.
+# Anywhere else a factorization re-validates a metric some owner holds.
+FACTORING = [
+    geo.MetricFields.__init__, sv._factored, eq.Linearization.__init__,
+    tf.kahler_perturbation, tf.pluriclosed_metric, tf.random_hermitian_metric,
+    mf._assemble, gr.volume_weights,
+]
+FACTOR_CALLS = {"require_positive", "cholesky"}
+BARE_ARRAY_CALL = re.compile(r"\bgr\.volume_weights\(")
 
 
 def _hits(pattern):
@@ -88,4 +108,50 @@ def test_solves_leave_scipy_sparse_unloaded():
 @pytest.mark.parametrize("fn", ENTRYWISE, ids=lambda fn: fn.__qualname__)
 def test_evaluation_layer_is_entrywise(fn):
     hits = [line.strip() for line in inspect.getsource(fn).splitlines() if STACKED.search(line)]
+    assert not hits, "\n".join(hits)
+
+
+def _factoring_sites():
+    """module.qualname of every src function that calls a factor entry point
+    of hermitian (ha.name, or name within hermitian)."""
+    sites = set()
+
+    def calls_factor(fn, module):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                        and f.value.id == "ha" and f.attr in FACTOR_CALLS):
+                    return True
+                if module == "hermitian" and isinstance(f, ast.Name) and f.id in FACTOR_CALLS:
+                    return True
+        return False
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef) and calls_factor(child, module):
+                    sites.add(f"{module}.{name}")
+                visit(child, module, name + ".")
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return sites
+
+
+def _site(fn):
+    return f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__qualname__}"
+
+
+def test_only_owners_factor_a_metric():
+    sites = _factoring_sites()
+    hermitian = {s for s in sites if s.startswith("hermitian.")}
+    assert all(not s.split(".", 1)[1].startswith("_") for s in hermitian), sorted(hermitian)
+    assert sites - hermitian == {_site(fn) for fn in FACTORING}
+    assert {_site(getattr(ha, name)) for name in ("star_power", "nm1_root")} <= hermitian
+
+
+def test_no_module_calls_the_bare_array_weights():
+    hits = _hits(BARE_ARRAY_CALL)
     assert not hits, "\n".join(hits)

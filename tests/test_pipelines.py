@@ -118,15 +118,16 @@ class TestPrescribedRicci:
                                           monkeypatch):
         # the precondition and the diagnostics share one Gauduchon evaluation
         spec = cy_spec(g3, gauduchon_omega0, astheno_omega)
-        scalar = geo.gauduchon_scalar
+        psi = geo.chern_ricci(g3, astheno_omega)
+        defect = geo.MetricFields.gauduchon_defect
         seen = []
 
-        def counting(grid, omega, *args, **kwargs):
-            seen.append(np.array_equal(omega, spec.omega0))
-            return scalar(grid, omega, *args, **kwargs)
+        def counting(metric):
+            seen.append(np.array_equal(metric.g, spec.omega0))
+            return defect(metric)
 
-        monkeypatch.setattr(geo, "gauduchon_scalar", counting)
-        result = pl.prescribed_ricci(spec, geo.chern_ricci(g3, astheno_omega))
+        monkeypatch.setattr(geo.MetricFields, "gauduchon_defect", counting)
+        result = pl.prescribed_ricci(spec, psi)
         assert sum(seen) == 1
         assert result.diagnostics["omega0_gauduchon_defect"] < 1e-9
 
