@@ -141,6 +141,41 @@ def _triangular_inverse(factor):
     return buf
 
 
+def _congruence(m, a):
+    """The entrywise (n, n, *nodes) buffer of m a m^* for an entrywise lower
+    triangular m and a Hermitian field a, lower triangle only (from_lower
+    completes it). Reads a's real diagonal and strict lower triangle, as the
+    factor does; since m is lower triangular, entry (i, j <= i) needs only
+    the lower triangle of m a."""
+    n = m.shape[0]
+    nodes = np.broadcast_shapes(m.shape[2:], a.shape[:-2])
+    dtype = np.result_type(m.dtype, a.dtype)
+
+    def a_entry(q, p):
+        if q > p:
+            return a[..., q, p]
+        return a[..., q, q].real if q == p else np.conj(a[..., p, q])
+
+    ma = np.zeros((n, n) + nodes, dtype=dtype)
+    out = np.zeros_like(ma)
+    for i in range(n):
+        for p in range(i + 1):
+            entry = ma[i, p, ...]
+            for q in range(i + 1):
+                entry += m[i, q, ...] * a_entry(q, p)
+        for j in range(i + 1):
+            entry = out[i, j, ...]
+            for p in range(j + 1):
+                entry += ma[i, p, ...] * np.conj(m[j, p, ...])
+    return out
+
+
+def _relative(factor, a):
+    """C^{-1} a C^{-*} for the Cholesky factor C of a reference metric: the
+    Hermitian field a in a reference-orthonormal frame."""
+    return from_lower(_congruence(_triangular_inverse(factor), a))
+
+
 def from_lower(buf):
     """The (*nodes, n, n) Hermitian field of an entrywise (n, n, *nodes)
     buffer, completed in place from its lower triangle: the upper triangle
@@ -343,21 +378,20 @@ def star_power_factored(omega_ref, factor, ref_log_det):
 def nm1_root(omega_ref, s):
     """Unique positive omega_u with (1/(n-1)!) star(omega_u^{n-1}) = s.
 
-    Via the relative eigendecomposition: with s = U diag(s_i) U* in an
-    omega_ref-orthonormal frame, det(lambda) = (prod s_i)^{1/(n-1)} and
-    lambda_i = det(lambda)/s_i.
+    In the frame of the Cholesky factor C of omega_ref (omega_ref = C C^*),
+    lambda = C^{-1} omega_u C^{-*} solves det(lambda) lambda^{-1} = S for
+    S = C^{-1} s C^{-*}, so lambda = det(S)^{1/(n-1)} S^{-1}: its inverse and
+    log det come from S's one Cholesky factor, which also validates s (S is
+    positive exactly when s is; the error's eigenvalue is relative to
+    omega_ref). omega_u = C lambda C^*, lower triangle first.
     """
     require_same_dim(omega_ref, s)
     chol = require_positive(omega_ref, "reference metric")
-    require_positive(s, "(n-1,n-1) form dual")
     n = s.shape[-1]
-    chol_inv = as_field(_triangular_inverse(chol))
-    s_flat = chol_inv @ s @ np.conj(np.swapaxes(chol_inv, -1, -2))
-    vals, vecs = np.linalg.eigh(s_flat)
-    det_lam = np.prod(vals, axis=-1) ** (1.0 / (n - 1))
-    lam = det_lam[..., None] / vals
-    k = (vecs * lam[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
-    return hermitize(chol @ k @ np.conj(np.swapaxes(chol, -1, -2)))
+    factor = require_positive(_relative(chol, s), "(n-1,n-1) form dual")
+    lam = entrywise(inverse(factor))
+    lam *= np.exp(log_det(factor) / (n - 1))
+    return from_lower(_congruence(entrywise(chol), as_field(lam)))
 
 
 def star_wedge(omega, alpha):
@@ -376,5 +410,4 @@ def star_wedge(omega, alpha):
 def relative_eigenvalues(g, a):
     """Eigenvalues of a relative to g (ascending), shape (..., n); raises
     ValidationError unless g is positive definite."""
-    chol_inv = as_field(_triangular_inverse(require_positive(g, "metric")))
-    return np.linalg.eigvalsh(chol_inv @ a @ np.conj(np.swapaxes(chol_inv, -1, -2)))
+    return np.linalg.eigvalsh(_relative(require_positive(g, "metric"), a))

@@ -763,7 +763,7 @@ def gauduchon_factor(grid, omega, tol=1e-9, max_newton=30):
     # one factor and one dbar_g serve rho_0 and the cross coefficient
     metric = geo.MetricFields(grid, omega)
     ginv, gi = metric.gi, metric.gi_entries
-    rho0 = metric.ddbar_scalar(omega) / math.factorial(n - 1)
+    rho0 = metric.gauduchon_scalar() / math.factorial(n - 1)
     cross_coeff = eq.torsion_coefficient(metric.dbar, gi)
     del metric
     coeff_mean = np.mean(ginv.reshape(-1, n, n), axis=0)

@@ -30,6 +30,8 @@ real axis at a time (a 1-D FFT or the fd4 np.roll stencil); the fused
 spectral operators of torma.grid are checked against them. ``derivatives``
 swaps the symbol of that fd4 stencil in for torma.grid's table, so that the
 same fused operators run as fourth-order finite differences.
+``nm1_root_eigh`` is the (n-1)-th root by an eigendecomposition of every
+node, the reference for torma.hermitian's relative-Cholesky root.
 ``resample_complex`` is the spectral resample on full complex spectra,
 the reference for torma.grid's half-spectrum resample.
 ``gmres_scipy`` and ``augmented_solve_physical`` are the Newton system's
@@ -800,6 +802,20 @@ def apply_transpose_pairs(lin, f, weights, method="spectral"):
 def min_eigenvalue_full(a):
     """Smallest eigenvalue over all nodes by eigvalsh of every node."""
     return float(np.min(np.linalg.eigvalsh(a)))
+
+
+def nm1_root_eigh(omega_ref, s):
+    """hermitian.nm1_root by the relative eigendecomposition of every node:
+    with s = U diag(s_i) U^* in an omega_ref-orthonormal frame,
+    det(lambda) = (prod s_i)^{1/(n-1)} and lambda_i = det(lambda)/s_i."""
+    n = s.shape[-1]
+    chol = ha.require_positive(omega_ref, "reference metric")
+    chol_inv = ha.as_field(ha._triangular_inverse(chol))
+    vals, vecs = np.linalg.eigh(chol_inv @ s @ np.conj(np.swapaxes(chol_inv, -1, -2)))
+    det_lam = np.prod(vals, axis=-1) ** (1.0 / (n - 1))
+    lam = det_lam[..., None] / vals
+    k = (vecs * lam[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2))
+    return ha.hermitize(chol @ k @ np.conj(np.swapaxes(chol, -1, -2)))
 
 
 def gmres_scipy(matvec, psolve, b, rtol, atol, restart, cycles, x0=None):

@@ -7,13 +7,13 @@ import pytest
 
 from torma import diagnostics as dg
 from torma import equations as eq
-from torma import geometry as geo
 from torma import grid as gr
 from torma import hermitian as ha
 from torma import pipelines as pl
 from torma import solver as sv
-from torma import testfields as tf
 from torma.manufacture import manufacture_problem
+
+from .conftest import ricci_input
 
 
 @pytest.fixture
@@ -65,26 +65,12 @@ def test_solved_spec_holds_no_factor(g32, rng):
     assert spec.metric0.gauduchon_defect() >= 0.0
 
 
-def _ricci_input(grid, seed):
-    """A prescribed-Ricci input as the benchmark draws it: an astheno-Kahler
-    omega, a Gauduchon omega_0 and psi in the class of Ric(omega)."""
-    rng = np.random.default_rng([seed, 0])
-    gammas = [0.04 * tf.random_band_limited_real(grid, rng, max_mode=1) for _ in range(3)]
-    omega = tf.pluriclosed_metric(grid, gammas)
-    raw = tf.random_hermitian_metric(grid, rng, amplitude=0.15, max_mode=1)
-    phi = 0.2 * tf.random_band_limited_real(grid, rng, max_mode=1)
-    phi -= phi.mean()
-    psi = ha.hermitize(geo.chern_ricci(grid, omega) - gr.hessian_complex(grid, phi))
-    omega0 = np.exp(sv.gauduchon_factor(grid, raw, tol=1e-11))[..., None, None] * raw
-    return omega, omega0, psi
-
-
 def test_prescribed_ricci_factors_each_input_metric_once(factored, monkeypatch):
     # at the benchmark's 64^2 the nested solve has three grids, so omega and
     # omega_0 exist on three levels: six metrics, plus the nm1_root reference
     # once more, since the solved spec released omega's factor
     grid = gr.TorusGrid.reduced(3, 64, active_coords=(0, 2))
-    omega, omega0, psi = _ricci_input(grid, 1)
+    omega, omega0, psi = ricci_input(grid, 1)
     gts = []
     tilde_metric = eq.tilde_metric
 
@@ -92,7 +78,18 @@ def test_prescribed_ricci_factors_each_input_metric_once(factored, monkeypatch):
         gts.append(tilde_metric(spec, u))
         return gts[-1]
 
+    in_root = []
+    nm1_root = ha.nm1_root
+
+    def root(omega_ref, s):
+        start = len(factored)
+        out = nm1_root(omega_ref, s)
+        in_root.extend(factored[start:])
+        del factored[start:]
+        return out
+
     monkeypatch.setattr(eq, "tilde_metric", kept)
+    monkeypatch.setattr(ha, "nm1_root", root)
     factored.clear()
     spec = eq.ProblemSpec(grid=grid, variant=eq.Variant.PSI, omega0=omega0, omega=omega,
                           F=np.zeros(grid.sizes))
@@ -100,13 +97,16 @@ def test_prescribed_ricci_factors_each_input_metric_once(factored, monkeypatch):
     assert result.diagnostics["ricci_defect"] < 1e-6
     levels = {tuple(r["sizes"]) for r in result.report.records}
     assert len(levels) == 3
-    # outside the solver's gt evaluations (and nm1_root's check of the last gt)
+    # nm1_root factors its reference omega and the last gt relative to it,
+    # whose factor validates gt and gives the root
+    assert len(in_root) == 2 and in_root[0] is omega
+    # outside the solver's gt evaluations and nm1_root
     inputs = [a for a in factored if not any(a is g for g in gts)]
     # the root is factored once for its volume identity, Gauduchon and Ricci defects
     assert sum(a is result.metric for a in inputs) == 1
     inputs = [a for a in inputs if a is not result.metric]
-    assert len(inputs) == 2 * len(levels) + 1
-    assert sum(a is omega for a in inputs) == 2 and sum(a is omega0 for a in inputs) == 1
+    assert len(inputs) == 2 * len(levels)
+    assert sum(a is omega for a in inputs) == 1 and sum(a is omega0 for a in inputs) == 1
 
     factored.clear()
     kernel = sv.adjoint_kernel(spec, result.report.state)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from torma import geometry as geo
 from torma import grid as gr
@@ -12,6 +13,7 @@ from torma import testfields as tf
 from torma.errors import ValidationError
 
 from . import oracle_forms as of
+from .conftest import PROPERTY, property_grids
 
 
 @pytest.fixture
@@ -299,6 +301,15 @@ class TestClosedFormsAgainstSlotLoops:
         assert_oracle_close(geo.MetricFields(grid, metric).ddbar_scalar(sigma),
                             of.ddbar_scalar_slots(grid, metric, sigma))
 
+    def test_gauduchon_scalar(self, key, rng):
+        # the product-rule divergence of the cofactor matrix against the
+        # four-block path and the slot loops
+        grid, metric, _ = oracle_case(key, "omega", rng)
+        fields = geo.MetricFields(grid, metric)
+        got = fields.gauduchon_scalar()
+        assert_oracle_close(got, fields.ddbar_scalar(metric))
+        assert_oracle_close(got, of.ddbar_scalar_slots(grid, metric, metric))
+
     def test_dbar_field(self, key, rng):
         # one transform pair per coordinate's own axes against one
         # d_antiholo per coordinate, bit for bit
@@ -313,6 +324,20 @@ class TestClosedFormsAgainstSlotLoops:
             assert dual is None
         else:
             assert_oracle_close(dual, of.astheno_dual_slots(grid, metric))
+
+
+class TestGauduchonScalarOnRandomGrids:
+    """The Gauduchon kernel over random grid shapes, y axes included: on a
+    grid with only x axes active, entries [k, l] and [l, k] of the cofactor
+    divergence agree, so only a y axis tells them apart."""
+
+    @PROPERTY
+    @given(case=property_grids(max_nodes=4 ** 4))
+    def test_against_slot_loops(self, case):
+        grid, rng = case
+        metric = tf.random_hermitian_metric(grid, rng, amplitude=0.2)
+        assert_oracle_close(geo.MetricFields(grid, metric).gauduchon_scalar(),
+                            of.ddbar_scalar_slots(grid, metric, metric))
 
 
 @pytest.mark.parametrize("key", list(ORACLE_GRIDS))

@@ -133,6 +133,34 @@ class TestNm1Root:
         back = ha.nm1_root(g, ha.star_power(g, a))
         assert np.max(np.abs(back - a)) / np.max(np.abs(a)) < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_eigen_route(self, rng, n):
+        # the relative-Cholesky root against the per-node eigendecomposition,
+        # on stacks drawn as criterion 01 draws them: positive duals s and
+        # star_power duals of positive metrics
+        for _ in range(5):
+            g = random_positive(rng, n, shape=(100,), spread=0.6)
+            a = random_positive(rng, n, shape=(100,), spread=0.6)
+            for s in (random_positive(rng, n, shape=(100,), spread=0.6), ha.star_power(g, a)):
+                want = of.nm1_root_eigh(g, s)
+                assert np.max(np.abs(ha.nm1_root(g, s) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_star_power_of_root(self, rng, n):
+        g = random_positive(rng, n, shape=(100,), spread=0.6)
+        s = random_positive(rng, n, shape=(100,), spread=0.6)
+        back = ha.star_power(g, ha.nm1_root(g, s))
+        assert np.max(np.abs(back - s)) <= 1e-12 * np.max(np.abs(s))
+
+    def test_root_is_hermitian_and_rejects_non_finite(self, rng):
+        g = random_positive(rng, 3, shape=(10,))
+        root = ha.nm1_root(g, random_positive(rng, 3, shape=(10,)))
+        np.testing.assert_array_equal(root, np.conj(np.swapaxes(root, -1, -2)))
+        s = random_positive(rng, 3, shape=(10,))
+        s[4, 2, 1] = np.nan
+        with pytest.raises(ValidationError, match="form dual has non-finite"):
+            ha.nm1_root(g, s)
+
 
 # ---------------------------------------------------------------------------
 # star_wedge and the S/B contraction family

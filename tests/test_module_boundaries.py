@@ -43,8 +43,13 @@ ENTRYWISE = [
     eq.torsion_operator_entries, eq.torsion_coefficient, eq._torsion_parts,
     eq._add_torsion, eq._torsion_term, eq._second_order_terms, eq._first_order_terms,
     gr.hessian_parts, gr.hessian_trace,
+    # and the (n-1,n-1)-form kernels of the pipelines
+    geo.MetricFields.gauduchon_scalar, ha.nm1_root,
 ]
 STACKED = re.compile(r"np\.einsum|hermitize\(")
+# the root is a relative Cholesky factor and no eigendecomposition is taken;
+# eigvalsh stays for the margin screen and the relative eigenvalues
+EIGH = re.compile(r"\beigh\(")
 
 # the functions that factor a metric (call ha.require_positive or
 # ha.cholesky): the owner, geometry.MetricFields, when it is built; gt's
@@ -109,6 +114,29 @@ def test_solves_leave_scipy_sparse_unloaded():
 def test_evaluation_layer_is_entrywise(fn):
     hits = [line.strip() for line in inspect.getsource(fn).splitlines() if STACKED.search(line)]
     assert not hits, "\n".join(hits)
+
+
+def test_no_module_calls_eigh():
+    hits = _hits(EIGH)
+    assert not hits, "\n".join(hits)
+
+
+def test_gauduchon_kernel_takes_no_wedge_blocks(monkeypatch, rng):
+    # the cofactor divergence needs neither K nor the raised first-order
+    # families nor the alternating sums of the four-block path
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Gauduchon kernel called a wedge-block kernel")
+
+    for name in ("_ddbar_trace", "_raised_d", "_raised_dbar", "_alternating"):
+        monkeypatch.setattr(geo, name, forbidden)
+    grid = gr.TorusGrid(4, (4, 4, 4, 1, 1, 4, 1, 1))
+    metric = tf.random_hermitian_metric(grid, rng, amplitude=0.2)
+    assert geo.MetricFields(grid, metric).gauduchon_defect() > 0.0
+    assert geo.gauduchon_scalar(grid, metric).shape == grid.sizes
+    grid = gr.TorusGrid(3, (16, 1, 1, 16, 1, 1))
+    sigma = sv.gauduchon_factor(grid, tf.random_hermitian_metric(grid, rng, amplitude=0.1,
+                                                                 max_mode=1))
+    assert sigma.shape == grid.sizes
 
 
 def _factoring_sites():

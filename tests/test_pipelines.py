@@ -12,6 +12,9 @@ from torma import solver as sv
 from torma import testfields as tf
 from torma.errors import CohomologyError, ValidationError
 
+from . import oracle_forms as of
+from .conftest import ricci_input
+
 
 @pytest.fixture(scope="module")
 def g3():
@@ -209,3 +212,23 @@ class TestPhiPipeline:
         )
         with pytest.raises(ValidationError):
             pl.phi_pipeline(spec, np.zeros(g3.sizes))
+
+
+def test_root_matches_eigen_route(monkeypatch):
+    # one prescribed-Ricci pass at the benchmark's 64^2: its root against the
+    # per-node eigendecomposition of the same omega and gt
+    grid = gr.TorusGrid.reduced(3, 64, active_coords=(0, 2))
+    omega, omega0, psi = ricci_input(grid, 2)
+    calls = []
+    nm1_root = ha.nm1_root
+
+    def kept(omega_ref, s):
+        calls.append((omega_ref, s, nm1_root(omega_ref, s)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(ha, "nm1_root", kept)
+    result = pl.prescribed_ricci(cy_spec(grid, omega0, omega), psi)
+    [(omega_ref, s, root)] = calls
+    assert root is result.metric and omega_ref is omega
+    want = of.nm1_root_eigh(omega_ref, s)
+    assert np.max(np.abs(root - want)) <= 1e-13 * np.max(np.abs(want))

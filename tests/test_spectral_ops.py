@@ -7,14 +7,12 @@ table of the grid. Inputs are white noise, so every mode, Nyquist included,
 takes part.
 """
 
-import math
 import sys
 
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis import given
 
 from torma import equations as eq
 from torma import grid as gr
@@ -25,6 +23,7 @@ from torma.errors import PositivityError, ValidationError
 from torma.manufacture import manufacture_problem
 
 from . import oracle_forms as of
+from .conftest import PROPERTY, property_grids
 
 # x-only grids (n = 4 leaves coordinate 4 without an active axis) and grids
 # with active y-axes (n = 4 has a y-only and an x-only coordinate)
@@ -138,26 +137,6 @@ def test_method_switch_never_reuses_spectral_table(rng):
     assert gr.sup_norm(fd4 - spectral) > 1e-3 * gr.sup_norm(spectral)
     assert gr.spectral_table(grid) is spectral_table
     np.testing.assert_array_equal(gr.hessian_complex(grid, u), spectral)
-
-
-# grids of n = 2-4 with any non-empty set of active axes, each of 4, 8 or 16
-# nodes, at most PROPERTY_NODES in all (8 active axes of 4 nodes fit)
-PROPERTY_NODES = 4 ** 8
-
-
-@st.composite
-def property_grids(draw):
-    n = draw(st.integers(2, 4))
-    active = sorted(draw(st.sets(st.integers(0, 2 * n - 1), min_size=1)))
-    sizes = [1] * (2 * n)
-    for k, axis in enumerate(active):
-        # leave 4 nodes for each active axis still to size
-        room = PROPERTY_NODES // (math.prod(sizes) * 4 ** (len(active) - k - 1))
-        sizes[axis] = draw(st.sampled_from([s for s in (4, 8, 16) if s <= room]))
-    return gr.TorusGrid(n, tuple(sizes)), np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-
-
-PROPERTY = settings(max_examples=25, deadline=None, derandomize=True)
 
 
 class TestIdentitiesOnRandomGrids:
