@@ -10,31 +10,27 @@ Array layouts:
     dbar_g[..., k, i, j]     d_kbar g_{i jbar}
 
 and ddbar_g[l, k, i, j] = d_l d_kbar g_{i jbar}, which no function holds
-whole: its (l, k) slices are taken one at a time.
+whole: its (l, k) slices are taken one at a time, each one inverse
+transform of the metric's entrywise spectrum.
 
-Every ddbar-type defect is a sum of polarized wedge contractions S_m/B_m
-whose (1,1)-slots are matrix units or rank-one matrices labelled by
-derivative indices, e.g.
+Every ddbar defect is the divergence of a flat dual (docs/conventions.md,
+"ddbar of wedge powers"): i ddbar of an (n-1,n-1)-form is
+sum_{l,k} d_l d_kbar of entry [k, l] of its dual relative to the flat
+metric. With A = g^{-1} and D = det g, the dual of omega^{n-1} is (n-1)! D A
+(the cofactor matrix), and those of sigma ^ omega^{n-2} and of
+omega^{n-2} ^ E_ab are (n-2)! times contractions of
 
-    i ddbar(omega)           = sum_{l,k} E_{lk} ^ (ddbar_g slice)
-    i dbar(omega) ^ d(omega) = sum_{k,j,c} A_{kj} ^ E_{cj} ^ (d_c g)
+    C_{ba,kl} = D (A_ba A_kl - A_ka A_bl),
 
-A unit slot raised by g^{-1} is g^{-1}_{xl} delta_{kX}, so each sum over
-slots collapses to index contractions of g^{-1}, sigma and the derivative
-tensors: the second-order blocks through the g-trace K of a ddbar tensor,
-the first-order ones through one alternating sum over permutations
-(docs/conventions.md, "ddbar of wedge powers"). These contractions are
-entrywise kernels in hermitian's layout (matrix axes first, every entry a
-contiguous node field; Python loops over matrix entries only), one
-implementation for every n. K is built slice by slice from one spectrum of
-the metric, so no n^4 array exists. No exterior coefficients and no per-slot
-loops exist outside the test oracle. What depends on the metric alone
-(g^{-1}, log det g, dbar_g, K) is built at most once per MetricFields.
-
-The Gauduchon scalar of g itself takes no wedge blocks: omega^{n-1} has the
-flat dual det(g) g^{-1} (the cofactor matrix), and i ddbar of it is the
-divergence sum_{l,k} d_l d_kbar of that matrix's [k, l] entries, expanded
-by the product rule (:func:`_gauduchon_sum`).
+which by Jacobi's complementary-minor identity is a signed (n-2)-minor of
+g itself (:func:`_cofactor_minors`). The Gauduchon scalar expands d_l d_kbar
+(D A) by the product rule (:func:`_gauduchon_sum`); the astheno dual and
+ddbar_scalar(sigma) expand d_l d_kbar of products of entries of g and sigma
+(:func:`_ddbar_product`), with no g^{-1}. All of them are entrywise kernels
+in hermitian's layout (matrix axes first, every entry a contiguous node
+field; Python loops over matrix entries only), and no n^4 array exists. What
+depends on the metric alone (g^{-1}, log det g, dbar_g, the spectrum) is
+built at most once per MetricFields.
 """
 
 from __future__ import annotations
@@ -95,9 +91,6 @@ def chern_ricci(grid, omega):
 # field. Python loops run over matrix entries only; every operation inside
 # them is vectorized over all nodes.
 
-_ROWS, _COLS = "abcd", "ABCD"
-
-
 def _entries(x, axes=2):
     """The contiguous entrywise (matrix axes, *nodes) array of a (*nodes,
     matrix axes) field; no copy for a field view of an entrywise buffer
@@ -131,52 +124,25 @@ def _trace_product(a, b):
     return out
 
 
-def _alternating(subscripts, *operands):
-    """S_m(a_1, .., a_m) = sum_{pi in S_m} sgn(pi) sum_x prod_t (R_t)_{x_t x_pi(t)}
-    for raised slots R_t = g^{-1} a_t given through entrywise `operands`.
-
-    Slot t's row index is the t-th letter of "abcd" and its column index the
-    matching capital; the term of pi gives capital t the value of the row
-    letter of pi(t). Output letters after "->" are left open (a row letter
-    there leaves its slot open, the matrix results of B_m type). Rows that
-    repeat a value cancel between pi and pi composed with their transposition,
-    so only rows with distinct values are visited: n!/(n-m)! row tuples
-    times m! permutations, one product of operand entries each.
-    """
-    inputs, _, out = subscripts.partition("->")
-    terms = inputs.split(",")
-    m = sum(c in subscripts for c in _COLS)
-    n = operands[0].shape[0]
-    nodes = operands[0].shape[len(terms[0]):]
-    result = np.zeros((n,) * len(out) + nodes, dtype=np.complex128)
-    free = [c for c in out if c not in _ROWS[:m] + _COLS[:m]]
-    for rows in itertools.permutations(range(n), m):
-        for perm in itertools.permutations(range(m)):
-            inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
-            value = dict(zip(_ROWS, rows))
-            value.update((_COLS[t], rows[perm[t]]) for t in range(m))
-            for extra in itertools.product(range(n), repeat=len(free)):
-                value.update(zip(free, extra))
-                term = operands[0][tuple(value[c] for c in terms[0])]
-                for op, letters in zip(operands[1:], terms[1:]):
-                    term = term * op[tuple(value[c] for c in letters)]
-                entry = result[tuple(value[c] for c in out)]
-                if inversions % 2:
-                    entry -= term
-                else:
-                    entry += term
-    return result
-
-
 def _node_axes(grid):
     """The active axes of an entrywise array, counted from its end."""
     return tuple(a - len(grid.sizes) for a in grid.active_axes)
 
 
 def _spectrum(grid, s):
-    """The entrywise spectrum of a matrix field: every second derivative
-    d_l d_kbar s that K takes is one inverse transform of it."""
+    """The entrywise spectrum of a matrix field: every slice d_l d_kbar s is
+    one inverse transform of it (:func:`_pair_slices`)."""
     return gr.fftn(grid, _entries(s), _node_axes(grid))
+
+
+def _pair_slices(grid, spectrum):
+    """(l, k, d_l d_kbar s) for the live pairs l <= k, from the entrywise
+    spectrum of s: one inverse transform per pair, dropped by the caller
+    after it. For Hermitian s the (k, l) slice is the adjoint of the (l, k)
+    one; slices of a coordinate the grid does not resolve vanish."""
+    hol, antih = gr.wirtinger_symbols(grid), gr.wirtinger_symbols(grid, anti=True)
+    for l, k in itertools.combinations_with_replacement(gr.spectral_table(grid).live, 2):
+        yield l, k, gr.ifftn(grid, spectrum * (hol[l] * antih[k]), _node_axes(grid))
 
 
 def _dbar_entries(grid, s):
@@ -193,37 +159,6 @@ def _dbar_entries(grid, s):
         spectrum *= antih[k]
         out[k] = gr.ifftn(grid, spectrum, axes)
     return out
-
-
-def _ddbar_trace(grid, gi, spectrum):
-    """K_ab = g^{ji} (h_abij + h_ijab - h_ajib - h_ibaj) for h[l, k, i, j] =
-    d_l d_kbar s_{i jbar}: the g-trace of the (2,2)-form i ddbar(s) over one
-    (dz, dzbar) pair, as an entrywise matrix, from s's entrywise spectrum.
-
-    For Hermitian s, h[k, l, j, i] = conj(h[l, k, i, j]): the first two terms
-    are Hermitian matrices and the last two adjoint to each other, so
-    K = N + N^* with N_ab = g^{ji} (h_abij + h_ijab) / 2 - g^{ji} h_ajib. The
-    (l, k) slice of h for l <= k is one inverse transform of the spectrum,
-    the (k, l) slice its adjoint. Each slice is added into N (tr(g^{-1} h_lk)/2
-    into N_lk, g^{kl} h_lk / 2 into N, row k of g^{-1} h_lk out of row l) and
-    dropped, so no n^4 array is held. Slices of a coordinate the grid does
-    not resolve vanish and are skipped. gi is entrywise.
-    """
-    hol, antih = gr.wirtinger_symbols(grid), gr.wirtinger_symbols(grid, anti=True)
-    live = gr.spectral_table(grid).live
-    half = np.zeros(gi.shape, dtype=np.complex128)
-
-    def add(l, k, h):
-        half[l, k] += _trace_product(gi, h)
-        half[...] += gi[k, l] * h
-        half[l] -= 2.0 * _apply(gi[k][None], h)[0]
-
-    for l, k in itertools.combinations_with_replacement(live, 2):
-        h = gr.ifftn(grid, spectrum * (0.5 * hol[l] * antih[k]), _node_axes(grid))
-        add(l, k, h)
-        if l < k:
-            add(k, l, np.conj(np.swapaxes(h, 0, 1)))
-    return half + np.conj(np.swapaxes(half, 0, 1))
 
 
 def _gauduchon_sum(grid, gi, dbar, spectrum):
@@ -245,15 +180,13 @@ def _gauduchon_sum(grid, gi, dbar, spectrum):
     twice; H is one inverse transform of g's entrywise spectrum per pair,
     and dropped after it. gi and dbar are entrywise.
     """
-    hol, antih = gr.wirtinger_symbols(grid), gr.wirtinger_symbols(grid, anti=True)
     live = gr.spectral_table(grid).live
     gi_t = np.swapaxes(gi, 0, 1)
     tr_y = {k: _trace_product(gi, dbar[k]) for k in live}
     b = {k: _apply(gi, _apply(gi_t, dbar[k], 1)) for k in live}
     rho = np.zeros(gi.shape[2:])
-    for l, k in itertools.combinations_with_replacement(live, 2):
+    for l, k, h in _pair_slices(grid, spectrum):
         d_l = np.conj(np.swapaxes(dbar[l], 0, 1))
-        h = gr.ifftn(grid, spectrum * (hol[l] * antih[k]), _node_axes(grid))
         tr_x = np.conj(tr_y[l])
         scalar = tr_x * tr_y[k] + _trace_product(gi, h) - _trace_product(d_l, b[k])
         entry = scalar * gi[k, l] - tr_x * b[k][k, l] - tr_y[k] * np.conj(b[l][l, k])
@@ -266,28 +199,60 @@ def _gauduchon_sum(grid, gi, dbar, spectrum):
     return rho
 
 
-def _ddbar_dual(gi, g, k):
-    """A2 = sum_{lk} B2(E_lk, d_l d_kbar g) = (tr_g K / 2) g - K from K of
-    ddbar_g: the star dual of i ddbar(omega) ^ omega^{n-3}/(n-3)!; entrywise."""
-    return 0.5 * _trace_product(gi, k) * g - k
+def _cofactor_minors(n, l, k):
+    """The entries C_{ba,kl} = D (A_ba A_kl - A_ka A_bl) of the minors tensor
+    (A = g^{-1}, D = det g) as polynomials in the entries of g.
 
-
-def _raised_d(gi, dbar_s):
-    """P[x, y, Y] = g^{-1}_{xc} g^{-1}_{ya} d_c s_{a Ybar}: the raised rank-one
-    slots e_c x (d_c s)_{a.} together with the unit slot E_a. that follows them.
-
-    With d_c s_{a Ybar} = conj(d_cbar s_{Y abar}) and g^{-1} Hermitian, P is
-    the conjugate of g^{-T} applied to axes 0 and 2 of the entrywise dbar_s.
+    The bracket is the minor of A on rows (b, k) and columns (a, l), so by
+    Jacobi's complementary-minor identity C_{ba,kl} vanishes for a = l or
+    b = k and is otherwise (-1)^{a+l+b+k} s(b, k) s(a, l) det g[R, S], with
+    R = {0..n-1} - {a, l}, S = {0..n-1} - {b, k} and s(x, y) = 1 for x < y,
+    -1 for x > y (the order sign against sorted rows and columns). Returns
+    (b, a, terms) for the nonzero entries, terms the Leibniz expansion
+    [(sign, ((r, s), ..))] of the (n-2)-minor: a constant at n = 2, one entry
+    of g at n = 3, a 2 x 2 minor at n = 4.
     """
-    gi_t = np.swapaxes(gi, 0, 1)
-    p = _apply(gi_t, _apply(gi_t, dbar_s, 0), 2)
-    np.conj(p, out=p)
-    return np.swapaxes(p, 1, 2)
+    out = []
+    for b, a in itertools.product(range(n), repeat=2):
+        if a == l or b == k:
+            continue
+        rows = [r for r in range(n) if r not in (a, l)]
+        cols = [s for s in range(n) if s not in (b, k)]
+        sign = (-1) ** (a + l + b + k) * (1 if b < k else -1) * (1 if a < l else -1)
+        terms = []
+        for perm in itertools.permutations(range(n - 2)):
+            inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
+            terms.append((sign * (-1) ** inversions,
+                          tuple(zip(rows, (cols[p] for p in perm)))))
+        out.append((b, a, terms))
+    return out
 
 
-def _raised_dbar(gi, dbar_g):
-    """R[k, x, X] = (g^{-1} d_kbar g)_{xX} from the entrywise dbar_g."""
-    return _apply(gi, dbar_g, 1)
+def _jet(s, dbar, l, k, h):
+    """(s, d_l s, d_kbar s, d_l d_kbar s) of the Hermitian entrywise field s,
+    from its dbar and its (l, k) slice h: d_l s = (d_lbar s)^*. With dbar
+    None the first derivatives are None, for products of one factor."""
+    if dbar is None:
+        return s, None, None, h
+    return s, np.conj(np.swapaxes(dbar[l], 0, 1)), dbar[k], h
+
+
+def _ddbar_product(factors):
+    """d_l d_kbar prod_t x_t by the product rule, each factor given by its
+    jet (x, d_l x, d_kbar x, d_l d_kbar x) of node fields."""
+    total = 0.0
+    for i, j in itertools.product(range(len(factors)), repeat=2):
+        term = factors[i][3] if i == j else factors[i][1] * factors[j][2]
+        for t, x in enumerate(factors):
+            if t != i and t != j:
+                term = term * x[0]
+        total = total + term
+    return total
+
+
+def _cells(jet, cells):
+    """The jets of the entries `cells` = ((r, s), ..) of an entrywise jet."""
+    return [tuple(m if m is None else m[c] for m in jet) for c in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +266,9 @@ class MetricFields:
     Construction checks the shape and finiteness of g and factors it: the
     factor validates g (ValidationError naming `what`), gives log_det and is
     held for gi = g^{-1} and hermitian.star_power_factored until release().
-    gi, gi_entries (its entrywise buffer), the entrywise g, its dbar and the
-    g-trace k of ddbar_g are built on first use; k from one spectrum of g.
+    gi, gi_entries (its entrywise buffer), the entrywise g, its dbar and its
+    entrywise spectrum are built on first use: the one spectrum of g from
+    which both ddbar defects take their slices d_l d_kbar g.
     """
 
     def __init__(self, grid, g, what="metric"):
@@ -327,7 +293,7 @@ class MetricFields:
         and drop the factor and the ddbar fields."""
         self.gi  # built from the factor before it goes
         self.factor = None
-        for name in ("entries", "dbar", "k"):
+        for name in ("entries", "dbar", "spectrum"):
             self.__dict__.pop(name, None)
 
     @functools.cached_property
@@ -349,9 +315,9 @@ class MetricFields:
         return ha.as_field(self.dbar, 3)
 
     @functools.cached_property
-    def k(self):
-        """The g-trace K of ddbar_g (:func:`_ddbar_trace`), entrywise."""
-        return _ddbar_trace(self.grid, self.gi_entries, _spectrum(self.grid, self.g))
+    def spectrum(self):
+        """The entrywise spectrum of g (:func:`_pair_slices`)."""
+        return _spectrum(self.grid, self.g)
 
     def ricci(self):
         """The Chern-Ricci form -d_i d_jbar log det g, a Hermitian field."""
@@ -364,47 +330,72 @@ class MetricFields:
         dual (1,1)-form it evaluates ddbar of any (n-1,n-1)-form; with
         sigma = g it is the Gauduchon scalar, which :meth:`gauduchon_scalar`
         takes in fewer operations.
+
+        The flat dual of sigma ^ g^{n-2} is (n-2)! sum_{p,q} sigma_pq C_{qp,..}
+        (:func:`_cofactor_minors`), so the scalar is
+
+            (n-2)! D^{-1} Re sum_{l,k live} d_l d_kbar sum_{p,q} sigma_pq C_{qp,kl},
+
+        each term a product of sigma_pq and entries of g, expanded by the
+        product rule (:func:`_ddbar_product`). The (k, l) term is the
+        conjugate of the (l, k) one, so the pairs l <= k are summed, those
+        off the diagonal twice, each from one slice of sigma and of g.
         """
-        n = self.grid.n
-        t_a, t_b1, t_c, t_d = _ddbar_terms(self, sigma)
-        rho = math.factorial(n - 2) * t_a
-        if n >= 3:
-            rho = rho + (n - 2) * math.factorial(n - 3) * (2.0 * t_b1.real + t_c)
-        if n >= 4:
-            rho = rho - (n - 2) * (n - 3) * math.factorial(n - 4) * t_d
-        return rho.real
+        grid, n = self.grid, self.grid.n
+        s = _entries(sigma)
+        s_dbar = _dbar_entries(grid, s)
+        rho = np.zeros(grid.sizes)
+        for (l, k, h), (_, _, h_s) in zip(_pair_slices(grid, self.spectrum),
+                                          _pair_slices(grid, _spectrum(grid, sigma))):
+            jet, s_jet = _jet(self.entries, self.dbar, l, k, h), _jet(s, s_dbar, l, k, h_s)
+            entry = np.zeros(grid.sizes, dtype=np.complex128)
+            for q, p, terms in _cofactor_minors(n, l, k):
+                for sign, cells in terms:
+                    entry += sign * _ddbar_product(_cells(s_jet, [(p, q)]) + _cells(jet, cells))
+            rho += entry.real if l == k else 2.0 * entry.real
+        return math.factorial(n - 2) * np.exp(-self.log_det) * rho
 
     def gauduchon_scalar(self):
         """[i ddbar(g^{n-1})] / (g^n / n!), zero iff g is Gauduchon: (n-1)! times
         the divergence of the cofactor matrix (:func:`_gauduchon_sum`), from
-        gi, dbar and one spectrum of g."""
+        gi, dbar and the spectrum of g."""
         n = self.grid.n
         return math.factorial(n - 1) * _gauduchon_sum(
-            self.grid, self.gi_entries, self.dbar, _spectrum(self.grid, self.g))
+            self.grid, self.gi_entries, self.dbar, self.spectrum)
 
     def gauduchon_defect(self):
         """sup |gauduchon_scalar| of g."""
         return float(np.max(np.abs(self.gauduchon_scalar())))
 
     def astheno_dual(self):
-        """Hodge dual (1,1)-field of i ddbar(g^{n-2}); None for n = 2.
+        """Hodge dual (1,1)-field S of i ddbar(g^{n-2}); None for n = 2.
 
-        i ddbar(g^{n-2}) = (n-2) [i ddbar(g) ^ g^{n-3}
-                                  - (n-3) i dbar(g) ^ d(g) ^ g^{n-4}],
-        whose second part is sum_{kjc} B3(d_kbar g_{.j} x e_k, E_cj, d_c g).
+        For a constant (1,1)-form E_ab, i ddbar(g^{n-2}) ^ E_ab =
+        i ddbar(g^{n-2} ^ E_ab), whose flat dual has entries (n-2)! C_{ba,..}
+        (:func:`_cofactor_minors`); paired with E_ab, S gives
+
+            (A S A)_{ba} = (n-2)! D^{-1} sum_{l,k live} d_l d_kbar C_{ba,kl},
+
+        each C_{ba,kl} a product of entries of g differentiated by the
+        product rule (:func:`_ddbar_product`), so S = g (A S A) g takes no
+        g^{-1}. The (k, l) term of the sum is the adjoint of the (l, k) one.
         """
         n = self.grid.n
         if n == 2:
             return None
-        gi, g = self.gi_entries, self.entries
-        dual = _ddbar_dual(gi, g, self.k)
-        if n >= 4:
-            # the output slot: B_ij = g_iq S4(.., c) with (g^{-1} c)_{xX} -> delta_xj delta_Xq,
-            # so B = g X^T for the alternating sum X_jq with the slot's row and column open
-            open_slot = _alternating("AaB,bcC->dD", _raised_dbar(gi, self.dbar),
-                                     _raised_d(gi, self.dbar))
-            dual -= (n - 3) * _apply(g, np.swapaxes(open_slot, 0, 1))
-        return ha.hermitize(ha.as_field((n - 2) * dual))
+        g = self.entries
+        # at n = 3 each C_{ba,kl} is one entry of g and takes no dbar
+        dbar = self.dbar if n >= 4 else None
+        half = np.zeros(g.shape, dtype=np.complex128)
+        for l, k, h in _pair_slices(self.grid, self.spectrum):
+            jet = _jet(g, dbar, l, k, h)
+            weight = 0.5 if l == k else 1.0
+            for b, a, terms in _cofactor_minors(n, l, k):
+                for sign, cells in terms:
+                    half[b, a] += (weight * sign) * _ddbar_product(_cells(jet, cells))
+        m = half + np.conj(np.swapaxes(half, 0, 1))
+        m *= math.factorial(n - 2) * np.exp(-self.log_det)
+        return ha.hermitize(ha.as_field(_apply(np.swapaxes(g, 0, 1), _apply(g, m), 1)))
 
     def astheno_defect(self):
         """sup |astheno_dual| of g; None for n = 2."""
@@ -420,34 +411,6 @@ class MetricFields:
 
 # ---------------------------------------------------------------------------
 # ddbar defect scalars and duals
-
-
-def _ddbar_terms(metric, sigma):
-    """The four wedge-scalar blocks of i ddbar(sigma ^ omega^{n-2}) for the
-    MetricFields `metric` of omega = g:
-
-        T_A  = sum_{lk} S2(E_lk, d_l d_kbar sigma) = tr(g^{-1} K_sigma)/2
-        T_B1 = -sum_{ack} S3(e_c x d_c sigma_{a.}, E_ak, d_kbar g)
-        T_C  = sum_{lk} S3(sigma, E_lk, d_l d_kbar g) = tr(g^{-1} sigma g^{-1} A2)
-        T_D  = sum_{kjc} S4(sigma, d_kbar g_{.j} x e_k, E_cj, d_c g)
-    """
-    grid, n = metric.grid, metric.grid.n
-    gi = metric.gi_entries
-    t_a = 0.5 * _trace_product(gi, _ddbar_trace(grid, gi, _spectrum(grid, sigma)))
-    t_b1 = t_c = t_d = 0.0
-    if n >= 3:
-        g_e = metric.entries
-        sigma_e = _entries(sigma)
-        raised_sigma = _apply(gi, sigma_e)
-        t_c = _trace_product(raised_sigma, _apply(gi, _ddbar_dual(gi, g_e, metric.k)))
-        # sigma's first derivatives live only while they are raised
-        p_sigma = _raised_d(gi, _dbar_entries(grid, sigma_e))
-        r_dbar = _raised_dbar(gi, metric.dbar)
-        t_b1 = -_alternating("abA,BcC", p_sigma, r_dbar)
-    if n >= 4:
-        p_g = _raised_d(gi, metric.dbar)
-        t_d = _alternating("aA,BbC,cdD", raised_sigma, r_dbar, p_g)
-    return t_a, t_b1, t_c, t_d
 
 
 def gauduchon_scalar(grid, omega):

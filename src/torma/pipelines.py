@@ -89,7 +89,7 @@ class PipelineResult:
 
 def _require_closed(defect, what):
     """Raise ValidationError unless a closedness defect is within PRECONDITION_TOL."""
-    if defect is None or defect > PRECONDITION_TOL:
+    if not defect <= PRECONDITION_TOL:
         raise ValidationError(f"{what} within {PRECONDITION_TOL:.1e} (defect {defect})")
 
 
@@ -122,7 +122,8 @@ def _root(spec, variant, F, cfg, diagnostics):
 
 def _calabi_yau(spec, f_prime, cfg):
     """calabi_yau_gauduchon's result and the root's MetricFields."""
-    _require_closed(spec.metric.astheno_defect(), "omega is not astheno-Kahler")
+    if spec.n >= 3:  # at n = 2, i ddbar(omega^0) = 0 for every metric
+        _require_closed(spec.metric.astheno_defect(), "omega is not astheno-Kahler")
     # one evaluation serves the precondition and the diagnostics
     omega0_defect = spec.metric0.gauduchon_defect()
     _require_closed(omega0_defect, "omega_0 is not Gauduchon")
@@ -134,9 +135,10 @@ def calabi_yau_gauduchon(spec, f_prime, cfg=None):
     """Solve omega_u^n = e^{F' + b'} omega^n with omega_u^{n-1} in the
     omega_0^{n-1} + ddbar-wedge family.
 
-    Requires omega astheno-Kahler and omega_0 Gauduchon (within
-    PRECONDITION_TOL), so the root metric stays Gauduchon. spec supplies the
-    metrics; its F is ignored in favor of (n-1) f_prime.
+    Requires omega astheno-Kahler (every metric is at n = 2) and omega_0
+    Gauduchon (within PRECONDITION_TOL), so the root metric stays
+    Gauduchon. spec supplies the metrics; its F is ignored in favor of
+    (n-1) f_prime.
     """
     return _calabi_yau(spec, f_prime, cfg)[0]
 

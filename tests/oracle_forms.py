@@ -17,10 +17,12 @@ star(alpha ^ omega^{n-2}) = (n-2)!((tr alpha) omega - alpha), and the trace
 relation Psi ^ omega = tr(star Psi) dV.
 
 The slot-loop references evaluate the torsion contractions of
-torma.equations and the ddbar blocks of torma.geometry with one S/B call
-per slot on the whole ddbar tensor of the metric (S3, S4, B3, that
-tensor and the stacked dbar and d tensors live here, since production no
-longer builds them); the closed
+torma.equations and the ddbar defects of torma.geometry with one S/B call
+per slot on the whole ddbar tensor of the metric: the defects through the
+wedge expansion of i ddbar(sigma ^ omega^{n-2}) into the blocks T_A, T_B1,
+T_C, T_D, an independent route from geometry's minors calculus (S3, S4,
+B3, that tensor and the stacked dbar and d tensors live here, since
+production no longer builds them); the closed
 forms used in production are checked against them, and the
 Leibniz-route Gauduchon scalar checks the factorized one of torma.geometry.
 ``commutation_check`` measures two third-derivative commutation identities
@@ -377,8 +379,8 @@ def inverse_star_sigma(g, s, gi=None):
 
 
 # ---------------------------------------------------------------------------
-# slot-loop references for the ddbar blocks of torma.geometry: one S/B call
-# per unit or rank-one slot
+# slot-loop references for the ddbar defects of torma.geometry, by the wedge
+# blocks T_A..T_D: one S/B call per unit or rank-one slot
 
 
 def metric_dbar_tensor(grid, g):
@@ -404,13 +406,6 @@ def metric_ddbar_tensor(grid, g, dbar_g=None):
     for l in range(grid.n):
         out[..., l, :, :, :] = gr.d_holo(grid, dbar_g, l)
     return out
-
-
-def ddbar_trace_einsum(gi, h):
-    """K_ab = g^{ji} (h_abij + h_ijab - h_ajib - h_ibaj) of the whole ddbar
-    tensor h, one einsum per term: the reference for geometry._ddbar_trace."""
-    return (np.einsum("...ji,...abij->...ab", gi, h) + np.einsum("...ji,...ijab->...ab", gi, h)
-            - np.einsum("...ji,...ajib->...ab", gi, h) - np.einsum("...ji,...ibaj->...ab", gi, h))
 
 
 def _unit(n, r, s):

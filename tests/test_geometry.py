@@ -135,15 +135,15 @@ class TestChernRicci:
 class TestMetricDefects:
     @pytest.mark.parametrize("n,size", [(3, 16), (4, 8)])
     def test_shared_parts_match_separate_defects(self, rng, n, size, monkeypatch):
-        # one g^{-1}, one dbar_g and one K of ddbar_g serve all three defects,
-        # with the values of the separate evaluations bit for bit
+        # one g^{-1}, one dbar_g and one spectrum of g serve all three
+        # defects, with the values of the separate evaluations bit for bit
         grid = gr.TorusGrid.reduced(n, size, active_coords=(0, 2))
         metric = tf.random_hermitian_metric(grid, rng, amplitude=0.2)
         gauduchon = geo.MetricFields(grid, metric).gauduchon_defect()
         astheno = geo.MetricFields(grid, metric).astheno_defect()
         assert astheno == float(np.max(np.abs(geo.MetricFields(grid, metric).astheno_dual())))
-        calls = {"inv": 0, "trace": 0, "dbar": 0}
-        inv, trace, dbar = ha.inverse, geo._ddbar_trace, geo._dbar_entries
+        calls = {"inv": 0, "spectrum": 0, "dbar": 0}
+        inv, spectrum, dbar = ha.inverse, geo._spectrum, geo._dbar_entries
 
         def counted(name, fn):
             def wrapped(*args):
@@ -152,10 +152,10 @@ class TestMetricDefects:
             return wrapped
 
         monkeypatch.setattr(ha, "inverse", counted("inv", inv))
-        monkeypatch.setattr(geo, "_ddbar_trace", counted("trace", trace))
+        monkeypatch.setattr(geo, "_spectrum", counted("spectrum", spectrum))
         monkeypatch.setattr(geo, "_dbar_entries", counted("dbar", dbar))
         d = geo.metric_defects(grid, metric)
-        assert calls == {"inv": 1, "trace": 1, "dbar": 1}
+        assert calls == {"inv": 1, "spectrum": 1, "dbar": 1}
         assert d.gauduchon == gauduchon
         assert d.astheno == astheno
 
@@ -286,14 +286,24 @@ class TestClosedFormsAgainstSlotLoops:
 
     @pytest.mark.parametrize("sigma_kind", ["omega", "other"])
     def test_blocks(self, key, sigma_kind, rng):
-        grid, metric, sigma = oracle_case(key, sigma_kind, rng)
-        gi = np.linalg.inv(metric)
-        dbar_g = of.metric_dbar_tensor(grid, metric)
-        got = geo._ddbar_terms(geo.MetricFields(grid, metric), sigma)
-        want = of.ddbar_terms_slots(grid, metric, sigma, gi, dbar_g,
-                                    of.metric_ddbar_tensor(grid, metric, dbar_g))
-        for block, a, b in zip(("T_A", "T_B1", "T_C", "T_D"), got, want):
-            assert_oracle_close(a, b, block)
+        # the blocks every ddbar defect is built from: the signed (n-2)-minors
+        # of geometry._cofactor_minors against C_{ba,kl} = D (A_ba A_kl -
+        # A_ka A_bl) from np.linalg, for the metric and for an indefinite
+        # Hermitian field (Jacobi's identity needs only an inverse)
+        grid, _, sigma = oracle_case(key, sigma_kind, rng)
+        n = grid.n
+        inv, det = np.linalg.inv(sigma), np.linalg.det(sigma)
+        want = det[..., None, None, None, None] * (
+            np.einsum("...ba,...kl->...bakl", inv, inv)
+            - np.einsum("...ka,...bl->...bakl", inv, inv))
+        got = np.zeros_like(want)
+        for l in range(n):
+            for k in range(n):
+                for b, a, terms in geo._cofactor_minors(n, l, k):
+                    for sign, cells in terms:
+                        got[..., b, a, k, l] += sign * np.prod(
+                            [sigma[(...,) + c] for c in cells], axis=0)
+        assert_oracle_close(got, want)
 
     @pytest.mark.parametrize("sigma_kind", ["omega", "other"])
     def test_ddbar_scalar(self, key, sigma_kind, rng):
@@ -303,7 +313,7 @@ class TestClosedFormsAgainstSlotLoops:
 
     def test_gauduchon_scalar(self, key, rng):
         # the product-rule divergence of the cofactor matrix against the
-        # four-block path and the slot loops
+        # minors path of ddbar_scalar and the slot loops
         grid, metric, _ = oracle_case(key, "omega", rng)
         fields = geo.MetricFields(grid, metric)
         got = fields.gauduchon_scalar()
@@ -327,9 +337,9 @@ class TestClosedFormsAgainstSlotLoops:
 
 
 class TestGauduchonScalarOnRandomGrids:
-    """The Gauduchon kernel over random grid shapes, y axes included: on a
-    grid with only x axes active, entries [k, l] and [l, k] of the cofactor
-    divergence agree, so only a y axis tells them apart."""
+    """The ddbar defect kernels over random grid shapes, y axes included: on
+    a grid with only x axes active, entries [k, l] and [l, k] of a flat dual
+    agree under d_l d_kbar, so only a y axis tells them apart."""
 
     @PROPERTY
     @given(case=property_grids(max_nodes=4 ** 4))
@@ -339,17 +349,45 @@ class TestGauduchonScalarOnRandomGrids:
         assert_oracle_close(geo.MetricFields(grid, metric).gauduchon_scalar(),
                             of.ddbar_scalar_slots(grid, metric, metric))
 
+    @PROPERTY
+    @given(case=property_grids(max_nodes=4 ** 4))
+    def test_astheno_dual_against_slot_loops(self, case):
+        grid, rng = case
+        metric = tf.random_hermitian_metric(grid, rng, amplitude=0.2)
+        dual = geo.MetricFields(grid, metric).astheno_dual()
+        if grid.n == 2:
+            assert dual is None
+        else:
+            assert_oracle_close(dual, of.astheno_dual_slots(grid, metric))
+
+    @PROPERTY
+    @given(case=property_grids(max_nodes=4 ** 4))
+    def test_ddbar_scalar_against_slot_loops(self, case):
+        grid, rng = case
+        metric = tf.random_hermitian_metric(grid, rng, amplitude=0.2)
+        sigma = tf.random_hermitian_metric(grid, rng, amplitude=0.4) - 0.8 * np.eye(grid.n)
+        assert_oracle_close(geo.MetricFields(grid, metric).ddbar_scalar(sigma),
+                            of.ddbar_scalar_slots(grid, metric, sigma))
+
 
 @pytest.mark.parametrize("key", list(ORACLE_GRIDS))
 @pytest.mark.parametrize("sigma_kind", ["omega", "other"])
-def test_ddbar_trace_against_einsum(key, sigma_kind, rng):
-    # K built slice by slice from one spectrum against the four einsums of
-    # the whole ddbar tensor
-    grid, metric, sigma = oracle_case(key, sigma_kind, rng)
-    gi = ha.inverse(ha.require_positive(metric))
-    got = ha.as_field(geo._ddbar_trace(grid, geo._entries(gi), geo._spectrum(grid, sigma)))
-    want = of.ddbar_trace_einsum(gi, of.metric_ddbar_tensor(grid, sigma))
-    assert float(np.max(np.abs(got - want))) <= 1e-13 * float(np.max(np.abs(want)))
+def test_pair_slices_against_ddbar_tensor(key, sigma_kind, rng):
+    # the slices d_l d_kbar s every ddbar defect takes, one inverse transform
+    # of one spectrum per live pair l <= k, against the whole ddbar tensor of
+    # the oracle (d_holo of the dbar stack): the (k, l) slices are their
+    # adjoints and those of a coordinate the grid does not resolve vanish
+    grid, _, sigma = oracle_case(key, sigma_kind, rng)
+    want = of.metric_ddbar_tensor(grid, sigma)
+    got = np.zeros_like(want)
+    pairs = []
+    for l, k, h in geo._pair_slices(grid, geo._spectrum(grid, sigma)):
+        pairs.append((l, k))
+        got[..., l, k, :, :] = ha.as_field(h)
+        got[..., k, l, :, :] = np.conj(np.swapaxes(ha.as_field(h), -1, -2))
+    live = gr.spectral_table(grid).live
+    assert pairs == [(l, k) for l in live for k in live if l <= k]
+    assert_oracle_close(got, want)
 
 
 class _EinsumOperands:

@@ -44,7 +44,7 @@ ENTRYWISE = [
     eq._add_torsion, eq._torsion_term, eq._second_order_terms, eq._first_order_terms,
     gr.hessian_parts, gr.hessian_trace,
     # and the (n-1,n-1)-form kernels of the pipelines
-    geo.MetricFields.gauduchon_scalar, ha.nm1_root,
+    geo.MetricFields.gauduchon_scalar, geo.MetricFields.ddbar_scalar, ha.nm1_root,
 ]
 STACKED = re.compile(r"np\.einsum|hermitize\(")
 # the root is a relative Cholesky factor and no eigendecomposition is taken;
@@ -121,22 +121,14 @@ def test_no_module_calls_eigh():
     assert not hits, "\n".join(hits)
 
 
-def test_gauduchon_kernel_takes_no_wedge_blocks(monkeypatch, rng):
-    # the cofactor divergence needs neither K nor the raised first-order
-    # families nor the alternating sums of the four-block path
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the Gauduchon kernel called a wedge-block kernel")
-
-    for name in ("_ddbar_trace", "_raised_d", "_raised_dbar", "_alternating"):
-        monkeypatch.setattr(geo, name, forbidden)
-    grid = gr.TorusGrid(4, (4, 4, 4, 1, 1, 4, 1, 1))
-    metric = tf.random_hermitian_metric(grid, rng, amplitude=0.2)
-    assert geo.MetricFields(grid, metric).gauduchon_defect() > 0.0
-    assert geo.gauduchon_scalar(grid, metric).shape == grid.sizes
-    grid = gr.TorusGrid(3, (16, 1, 1, 16, 1, 1))
-    sigma = sv.gauduchon_factor(grid, tf.random_hermitian_metric(grid, rng, amplitude=0.1,
-                                                                 max_mode=1))
-    assert sigma.shape == grid.sizes
+def test_geometry_has_one_ddbar_calculus():
+    # every ddbar defect is a divergence of a flat dual built from g's minors;
+    # the four-block wedge path (the g-trace K of ddbar_g, the raised
+    # first-order families and their alternating sums) stays deleted
+    four_block_path = ("_ddbar_terms", "_ddbar_trace", "_ddbar_dual", "_raised_d",
+                       "_raised_dbar", "_alternating")
+    assert not [name for name in four_block_path if hasattr(geo, name)]
+    assert not hasattr(geo.MetricFields, "k")
 
 
 def _factoring_sites():

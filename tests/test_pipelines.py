@@ -110,6 +110,24 @@ class TestCalabiYau:
             pl.calabi_yau_gauduchon(spec, np.zeros(g3.sizes))
 
 
+    def test_every_metric_is_astheno_at_n2(self):
+        # i ddbar(omega^0) = 0, so a random omega passes the precondition and
+        # the root inherits omega_0's Gauduchon defect
+        grid = gr.TorusGrid.reduced(2, 16, active_coords=(0, 2))
+        rng = np.random.default_rng(202)
+        raw = tf.random_hermitian_metric(grid, rng, amplitude=0.15, max_mode=1)
+        omega0 = np.exp(sv.gauduchon_factor(grid, raw, tol=1e-11))[..., None, None] * raw
+        omega = tf.random_hermitian_metric(grid, rng, amplitude=0.15, max_mode=1)
+        spec = cy_spec(grid, omega0, omega)
+        f_prime = 0.1 * tf.random_band_limited_real(grid, rng, max_mode=1).real
+        for result in (pl.calabi_yau_gauduchon(spec, f_prime),
+                       pl.prescribed_ricci(spec, geo.chern_ricci(grid, omega))):
+            assert result.report.converged
+            assert result.volume_identity_sup < 1e-8
+            assert result.gauduchon_defect < 1e-7
+            assert result.diagnostics["omega0_gauduchon_defect"] < pl.PRECONDITION_TOL
+
+
 class TestPrescribedRicci:
     def test_trivial_class_representative(self, g3, astheno_omega, gauduchon_omega0):
         spec = cy_spec(g3, gauduchon_omega0, astheno_omega)
