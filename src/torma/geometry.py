@@ -17,20 +17,20 @@ Every ddbar defect is the divergence of a flat dual (docs/conventions.md,
 "ddbar of wedge powers"): i ddbar of an (n-1,n-1)-form is
 sum_{l,k} d_l d_kbar of entry [k, l] of its dual relative to the flat
 metric. With A = g^{-1} and D = det g, the dual of omega^{n-1} is (n-1)! D A
-(the cofactor matrix), and those of sigma ^ omega^{n-2} and of
+(the cofactor matrix, whose entries are signed (n-1)-minors of g,
+:func:`_cofactor`), and those of sigma ^ omega^{n-2} and of
 omega^{n-2} ^ E_ab are (n-2)! times contractions of
 
     C_{ba,kl} = D (A_ba A_kl - A_ka A_bl),
 
 which by Jacobi's complementary-minor identity is a signed (n-2)-minor of
-g itself (:func:`_cofactor_minors`). The Gauduchon scalar expands d_l d_kbar
-(D A) by the product rule (:func:`_gauduchon_sum`); the astheno dual and
-ddbar_scalar(sigma) expand d_l d_kbar of products of entries of g and sigma
-(:func:`_ddbar_product`), with no g^{-1}. All of them are entrywise kernels
-in hermitian's layout (matrix axes first, every entry a contiguous node
-field; Python loops over matrix entries only), and no n^4 array exists. What
-depends on the metric alone (g^{-1}, log det g, dbar_g, the spectrum) is
-built at most once per MetricFields.
+g itself (:func:`_cofactor_minors`). All three kernels expand d_l d_kbar of
+products of entries of g and sigma by the product rule
+(:func:`_ddbar_minor`), with no g^{-1}. They are entrywise kernels in
+hermitian's layout (matrix axes first, every entry a contiguous node field;
+Python loops over matrix entries only), and no n^4 array exists. What
+depends on the metric alone (log det g, dbar_g, the spectrum) is built at
+most once per MetricFields.
 """
 
 from __future__ import annotations
@@ -98,32 +98,6 @@ def _entries(x, axes=2):
     return np.ascontiguousarray(ha.entrywise(x, axes))
 
 
-def _apply(a, t, axis=0):
-    """sum_i a_xi t[.., i, ..]: the matrix field a applied to matrix axis
-    `axis` of the entrywise tensor t (a t for axis 0 of a matrix), entry by
-    entry."""
-    t = np.moveaxis(t, axis, 0)
-    out = np.empty((a.shape[0],) + t.shape[1:], dtype=np.result_type(a, t))
-    for x in range(a.shape[0]):
-        for rest in np.ndindex(t.shape[1:t.ndim - a.ndim + 2]):
-            entry = out[(x,) + rest]
-            np.multiply(a[x, 0], t[(0,) + rest], out=entry)
-            for i in range(1, a.shape[1]):
-                entry += a[x, i] * t[(i,) + rest]
-    return np.moveaxis(out, 0, axis)
-
-
-def _trace_product(a, b):
-    """tr(a b) = sum_ij a_ij b_ji of entrywise matrices."""
-    n = a.shape[0]
-    out = a[0, 0] * b[0, 0]
-    for i in range(n):
-        for j in range(n):
-            if i or j:
-                out += a[i, j] * b[j, i]
-    return out
-
-
 def _node_axes(grid):
     """The active axes of an entrywise array, counted from its end."""
     return tuple(a - len(grid.sizes) for a in grid.active_axes)
@@ -161,42 +135,20 @@ def _dbar_entries(grid, s):
     return out
 
 
-def _gauduchon_sum(grid, gi, dbar, spectrum):
-    """Re sum_{l,k} [D^{-1} d_l d_kbar (D A)]_{kl} for A = g^{-1} and D = det g,
-    the Gauduchon scalar over (n-1)!: D A is the flat dual of omega^{n-1}
-    (the cofactor matrix), and i ddbar of that form is the divergence
-    sum d_i d_jbar of its dual's entries.
+def _minor(sign, rows, cols):
+    """The Leibniz expansion [(sign, ((r, s), ..))] of sign * det g[rows, cols]
+    as products of entries of g."""
+    return [(sign * (-1) ** sum(x > y for x, y in itertools.combinations(perm, 2)),
+             tuple(zip(rows, (cols[p] for p in perm))))
+            for perm in itertools.permutations(range(len(rows)))]
 
-    By the product rule, with Y = A d_kbar g, X = A d_l g and H = d_l d_kbar g,
 
-        D^{-1} d_l d_kbar (D A) = (tr X tr Y + tr(A H) - tr(X Y)) A
-            - tr X (Y A) - tr Y (X A) + X Y A + Y X A - A H A,
-
-    where d_l g = (d_lbar g)^*, tr X = conj(tr Y_l), Y A = B_k = A d_kbar g A,
-    X A = B_l^* and tr(X Y) = tr(d_l g B_k). Only entry [k, l] of each
-    matrix is taken: rows k of X, of Y X = B_k d_l g and of A H, against
-    column l of B_k and of A. The (k, l) term is the conjugate of the
-    (l, k) one, so the pairs l <= k are summed, those off the diagonal
-    twice; H is one inverse transform of g's entrywise spectrum per pair,
-    and dropped after it. gi and dbar are entrywise.
-    """
-    live = gr.spectral_table(grid).live
-    gi_t = np.swapaxes(gi, 0, 1)
-    tr_y = {k: _trace_product(gi, dbar[k]) for k in live}
-    b = {k: _apply(gi, _apply(gi_t, dbar[k], 1)) for k in live}
-    rho = np.zeros(gi.shape[2:])
-    for l, k, h in _pair_slices(grid, spectrum):
-        d_l = np.conj(np.swapaxes(dbar[l], 0, 1))
-        tr_x = np.conj(tr_y[l])
-        scalar = tr_x * tr_y[k] + _trace_product(gi, h) - _trace_product(d_l, b[k])
-        entry = scalar * gi[k, l] - tr_x * b[k][k, l] - tr_y[k] * np.conj(b[l][l, k])
-        x_row = _apply(gi[k][None], d_l)[0]
-        yx_row = _apply(b[k][k][None], d_l)[0]
-        yx_row -= _apply(gi[k][None], h)[0]
-        for m in range(gi.shape[0]):
-            entry += x_row[m] * b[k][m, l] + yx_row[m] * gi[m, l]
-        rho += entry.real if l == k else 2.0 * entry.real
-    return rho
+def _cofactor(n, k, l):
+    """Entry [k, l] of the cofactor matrix D A (A = g^{-1}, D = det g): the
+    signed (n-1)-minor (-1)^{k+l} det g[{l}^c, {k}^c], as :func:`_minor`
+    terms; one entry of g at n = 2, a 2 x 2 minor at n = 3."""
+    return _minor((-1) ** (k + l), [r for r in range(n) if r != l],
+                  [s for s in range(n) if s != k])
 
 
 def _cofactor_minors(n, l, k):
@@ -208,24 +160,14 @@ def _cofactor_minors(n, l, k):
     b = k and is otherwise (-1)^{a+l+b+k} s(b, k) s(a, l) det g[R, S], with
     R = {0..n-1} - {a, l}, S = {0..n-1} - {b, k} and s(x, y) = 1 for x < y,
     -1 for x > y (the order sign against sorted rows and columns). Returns
-    (b, a, terms) for the nonzero entries, terms the Leibniz expansion
-    [(sign, ((r, s), ..))] of the (n-2)-minor: a constant at n = 2, one entry
-    of g at n = 3, a 2 x 2 minor at n = 4.
+    (b, a, terms) for the nonzero entries, terms the :func:`_minor` terms of
+    the (n-2)-minor: a constant at n = 2, one entry of g at n = 3, a 2 x 2
+    minor at n = 4.
     """
-    out = []
-    for b, a in itertools.product(range(n), repeat=2):
-        if a == l or b == k:
-            continue
-        rows = [r for r in range(n) if r not in (a, l)]
-        cols = [s for s in range(n) if s not in (b, k)]
-        sign = (-1) ** (a + l + b + k) * (1 if b < k else -1) * (1 if a < l else -1)
-        terms = []
-        for perm in itertools.permutations(range(n - 2)):
-            inversions = sum(x > y for x, y in itertools.combinations(perm, 2))
-            terms.append((sign * (-1) ** inversions,
-                          tuple(zip(rows, (cols[p] for p in perm)))))
-        out.append((b, a, terms))
-    return out
+    return [(b, a, _minor((-1) ** (a + l + b + k) * (1 if b < k else -1) * (1 if a < l else -1),
+                          [r for r in range(n) if r not in (a, l)],
+                          [s for s in range(n) if s not in (b, k)]))
+            for b, a in itertools.product(range(n), repeat=2) if a != l and b != k]
 
 
 def _jet(s, dbar, l, k, h):
@@ -255,6 +197,12 @@ def _cells(jet, cells):
     return [tuple(m if m is None else m[c] for m in jet) for c in cells]
 
 
+def _ddbar_minor(terms, jet, factors=()):
+    """d_l d_kbar of the minor of g given by its :func:`_minor` terms, times
+    the jets `factors`, from g's (l, k) jet."""
+    return sum(sign * _ddbar_product([*factors, *_cells(jet, cells)]) for sign, cells in terms)
+
+
 # ---------------------------------------------------------------------------
 # the derived fields of one metric
 
@@ -266,9 +214,10 @@ class MetricFields:
     Construction checks the shape and finiteness of g and factors it: the
     factor validates g (ValidationError naming `what`), gives log_det and is
     held for gi = g^{-1} and hermitian.star_power_factored until release().
-    gi, gi_entries (its entrywise buffer), the entrywise g, its dbar and its
-    entrywise spectrum are built on first use: the one spectrum of g from
-    which both ddbar defects take their slices d_l d_kbar g.
+    gi and gi_entries (its entrywise buffer), which the connection and a
+    solve read, the entrywise g, its dbar and its entrywise spectrum are
+    built on first use: the one spectrum of g from which every ddbar defect
+    takes its slices d_l d_kbar g, none of them reading gi.
     """
 
     def __init__(self, grid, g, what="metric"):
@@ -348,20 +297,34 @@ class MetricFields:
         for (l, k, h), (_, _, h_s) in zip(_pair_slices(grid, self.spectrum),
                                           _pair_slices(grid, _spectrum(grid, sigma))):
             jet, s_jet = _jet(self.entries, self.dbar, l, k, h), _jet(s, s_dbar, l, k, h_s)
-            entry = np.zeros(grid.sizes, dtype=np.complex128)
-            for q, p, terms in _cofactor_minors(n, l, k):
-                for sign, cells in terms:
-                    entry += sign * _ddbar_product(_cells(s_jet, [(p, q)]) + _cells(jet, cells))
+            entry = sum(_ddbar_minor(terms, jet, _cells(s_jet, [(p, q)]))
+                        for q, p, terms in _cofactor_minors(n, l, k))
             rho += entry.real if l == k else 2.0 * entry.real
         return math.factorial(n - 2) * np.exp(-self.log_det) * rho
 
     def gauduchon_scalar(self):
-        """[i ddbar(g^{n-1})] / (g^n / n!), zero iff g is Gauduchon: (n-1)! times
-        the divergence of the cofactor matrix (:func:`_gauduchon_sum`), from
-        gi, dbar and the spectrum of g."""
-        n = self.grid.n
-        return math.factorial(n - 1) * _gauduchon_sum(
-            self.grid, self.gi_entries, self.dbar, self.spectrum)
+        """[i ddbar(g^{n-1})] / (g^n / n!) as a real scalar field, zero iff g
+        is Gauduchon.
+
+        The flat dual of g^{n-1} is (n-1)! D A, the cofactor matrix, whose
+        entry [k, l] is a signed (n-1)-minor of g (:func:`_cofactor`), so the
+        scalar is
+
+            (n-1)! D^{-1} Re sum_{l,k live} d_l d_kbar (D A)_{kl},
+
+        each minor expanded by the product rule (:func:`_ddbar_product`) with
+        no g^{-1}. The (k, l) term is the conjugate of the (l, k) one, so the
+        pairs l <= k are summed, those off the diagonal twice, each from one
+        slice of g.
+        """
+        grid, n = self.grid, self.grid.n
+        # at n = 2 each cofactor entry is one entry of g and takes no dbar
+        dbar = self.dbar if n >= 3 else None
+        rho = np.zeros(grid.sizes)
+        for l, k, h in _pair_slices(grid, self.spectrum):
+            entry = _ddbar_minor(_cofactor(n, k, l), _jet(self.entries, dbar, l, k, h))
+            rho += entry.real if l == k else 2.0 * entry.real
+        return math.factorial(n - 1) * np.exp(-self.log_det) * rho
 
     def gauduchon_defect(self):
         """sup |gauduchon_scalar| of g."""
@@ -374,11 +337,12 @@ class MetricFields:
         i ddbar(g^{n-2} ^ E_ab), whose flat dual has entries (n-2)! C_{ba,..}
         (:func:`_cofactor_minors`); paired with E_ab, S gives
 
-            (A S A)_{ba} = (n-2)! D^{-1} sum_{l,k live} d_l d_kbar C_{ba,kl},
+            M_{ba} = (A S A)_{ba} = (n-2)! D^{-1} sum_{l,k live} d_l d_kbar C_{ba,kl},
 
         each C_{ba,kl} a product of entries of g differentiated by the
-        product rule (:func:`_ddbar_product`), so S = g (A S A) g takes no
-        g^{-1}. The (k, l) term of the sum is the adjoint of the (l, k) one.
+        product rule (:func:`_ddbar_product`), so S = g M g takes no g^{-1};
+        its lower triangle is summed and completed (hermitian.from_lower).
+        The (k, l) term of the sum is the adjoint of the (l, k) one.
         """
         n = self.grid.n
         if n == 2:
@@ -389,13 +353,17 @@ class MetricFields:
         half = np.zeros(g.shape, dtype=np.complex128)
         for l, k, h in _pair_slices(self.grid, self.spectrum):
             jet = _jet(g, dbar, l, k, h)
-            weight = 0.5 if l == k else 1.0
             for b, a, terms in _cofactor_minors(n, l, k):
-                for sign, cells in terms:
-                    half[b, a] += (weight * sign) * _ddbar_product(_cells(jet, cells))
+                half[b, a] += (0.5 if l == k else 1.0) * _ddbar_minor(terms, jet)
         m = half + np.conj(np.swapaxes(half, 0, 1))
         m *= math.factorial(n - 2) * np.exp(-self.log_det)
-        return ha.hermitize(ha.as_field(_apply(np.swapaxes(g, 0, 1), _apply(g, m), 1)))
+        gm, s = np.zeros_like(m), np.zeros_like(m)
+        for a, i, j in itertools.product(range(n), repeat=3):
+            gm[a, j] += g[a, i] * m[i, j]
+        for a, i, j in itertools.product(range(n), repeat=3):
+            if j <= a:
+                s[a, j] += gm[a, i] * g[i, j]
+        return ha.from_lower(s)
 
     def astheno_defect(self):
         """sup |astheno_dual| of g; None for n = 2."""

@@ -38,10 +38,13 @@ def potential_from_form(grid, beta):
 
     Least-squares per Fourier mode against the Hessian symbol; raises
     CohomologyError when the zero mode (the Bott-Chern obstruction) or the
-    mode-wise fit's residual (beta not exact) exceeds POTENTIAL_TOL.
+    mode-wise fit's residual (beta not exact) exceeds POTENTIAL_TOL, and
+    ValidationError for a non-finite beta, which no tolerance check would see.
     """
     n = grid.n
     grid.check_field(beta, (n, n))
+    if not np.all(np.isfinite(beta)):
+        raise ValidationError("prescribed form has non-finite values")
     # symbol of d_i d_jbar in the full spectrum: hol_i antih_j
     hol, antih = gr.wirtinger_symbols(grid), gr.wirtinger_symbols(grid, anti=True)
     pattern = np.zeros(grid.sizes + (n, n), dtype=np.complex128)

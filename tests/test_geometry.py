@@ -135,8 +135,8 @@ class TestChernRicci:
 class TestMetricDefects:
     @pytest.mark.parametrize("n,size", [(3, 16), (4, 8)])
     def test_shared_parts_match_separate_defects(self, rng, n, size, monkeypatch):
-        # one g^{-1}, one dbar_g and one spectrum of g serve all three
-        # defects, with the values of the separate evaluations bit for bit
+        # one dbar_g and one spectrum of g serve all three defects, with the
+        # values of the separate evaluations bit for bit; no defect takes g^{-1}
         grid = gr.TorusGrid.reduced(n, size, active_coords=(0, 2))
         metric = tf.random_hermitian_metric(grid, rng, amplitude=0.2)
         gauduchon = geo.MetricFields(grid, metric).gauduchon_defect()
@@ -155,9 +155,11 @@ class TestMetricDefects:
         monkeypatch.setattr(geo, "_spectrum", counted("spectrum", spectrum))
         monkeypatch.setattr(geo, "_dbar_entries", counted("dbar", dbar))
         d = geo.metric_defects(grid, metric)
-        assert calls == {"inv": 1, "spectrum": 1, "dbar": 1}
+        assert calls == {"inv": 0, "spectrum": 1, "dbar": 1}
         assert d.gauduchon == gauduchon
         assert d.astheno == astheno
+        assert geo.MetricFields(grid, metric).gauduchon_defect() == gauduchon
+        assert calls == {"inv": 0, "spectrum": 2, "dbar": 2}
 
     def test_astheno_defect_n2_and_validation(self, rng):
         g2 = gr.TorusGrid.reduced(2, 8)
@@ -289,7 +291,8 @@ class TestClosedFormsAgainstSlotLoops:
         # the blocks every ddbar defect is built from: the signed (n-2)-minors
         # of geometry._cofactor_minors against C_{ba,kl} = D (A_ba A_kl -
         # A_ka A_bl) from np.linalg, for the metric and for an indefinite
-        # Hermitian field (Jacobi's identity needs only an inverse)
+        # Hermitian field (Jacobi's identity needs only an inverse), and the
+        # signed (n-1)-minors of geometry._cofactor against D A
         grid, _, sigma = oracle_case(key, sigma_kind, rng)
         n = grid.n
         inv, det = np.linalg.inv(sigma), np.linalg.det(sigma)
@@ -297,13 +300,19 @@ class TestClosedFormsAgainstSlotLoops:
             np.einsum("...ba,...kl->...bakl", inv, inv)
             - np.einsum("...ka,...bl->...bakl", inv, inv))
         got = np.zeros_like(want)
+        cofactor = np.zeros_like(inv)
+
+        def minor(terms):
+            return sum(sign * np.prod([sigma[(...,) + c] for c in cells], axis=0)
+                       for sign, cells in terms)
+
         for l in range(n):
             for k in range(n):
+                cofactor[..., k, l] = minor(geo._cofactor(n, k, l))
                 for b, a, terms in geo._cofactor_minors(n, l, k):
-                    for sign, cells in terms:
-                        got[..., b, a, k, l] += sign * np.prod(
-                            [sigma[(...,) + c] for c in cells], axis=0)
+                    got[..., b, a, k, l] += minor(terms)
         assert_oracle_close(got, want)
+        assert_oracle_close(cofactor, det[..., None, None] * inv)
 
     @pytest.mark.parametrize("sigma_kind", ["omega", "other"])
     def test_ddbar_scalar(self, key, sigma_kind, rng):

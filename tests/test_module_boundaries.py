@@ -44,7 +44,8 @@ ENTRYWISE = [
     eq._add_torsion, eq._torsion_term, eq._second_order_terms, eq._first_order_terms,
     gr.hessian_parts, gr.hessian_trace,
     # and the (n-1,n-1)-form kernels of the pipelines
-    geo.MetricFields.gauduchon_scalar, geo.MetricFields.ddbar_scalar, ha.nm1_root,
+    geo.MetricFields.gauduchon_scalar, geo.MetricFields.ddbar_scalar,
+    geo.MetricFields.astheno_dual, ha.nm1_root,
 ]
 STACKED = re.compile(r"np\.einsum|hermitize\(")
 # the root is a relative Cholesky factor and no eigendecomposition is taken;
@@ -124,10 +125,11 @@ def test_no_module_calls_eigh():
 def test_geometry_has_one_ddbar_calculus():
     # every ddbar defect is a divergence of a flat dual built from g's minors;
     # the four-block wedge path (the g-trace K of ddbar_g, the raised
-    # first-order families and their alternating sums) stays deleted
-    four_block_path = ("_ddbar_terms", "_ddbar_trace", "_ddbar_dual", "_raised_d",
-                       "_raised_dbar", "_alternating")
-    assert not [name for name in four_block_path if hasattr(geo, name)]
+    # first-order families and their alternating sums) and the matrix
+    # calculus of the cofactor divergence on g^{-1} stay deleted
+    deleted = ("_ddbar_terms", "_ddbar_trace", "_ddbar_dual", "_raised_d",
+               "_raised_dbar", "_alternating", "_gauduchon_sum", "_trace_product")
+    assert not [name for name in deleted if hasattr(geo, name)]
     assert not hasattr(geo.MetricFields, "k")
 
 

@@ -74,6 +74,14 @@ class TestPotentialSolve:
         with pytest.raises(CohomologyError):
             pl.potential_from_form(g3, beta)
 
+    def test_non_finite_form_rejected(self, g3, rng):
+        # every tolerance check is a comparison, which a NaN passes
+        phi = tf.random_band_limited_real(g3, rng, amplitude=0.3)
+        beta = gr.hessian_complex(g3, phi)
+        beta[3, 0, 5, 0, 0, 0, 1, 1] = np.nan
+        with pytest.raises(ValidationError, match="prescribed form has non-finite"):
+            pl.potential_from_form(g3, beta)
+
 
 class TestCalabiYau:
     def test_flat_trivial(self, g3):
@@ -168,6 +176,13 @@ class TestPrescribedRicci:
         spec = cy_spec(g3, gauduchon_omega0, astheno_omega)
         psi = geo.chern_ricci(g3, astheno_omega) + 0.03 * np.eye(3)
         with pytest.raises(CohomologyError):
+            pl.prescribed_ricci(spec, psi)
+
+    def test_non_finite_psi_rejected(self, g3, astheno_omega, gauduchon_omega0):
+        spec = cy_spec(g3, gauduchon_omega0, astheno_omega)
+        psi = geo.chern_ricci(g3, astheno_omega)
+        psi[3, 0, 5, 0, 0, 0, 1, 1] = np.nan
+        with pytest.raises(ValidationError, match="prescribed form has non-finite"):
             pl.prescribed_ricci(spec, psi)
 
     def test_ricci_of_root_two_ways(self, g3, astheno_omega, gauduchon_omega0):
