@@ -117,6 +117,9 @@ def load_config(path):
     if "problem" not in parser:
         raise ValidationError("config is missing the [problem] section")
     prob = parser["problem"]
+    for key in ("n", "sizes"):
+        if key not in prob:
+            raise ValidationError(f"[problem] is missing the key {key}")
     try:
         n = prob.getint("n")
         sizes = _parse_ints(prob.get("sizes"))

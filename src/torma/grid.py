@@ -30,7 +30,6 @@ from itertools import product as _iterproduct
 import numpy as np
 import scipy.fft
 
-from . import hermitian as ha
 from .errors import ValidationError
 
 # cap on the total node count accepted by TorusGrid (memory guard: ~2.4 GiB
@@ -552,11 +551,6 @@ def log_det_weights(grid, log_det):
     omega^n = n! det(g) (2 dx dy)^n on the unit torus, hence the 2^n n! factor.
     """
     return np.exp(log_det) * (2.0 ** grid.n) * float(math.factorial(grid.n)) * grid.cell_volume
-
-
-def volume_weights(grid, g):
-    """:func:`log_det_weights` of a positive field g, factored here (no torma module calls it)."""
-    return log_det_weights(grid, ha.log_det(ha.require_positive(g)))
 
 
 def _nyquist_cut(grid, axis):

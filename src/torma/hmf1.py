@@ -59,15 +59,19 @@ def read_field(path):
         raw = fh.read()
     if len(raw) < 20:
         raise ValidationError(f"{path}: truncated HMF1 header")
-    magic, version, ncomp, _reserved = struct.unpack_from("<4sIII", raw, 0)
+    magic, version, ncomp, reserved = struct.unpack_from("<4sIII", raw, 0)
     if magic != MAGIC:
         raise ValidationError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise ValidationError(f"{path}: unsupported HMF1 version {version}")
+    if reserved != 0:
+        raise ValidationError(f"{path}: reserved header word {reserved}, expected 0")
     (n,) = struct.unpack_from("<I", raw, 16)
     if not 2 <= n <= 4:
         raise ValidationError(f"{path}: complex dimension {n} out of range")
     offset = 20
+    if len(raw) < offset + 10 * n:
+        raise ValidationError(f"{path}: truncated HMF1 header")
     sizes = struct.unpack_from(f"<{2 * n}I", raw, offset)
     offset += 8 * n
     mask = struct.unpack_from(f"<{2 * n}B", raw, offset)

@@ -18,9 +18,10 @@ augmented linear system
 
     [ L(du) - db = -r ;  mean(du) = 0 ]
 
-by restarted GMRES (_gmres, scipy's algorithm in numpy), preconditioned
-with the exact inverse of the constant-coefficient (node-averaged)
-second-order part, which is diagonal in Fourier space. The Krylov vectors
+by restarted GMRES (_gmres, in numpy), right-preconditioned with the exact
+inverse of the constant-coefficient (node-averaged) second-order part,
+which is diagonal in Fourier space, so that its residual estimate is the
+true residual the stopping test reads. The Krylov vectors
 are Parseval-scaled resolved half spectra (_bordered_solve), in which the
 Nyquist projection and the preconditioner cost no transform; adjoint_kernel
 solves the transposed system there, L^T for L and (0, 1) as the right-hand
@@ -209,53 +210,46 @@ def _givens(f, g):
     return abs(f) / abs(r), g / r, r
 
 
-def _gmres(matvec, psolve, b, rtol, atol, x0=None):
-    """Restarted GMRES on matvec(x) = b, left-preconditioned by psolve, from
-    x0 (default zero): at most LINEAR_MAXITER // LINEAR_RESTART cycles of
+def _gmres(matvec, psolve, b, rtol, atol):
+    """Restarted GMRES on matvec(x) = b from zero, right-preconditioned by
+    psolve: at most LINEAR_MAXITER // LINEAR_RESTART cycles of
     LINEAR_RESTART iterations.
 
-    The algorithm of scipy.sparse.linalg.gmres (scipy 1.17): Arnoldi with
-    modified Gram-Schmidt on psolve(matvec(.)), Givens rotations of the
-    Hessenberg matrix; a cycle ends when the preconditioned residual estimate
-    reaches ptol, or on breakdown, and then the true residual |b - A x| is
-    tested against max(atol, rtol |b|). ptol starts at that target scaled by
-    |psolve(b)| / |b| and adapts when the estimate and the true residual
-    disagree. Returns (x, info, linear); info is 0 on success and the cycle
-    budget otherwise; linear holds the iterations, rtol and the last
-    estimate relative to |b|.
+    Arnoldi with modified Gram-Schmidt on matvec(psolve(.)) and Givens
+    rotations of the Hessenberg matrix, as in scipy.sparse.linalg.gmres
+    (Saad and Schultz 1986) but preconditioned on the right (Saad 1993): the
+    Krylov space holds y with x = psolve(y), so the least-squares residual
+    the rotations carry is the true residual |b - A x|. A cycle ends when
+    that estimate reaches max(atol, rtol |b|), or on breakdown; x then gains
+    psolve(V y), and the next cycle restarts from the true residual. Returns
+    (x, info, linear); info is 0 once the true residual reaches the target
+    and the cycle budget otherwise; linear holds the iterations, rtol and
+    the last estimate relative to |b|.
     """
     bnrm2 = np.linalg.norm(b)
     atol = max(float(atol), rtol * float(bnrm2))
     estimates = []
-
-    def result(x, info):
-        return x, info, {"linear_iterations": len(estimates), "linear_rtol": rtol,
-                         "linear_residual": estimates[-1] if estimates else None}
-
-    if bnrm2 == 0:
-        return result(b, 0)
     eps = np.finfo(np.float64).eps
     restart = min(LINEAR_RESTART, b.size)
     cycles = max(1, LINEAR_MAXITER // LINEAR_RESTART)
-    ptol_max_factor = 1.0
-    ptol = np.linalg.norm(psolve(b)) * min(ptol_max_factor, atol / bnrm2)
     v = np.empty((restart + 1, b.size))
     h = np.zeros((restart, restart + 1))
     givens = np.zeros((restart, 2))
-    x = np.zeros(b.size) if x0 is None else np.array(x0, dtype=np.float64)
-    r = b - matvec(x) if x.any() else b.copy()
-    rnorm = np.linalg.norm(r)
-    if rnorm < atol:
-        return result(x, 0)
+    x = np.zeros(b.size)
+    v[0] = b  # the residual of x = 0
+    rnorm = bnrm2
     for _ in range(cycles):
-        v[0] = psolve(r)
-        tmp = np.linalg.norm(v[0])
-        v[0] *= 1.0 / tmp
+        if rnorm <= atol:
+            break
+        v[0] *= 1.0 / rnorm
         s = np.zeros(restart + 1)
-        s[0] = tmp
+        s[0] = rnorm
         breakdown = False
         for col in range(restart):
-            w = psolve(matvec(v[col]))
+            # psolve's vector waits in the slot Arnoldi fills next, so no
+            # Krylov-sized temporary is alive while matvec runs
+            v[col + 1] = psolve(v[col])
+            w = matvec(v[col + 1])
             h0 = np.linalg.norm(w)
             for k in range(col + 1):
                 h[col, k] = tmp = np.dot(v[k], w)
@@ -276,9 +270,9 @@ def _gmres(matvec, psolve, b, rtol, atol, x0=None):
             givens[col] = c, sn
             h[col, col + 1] = 0.0
             s[col], s[col + 1] = c * s[col], -sn * s[col]
-            presid = abs(s[col + 1])
-            estimates.append(float(presid / bnrm2))
-            if presid <= ptol or breakdown:
+            resid = abs(s[col + 1])
+            estimates.append(float(resid / bnrm2))
+            if resid <= atol or breakdown:
                 break
         # back substitution on the triangular h, a zero pivot dropping its term
         if h[col, col] == 0:
@@ -290,17 +284,14 @@ def _gmres(matvec, psolve, b, rtol, atol, x0=None):
                 y[:k] -= y[k] * h[k, :k]
         if y[0] != 0:
             y[0] /= h[0, 0]
-        x += y @ v[:col + 1]
-        r = b - matvec(x)
-        rnorm = np.linalg.norm(r)
-        if rnorm <= atol or breakdown:
+        x += psolve(y @ v[:col + 1])
+        v[0] = b - matvec(x)
+        rnorm = np.linalg.norm(v[0])
+        if breakdown:
             break
-        if presid <= ptol:  # the estimate passed, the true residual did not
-            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
-        else:
-            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
-        ptol = presid * min(ptol_max_factor, atol / rnorm)
-    return result(x, 0 if rnorm <= atol else cycles)
+    return x, 0 if rnorm <= atol else cycles, {
+        "linear_iterations": len(estimates), "linear_rtol": rtol,
+        "linear_residual": estimates[-1] if estimates else None}
 
 
 def _bordered_solve(image, rhs_hat, mean, precond, rtol, atol):

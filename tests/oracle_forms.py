@@ -36,10 +36,11 @@ same fused operators run as fourth-order finite differences.
 node, the reference for torma.hermitian's relative-Cholesky root.
 ``resample_complex`` is the spectral resample on full complex spectra,
 the reference for torma.grid's half-spectrum resample.
+``volume_weights`` are torma.grid's volume weights of a bare metric array.
 ``gmres_scipy`` and ``augmented_solve_physical`` are the Newton system's
-linear solve as scipy.sparse.linalg.gmres runs it on physical fields, the
-reference for torma.solver's own GMRES in resolved half-spectrum
-coordinates.
+linear solve as scipy.sparse.linalg.gmres runs it, right-preconditioned, on
+physical fields, the reference for torma.solver's own GMRES in resolved
+half-spectrum coordinates.
 """
 
 from __future__ import annotations
@@ -813,27 +814,34 @@ def nm1_root_eigh(omega_ref, s):
     return ha.hermitize(chol @ k @ np.conj(np.swapaxes(chol, -1, -2)))
 
 
-def gmres_scipy(matvec, psolve, b, rtol, atol, restart, cycles, x0=None):
-    """scipy.sparse.linalg.gmres with left preconditioner psolve, as
-    torma.solver._gmres runs it: restart Krylov vectors per cycle, at most
-    cycles cycles. Returns (x, info, preconditioned residual estimates)."""
+def volume_weights(grid, g):
+    """grid.log_det_weights of a positive metric field g, factored here: the
+    bare-array volume weights the tests integrate against."""
+    return gr.log_det_weights(grid, ha.log_det(ha.require_positive(g)))
+
+
+def gmres_scipy(matvec, psolve, b, rtol, atol, restart, cycles):
+    """scipy.sparse.linalg.gmres right-preconditioned by psolve, as
+    torma.solver._gmres runs it: GMRES with no M on y -> matvec(psolve(y)),
+    restart Krylov vectors per cycle, at most cycles cycles, and x =
+    psolve(y). Returns (x, info, residual estimates)."""
     size = b.size
     estimates = []
-    x, info = spla.gmres(
-        spla.LinearOperator((size, size), matvec=matvec, dtype=np.float64), b, x0=x0,
+    y, info = spla.gmres(
+        spla.LinearOperator((size, size), matvec=lambda y: matvec(psolve(y)),
+                            dtype=np.float64), b,
         rtol=rtol, atol=atol, restart=restart, maxiter=cycles,
-        M=spla.LinearOperator((size, size), matvec=psolve, dtype=np.float64),
         callback=estimates.append, callback_type="pr_norm",
     )
-    return x, info, estimates
+    return psolve(y), info, estimates
 
 
 def augmented_solve_physical(op, rhs, precond, cfg, rtol, restart, cycles):
     """[L(v) - beta = rhs ; mean(v) = 0] on packed physical vectors (v, beta):
     the Nyquist projection grid.drop_nyquist around every apply of the
     SecondOrderOperator op and on rhs, SpectralPreconditioner.solve_augmented
-    as the preconditioner, scipy's GMRES. Returns (v - mean(v), beta, info,
-    iterations)."""
+    as the right preconditioner, scipy's GMRES (gmres_scipy). Returns
+    (v - mean(v), beta, info, iterations)."""
     grid = op.grid
     size = grid.num_nodes
 

@@ -239,7 +239,7 @@ class TestCriterion08AdjointKernel:
         )
         state0 = eq.SolveState(u=np.zeros(g32.sizes, dtype=complex), b=0.0)
         res0 = sv.adjoint_kernel(flat_spec, state0)
-        vol = np.sum(gr.volume_weights(g32, flat))
+        vol = np.sum(of.volume_weights(g32, flat))
         assert gr.sup_norm(res0.f - 1.0 / vol) < 1e-9
 
         prob, rep = solved[eq.Variant.PSI]
@@ -247,7 +247,7 @@ class TestCriterion08AdjointKernel:
         assert res.f.min() > 0.0
         assert res.residual_sup < 1e-8
         lin = eq.Linearization(prob.spec, rep.state)
-        w = gr.volume_weights(g32, lin.gt)
+        w = of.volume_weights(g32, lin.gt)
         rng = np.random.default_rng(47)
         worst = 0.0
         for _ in range(10):

@@ -438,7 +438,7 @@ class TestLinearization:
         spec = random_spec(g3, rng, variant)
         u = tf.random_band_limited_real(g3, rng, amplitude=0.03)
         lin = eq.Linearization(spec, eq.SolveState(u=u, b=0.0))
-        w = gr.volume_weights(g3, lin.gt)
+        w = of.volume_weights(g3, lin.gt)
         v = tf.random_band_limited_real(g3, rng).real
         f = tf.random_band_limited_real(g3, rng).real
         lhs = np.sum(lin.apply(v.astype(complex)) * f * w)

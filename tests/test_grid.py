@@ -169,7 +169,7 @@ class TestReductions:
     def test_integral_flat_volume(self, g3):
         flat = np.broadcast_to(np.eye(3, dtype=complex), g3.sizes + (3, 3))
         # int omega^n = n! 2^n on the unit torus for the flat metric
-        assert np.sum(gr.volume_weights(g3, flat)) == pytest.approx(48.0)
+        assert np.sum(of.volume_weights(g3, flat)) == pytest.approx(48.0)
 
 
 class TestResample:

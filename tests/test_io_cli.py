@@ -1,6 +1,7 @@
 """HMF1 round-trips, config parsing, CLI subcommands and exit codes."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -61,6 +62,18 @@ class TestHMF1:
         hmf1.write_field(path, g2, np.zeros(g2.sizes, dtype=complex))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValidationError):
+            hmf1.read_field(path)
+        # truncated header: n = 3 promises 30 bytes of sizes and mask, 2 follow
+        # (escaped as struct.error)
+        path.write_bytes(struct.pack("<4sIIII", b"HMF1", 1, 1, 0, 3) + b"\x00\x00")
+        with pytest.raises(ValidationError, match="truncated HMF1 header"):
+            hmf1.read_field(path)
+        # a nonzero reserved word (ignored before)
+        hmf1.write_field(path, g2, np.zeros(g2.sizes, dtype=complex))
+        raw = bytearray(path.read_bytes())
+        raw[12] = 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError, match="reserved"):
             hmf1.read_field(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -303,6 +316,19 @@ class TestCli:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("[problem]\nn = 2\nsizes = 7,1,16,1\n", encoding="utf-8")
         assert cli.main(["solve", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("text, key", [
+        ("[problem]\nn = 3\n", "sizes"),  # escaped as an AttributeError (exit 1)
+        ("[problem]\nsizes = 16,1,16,1\n", "n"),  # exit 2, but a TypeError's message
+    ])
+    def test_exit_2_on_missing_problem_key(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        message = f"[problem] is missing the key {key}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_config(cfg)
+        assert cli.main(["solve", "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_exit_2_on_bad_solver_setting(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -107,7 +107,7 @@ def test_linearization_matches_composition(key, rng):
     grid = GRIDS[key]
     variant = eq.Variant.PSI if grid.n == 2 else eq.Variant.PHI
     lin = linearization(grid, rng, variant)
-    weights = gr.volume_weights(grid, lin.gt)
+    weights = of.volume_weights(grid, lin.gt)
     f = rng.standard_normal(grid.sizes)
     for method in METHODS:
         with of.derivatives(method):
@@ -225,9 +225,9 @@ class TestTransformCounts:
         precond = sv.SpectralPreconditioner(grid, lin.coeff_mean)
         seen = {}
 
-        def one_iteration(matvec, psolve, b, rtol, atol, x0=None):
+        def one_iteration(matvec, psolve, b, rtol, atol):
             counts.update(forward=0, inverse=0)
-            psolve(matvec(b))
+            matvec(psolve(b))
             seen.update(counts)
             return b, 0, dict(sv.NO_LINEAR_SOLVE)
 
@@ -250,10 +250,10 @@ class TestTransformCounts:
         class Stop(Exception):
             pass
 
-        def one_iteration(matvec, psolve, b, rtol, atol, x0=None):
+        def one_iteration(matvec, psolve, b, rtol, atol):
             x = rng.standard_normal(b.size)
             counts.update(forward=0, inverse=0)
-            psolve(matvec(x))
+            matvec(psolve(x))
             seen.update(counts)
             raise Stop
 
@@ -269,7 +269,7 @@ class TestTransformCounts:
     def test_apply_transpose(self, counts, rng):
         grid = GRIDS[(3, "x")]
         lin = linearization(grid, rng, eq.Variant.PHI)
-        weights = gr.volume_weights(grid, lin.gt)
+        weights = of.volume_weights(grid, lin.gt)
         counts.update(forward=0, inverse=0)
         lin.apply_transpose(rng.standard_normal(grid.sizes), weights)
         live = len(gr.spectral_table(grid).live)
